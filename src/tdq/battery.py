@@ -11,10 +11,21 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import EngineError, OperatorSuite, delta_series_coefficients, psi_from_KB
-from .linalg import Matrix, Subspace, eigenspace, nilpotency_index, subspace_sum
+from .linalg import (
+    Matrix,
+    Subspace,
+    eigenspace,
+    flags,
+    is_direct_decomposition,
+    nilpotency_index,
+    power_series,
+    subspace_sum,
+    tails,
+)
 from .qcalc import q_exp, q_exp_shift_check
 
 __all__ = [
@@ -69,43 +80,51 @@ class _Context:
 
     def __init__(self, s: OperatorSuite):
         self.s = s
-        field = s.field
-        n, d = s.n, s.d
-        q, a = s.q, s.a
-        self.I = Matrix.identity(field, n)
-        self.c = q - q ** -1
-        self.zero_sub = Subspace.zero(field, n)
-        self.u_flags = _flags(s.U)
-        self.udd_flags = _flags(s.Udd)
-        self.w_flags = _flags(s.W)
-        self.estar_flags = _flags(s.EstarV) if s.EstarV is not None else None
-        ainv = a ** -1
-        self.E_plus = q_exp((a / self.c) * s.psi, q)
-        self.E_minus = q_exp((ainv / self.c) * s.psi, q)
-        self.Einv_plus = q_exp(-(a / self.c) * s.psi, q, "q_inverse")
-        self.Einv_minus = q_exp(-(ainv / self.c) * s.psi, q, "q_inverse")
+        self.I = Matrix.identity(s.field, s.n)
+        self.c = s.q - s.q ** -1
+        self.zero_sub = Subspace.zero(s.field, s.n)
+        self.u_flags, self.udd_flags, self.w_flags = flags(s.U), flags(s.Udd), flags(s.W)
+        self.estar_flags = flags(s.EstarV) if s.EstarV is not None else None
+        self.ev_flags, self.ev_tails = flags(s.EV), tails(s.EV)
+        self.delta_series, self.deltainv_series = [
+            power_series(delta_series_coefficients(s.d, s.q, x), s.psi_pows)
+            for x in (s.a, s.a ** -1)]
+        self._geometric: dict = {}
 
     def geometric(self, x) -> Matrix:
-        """sum_(n=0..d) x^n psi^n = (I - x psi)^-1."""
-        total = self.s.psi_pows[0]
-        power = self.s.field.one
-        for k in range(1, self.s.d + 1):
-            power = power * x
-            total = total + power * self.s.psi_pows[k]
-        return total
+        """sum_(n=0..d) x^n psi^n = (I - x psi)^-1, built once per x."""
+        if x not in self._geometric:
+            self._geometric[x] = power_series([x ** n for n in range(self.s.d + 1)],
+                                              self.s.psi_pows)
+        return self._geometric[x]
+
+    @cached_property
+    def Kinv(self) -> Matrix:
+        return self.s.K.inverse()
+
+    @cached_property
+    def Binv(self) -> Matrix:
+        return self.s.B.inverse()
+
+    @cached_property
+    def exps(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+        """E+ = exp_q(a/(q-q^-1) psi), E- = exp_q(a^-1/(q-q^-1) psi) and the
+        q^-1 variants at minus the same arguments.  Built on first use, so a
+        psi that is not nilpotent fails only the items that use them."""
+        s = self.s
+        plus, minus = (s.a / self.c) * s.psi, (s.a ** -1 / self.c) * s.psi
+        return (q_exp(plus, s.q), q_exp(minus, s.q),
+                q_exp(-plus, s.q, "q_inverse"), q_exp(-minus, s.q, "q_inverse"))
+
+    @cached_property
+    def exp_products(self) -> tuple[Matrix, Matrix]:
+        """The exponential products for Delta and Delta^-1."""
+        E_plus, E_minus, Einv_plus, Einv_minus = self.exps
+        return E_plus * Einv_minus, E_minus * Einv_plus
 
 
-def _flags(spaces: Sequence[Subspace]) -> list[Subspace]:
-    out = []
-    running: list[Subspace] = []
-    for s in spaces:
-        running.append(s)
-        out.append(subspace_sum(running))
-    return out
-
-
-def _flag(flags: list[Subspace], i: int, zero: Subspace) -> Subspace:
-    return zero if i < 0 else flags[i]
+def _flag(running: list[Subspace], i: int, zero: Subspace) -> Subspace:
+    return zero if i < 0 else running[i]
 
 
 def _member(seq: Sequence[Subspace], i: int, zero: Subspace) -> Subspace:
@@ -130,11 +149,7 @@ def _check_mats(pairs: Iterable[tuple[str, Matrix, Matrix]]) -> list[dict]:
 
 def _maps_into(mat: Matrix, source: Subspace, target: Subspace) -> bool:
     image = source.image(mat)
-    if image.is_zero():
-        return True
-    if target.is_zero():
-        return False
-    return subspace_sum([image, target]) == target
+    return image.is_zero() or target.contains(image)
 
 
 def _action_witnesses(label: str, mat: Matrix, sources: Sequence[Subspace],
@@ -170,8 +185,6 @@ def _item(item_id: str, anchor: str, needs_astar: bool = False):
 def _splits_direct(ctx):
     s = ctx.s
     out = []
-    from .linalg import is_direct_decomposition
-
     if not is_direct_decomposition(s.U):
         out.append({"identity": "U direct", "dims": [x.dim for x in s.U]})
     if not is_direct_decomposition(s.Udd):
@@ -186,11 +199,12 @@ def _splits_direct(ctx):
 @_item("eigenflag_tails", "E_iV + ... + E_dV = U_i + ... + U_d and E_0V + ... + E_iV = U_(d-i)^dd + ... + U_d^dd")
 def _eigenflag_tails(ctx):
     s = ctx.s
+    u_tails, udd_tails = tails(s.U), tails(s.Udd)
     out = []
     for i in range(s.d + 1):
-        if subspace_sum(s.EV[i:]) != subspace_sum(s.U[i:]):
+        if ctx.ev_tails[i] != u_tails[i]:
             out.append({"identity": "E-tail = U-tail", "i": i})
-        if subspace_sum(s.EV[: i + 1]) != subspace_sum(s.Udd[s.d - i:]):
+        if ctx.ev_flags[i] != udd_tails[s.d - i]:
             out.append({"identity": "E-head = Udd-tail", "i": i})
     return out
 
@@ -218,10 +232,9 @@ def _a_action_splits(ctx):
     s = ctx.s
     out = []
     for i in range(s.d + 1):
-        shift_u = s.A - Matrix.diagonal(s.field, [s.theta[i]] * s.n)
-        if not _maps_into(shift_u, s.U[i], _member(s.U, i + 1, ctx.zero_sub)):
+        if not _maps_into(s.A.shift(s.theta[i]), s.U[i], _member(s.U, i + 1, ctx.zero_sub)):
             out.append({"identity": "(A - theta_i)U_i <= U_(i+1)", "i": i})
-        shift_d = s.A - Matrix.diagonal(s.field, [s.theta[s.d - i]] * s.n)
+        shift_d = s.A.shift(s.theta[s.d - i])
         if not _maps_into(shift_d, s.Udd[i], _member(s.Udd, i + 1, ctx.zero_sub)):
             out.append({"identity": "(A - theta_(d-i))U_i^dd <= U_(i+1)^dd", "i": i})
     return out
@@ -232,7 +245,7 @@ def _astar_action_splits(ctx):
     s = ctx.s
     out = []
     for i in range(s.d + 1):
-        shift = s.Astar - Matrix.diagonal(s.field, [s.theta_star[i]] * s.n)
+        shift = s.Astar.shift(s.theta_star[i])
         if not _maps_into(shift, s.U[i], _member(s.U, i - 1, ctx.zero_sub)):
             out.append({"identity": "(A* - theta*_i)U_i <= U_(i-1)", "i": i})
         if not _maps_into(shift, s.Udd[i], _member(s.Udd, i - 1, ctx.zero_sub)):
@@ -286,11 +299,9 @@ def _kb_triangular(ctx):
     out = []
     for i in range(s.d + 1):
         lam = s.q ** (s.d - 2 * i)
-        shift_b = s.B - Matrix.diagonal(s.field, [lam] * s.n)
-        if not _maps_into(shift_b, s.U[i], _flag(ctx.u_flags, i - 1, ctx.zero_sub)):
+        if not _maps_into(s.B.shift(lam), s.U[i], _flag(ctx.u_flags, i - 1, ctx.zero_sub)):
             out.append({"identity": "(B - q^(d-2i))U_i <= U-flag", "i": i})
-        shift_k = s.K - Matrix.diagonal(s.field, [lam] * s.n)
-        if not _maps_into(shift_k, s.Udd[i], _flag(ctx.udd_flags, i - 1, ctx.zero_sub)):
+        if not _maps_into(s.K.shift(lam), s.Udd[i], _flag(ctx.udd_flags, i - 1, ctx.zero_sub)):
             out.append({"identity": "(K - q^(d-2i))U_i^dd <= Udd-flag", "i": i})
     return out
 
@@ -353,7 +364,7 @@ def _bk_rational(ctx):
     s = ctx.s
     a, q = s.a, s.q
     I = ctx.I
-    Kinv, Binv = s.K.inverse(), s.B.inverse()
+    Kinv, Binv = ctx.Kinv, ctx.Binv
     return _check_mats([
         ("BK^-1 = (I - aq psi)(I - a^-1 q psi)^-1",
          s.B * Kinv, (I - a * q * s.psi) * ctx.geometric(a ** -1 * q)),
@@ -370,7 +381,7 @@ def _bk_rational(ctx):
 def _psi_a_relation(ctx):
     s = ctx.s
     a, q = s.a, s.q
-    Kinv = s.K.inverse()
+    Kinv = ctx.Kinv
     lhs = s.psi * s.A - s.A * s.psi
     rhs = ctx.c * ((ctx.I - a * q * s.psi) * s.K - (ctx.I - a ** -1 * q ** -1 * s.psi) * Kinv)
     return _check_mats([("psi A - A psi = (q - q^-1)[(I - aq psi)K - (I - a^-1 q^-1 psi)K^-1]",
@@ -412,8 +423,8 @@ def _delta_flag_reversal(ctx):
     s = ctx.s
     out = []
     for i in range(s.d + 1):
-        image = subspace_sum(s.EV[i:]).image(s.Delta)
-        target = subspace_sum(s.EV[: s.d - i + 1])
+        image = ctx.ev_tails[i].image(s.Delta)
+        target = ctx.ev_flags[s.d - i]
         if image != target:
             out.append({"identity": "Delta(E-tail) = E-head", "i": i,
                         "image": image.render(), "target": target.render()})
@@ -423,15 +434,9 @@ def _delta_flag_reversal(ctx):
 @_item("delta_power_series", "Delta = sum_i prod_j (aq^(j-1) - a^-1 q^(1-j))/(q^j - q^-j) psi^i, and the inverse series")
 def _delta_power_series(ctx):
     s = ctx.s
-    series = Matrix.zero(s.field, s.n)
-    for coeff, power in zip(delta_series_coefficients(s.d, s.q, s.a), s.psi_pows):
-        series = series + coeff * power
-    inv_series = Matrix.zero(s.field, s.n)
-    for coeff, power in zip(delta_series_coefficients(s.d, s.q, s.a ** -1), s.psi_pows):
-        inv_series = inv_series + coeff * power
     return _check_mats([
-        ("Delta = power series in psi", s.Delta, series),
-        ("Delta^-1 = power series in psi", s.Deltainv, inv_series),
+        ("Delta = power series in psi", s.Delta, ctx.delta_series),
+        ("Delta^-1 = power series in psi", s.Deltainv, ctx.deltainv_series),
     ])
 
 
@@ -476,7 +481,7 @@ def _minv_products(ctx):
     s = ctx.s
     a, q = s.a, s.q
     I = ctx.I
-    Kinv, Binv = s.K.inverse(), s.B.inverse()
+    Kinv, Binv = ctx.Kinv, ctx.Binv
     return _check_mats([
         ("M^-1 = K^-1(I - a^-1 q psi)", s.Minv, Kinv * (I - a ** -1 * q * s.psi)),
         ("M^-1 = (I - a^-1 q^-1 psi)K^-1", s.Minv, (I - a ** -1 * q ** -1 * s.psi) * Kinv),
@@ -538,35 +543,29 @@ def _m_a_quadratic(ctx):
 @_item("exp_intertwine", "K exp_q(a^-1/(q - q^-1) psi) = exp_q(a^-1/(q - q^-1) psi) M and B exp_q(a/(q - q^-1) psi) = exp_q(a/(q - q^-1) psi) M")
 def _exp_intertwine(ctx):
     s = ctx.s
+    E_plus, E_minus, _, _ = ctx.exps
     return _check_mats([
-        ("K E- = E- M", s.K * ctx.E_minus, ctx.E_minus * s.M),
-        ("B E+ = E+ M", s.B * ctx.E_plus, ctx.E_plus * s.M),
+        ("K E- = E- M", s.K * E_minus, E_minus * s.M),
+        ("B E+ = E+ M", s.B * E_plus, E_plus * s.M),
     ])
 
 
 @_item("delta_exp_factorization", "Delta = exp_q(a/(q-q^-1) psi) exp_(q^-1)(-a^-1/(q-q^-1) psi) and Delta^-1 = exp_q(a^-1/(q-q^-1) psi) exp_(q^-1)(-a/(q-q^-1) psi)")
 def _delta_exp_factorization(ctx):
     s = ctx.s
+    exp_delta, exp_deltainv = ctx.exp_products
     return _check_mats([
-        ("Delta = E+ E-^(-1 variant)", s.Delta, ctx.E_plus * ctx.Einv_minus),
-        ("Delta^-1 = E- E+^(-1 variant)", s.Deltainv, ctx.E_minus * ctx.Einv_plus),
+        ("Delta = E+ E-^(-1 variant)", s.Delta, exp_delta),
+        ("Delta^-1 = E- E+^(-1 variant)", s.Deltainv, exp_deltainv),
     ])
 
 
 @_item("exp_product_series", "the exponential product expands to the power series (q-binomial identity)")
 def _exp_product_series(ctx):
-    s = ctx.s
-    lhs1 = ctx.E_plus * ctx.Einv_minus
-    rhs1 = Matrix.zero(s.field, s.n)
-    for coeff, power in zip(delta_series_coefficients(s.d, s.q, s.a), s.psi_pows):
-        rhs1 = rhs1 + coeff * power
-    lhs2 = ctx.E_minus * ctx.Einv_plus
-    rhs2 = Matrix.zero(s.field, s.n)
-    for coeff, power in zip(delta_series_coefficients(s.d, s.q, s.a ** -1), s.psi_pows):
-        rhs2 = rhs2 + coeff * power
+    exp_delta, exp_deltainv = ctx.exp_products
     return _check_mats([
-        ("exp product = series", lhs1, rhs1),
-        ("swapped exp product = inverse series", lhs2, rhs2),
+        ("exp product = series", exp_delta, ctx.delta_series),
+        ("swapped exp product = inverse series", exp_deltainv, ctx.deltainv_series),
     ])
 
 
@@ -611,15 +610,16 @@ def _w_dims(ctx):
 @_item("u_w_exp_maps", "U_i = exp_q(a^-1/(q-q^-1) psi) W_i, U_i^dd = exp_q(a/(q-q^-1) psi) W_i, and the inverse maps")
 def _u_w_exp_maps(ctx):
     s = ctx.s
+    E_plus, E_minus, Einv_plus, Einv_minus = ctx.exps
     out = []
     for i in range(s.d + 1):
-        if s.W[i].image(ctx.E_minus) != s.U[i]:
+        if s.W[i].image(E_minus) != s.U[i]:
             out.append({"identity": "E- W_i = U_i", "i": i})
-        if s.W[i].image(ctx.E_plus) != s.Udd[i]:
+        if s.W[i].image(E_plus) != s.Udd[i]:
             out.append({"identity": "E+ W_i = U_i^dd", "i": i})
-        if s.U[i].image(ctx.Einv_minus) != s.W[i]:
+        if s.U[i].image(Einv_minus) != s.W[i]:
             out.append({"identity": "E-^(-1 variant) U_i = W_i", "i": i})
-        if s.Udd[i].image(ctx.Einv_plus) != s.W[i]:
+        if s.Udd[i].image(Einv_plus) != s.W[i]:
             out.append({"identity": "E+^(-1 variant) U_i^dd = W_i", "i": i})
     return out
 
@@ -647,9 +647,9 @@ def _kb_action_w(ctx):
     for i in range(s.d + 1):
         lam = s.q ** (s.d - 2 * i)
         target = _member(s.W, i - 1, ctx.zero_sub)
-        if not _maps_into(s.K - Matrix.diagonal(s.field, [lam] * s.n), s.W[i], target):
+        if not _maps_into(s.K.shift(lam), s.W[i], target):
             out.append({"identity": "(K - q^(d-2i))W_i <= W_(i-1)", "i": i})
-        if not _maps_into(s.B - Matrix.diagonal(s.field, [lam] * s.n), s.W[i], target):
+        if not _maps_into(s.B.shift(lam), s.W[i], target):
             out.append({"identity": "(B - q^(d-2i))W_i <= W_(i-1)", "i": i})
     return out
 
@@ -670,10 +670,9 @@ def _a_action_w(ctx):
     out = []
     for i in range(s.d + 1):
         lam = (s.a + s.a ** -1) * s.q ** (s.d - 2 * i)
-        shift = s.A - Matrix.diagonal(s.field, [lam] * s.n)
-        neighbors = [sp for sp in (_member(s.W, i - 1, ctx.zero_sub),
-                                   _member(s.W, i + 1, ctx.zero_sub)) if not sp.is_zero()]
-        target = subspace_sum(neighbors) if neighbors else ctx.zero_sub
+        shift = s.A.shift(lam)
+        target = subspace_sum([_member(s.W, i - 1, ctx.zero_sub),
+                               _member(s.W, i + 1, ctx.zero_sub)])
         if not _maps_into(shift, s.W[i], target):
             out.append({"identity": "(A - (a+a^-1)q^(d-2i))W_i <= W_(i-1)+W_(i+1)", "i": i})
     return out
@@ -684,7 +683,7 @@ def _astar_action_w(ctx):
     s = ctx.s
     out = []
     for i in range(s.d + 1):
-        shift = s.Astar - Matrix.diagonal(s.field, [s.theta_star[i]] * s.n)
+        shift = s.Astar.shift(s.theta_star[i])
         if not _maps_into(shift, s.W[i], _flag(ctx.w_flags, i - 1, ctx.zero_sub)):
             out.append({"identity": "(A* - theta*_i)W_i <= W-flag", "i": i})
     return out
@@ -696,7 +695,7 @@ def _m_action_splits(ctx):
     out = []
     for i in range(s.d + 1):
         lam = s.q ** (s.d - 2 * i)
-        shift = s.M - Matrix.diagonal(s.field, [lam] * s.n)
+        shift = s.M.shift(lam)
         if not _maps_into(shift, s.U[i], _flag(ctx.u_flags, i - 1, ctx.zero_sub)):
             out.append({"identity": "(M - q^(d-2i))U_i <= U-flag", "i": i})
         if not _maps_into(shift, s.Udd[i], _flag(ctx.udd_flags, i - 1, ctx.zero_sub)):
@@ -710,7 +709,7 @@ def _minv_action_splits(ctx):
     out = []
     for i in range(s.d + 1):
         lam = s.q ** (2 * i - s.d)
-        shift = s.Minv - Matrix.diagonal(s.field, [lam] * s.n)
+        shift = s.Minv.shift(lam)
         if not _maps_into(shift, s.U[i], _member(s.U, i - 1, ctx.zero_sub)):
             out.append({"identity": "(M^-1 - q^(2i-d))U_i <= U_(i-1)", "i": i})
         if not _maps_into(shift, s.Udd[i], _member(s.Udd, i - 1, ctx.zero_sub)):
@@ -723,9 +722,8 @@ def _minv_action_ev(ctx):
     s = ctx.s
     out = []
     for i in range(s.d + 1):
-        neighbors = [sp for sp in (_member(s.EV, i - 1, ctx.zero_sub), s.EV[i],
-                                   _member(s.EV, i + 1, ctx.zero_sub)) if not sp.is_zero()]
-        target = subspace_sum(neighbors)
+        target = subspace_sum([_member(s.EV, i - 1, ctx.zero_sub), s.EV[i],
+                               _member(s.EV, i + 1, ctx.zero_sub)])
         if not _maps_into(s.Minv, s.EV[i], target):
             out.append({"identity": "M^-1 E_iV <= E_(i-1)V + E_iV + E_(i+1)V", "i": i})
     return out
@@ -737,11 +735,9 @@ def _m_action_dual_ev(ctx):
     out = []
     for i in range(s.d + 1):
         flag = _flag(ctx.estar_flags, i - 1, ctx.zero_sub)
-        shift_m = s.M - Matrix.diagonal(s.field, [s.q ** (s.d - 2 * i)] * s.n)
-        if not _maps_into(shift_m, s.EstarV[i], flag):
+        if not _maps_into(s.M.shift(s.q ** (s.d - 2 * i)), s.EstarV[i], flag):
             out.append({"identity": "(M - q^(d-2i))E*_iV <= E*-flag", "i": i})
-        shift_minv = s.Minv - Matrix.diagonal(s.field, [s.q ** (2 * i - s.d)] * s.n)
-        if not _maps_into(shift_minv, s.EstarV[i], flag):
+        if not _maps_into(s.Minv.shift(s.q ** (2 * i - s.d)), s.EstarV[i], flag):
             out.append({"identity": "(M^-1 - q^(2i-d))E*_iV <= E*-flag", "i": i})
     return out
 

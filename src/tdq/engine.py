@@ -17,12 +17,16 @@ from .linalg import (
     Matrix,
     Subspace,
     eigenspace,
+    flags,
     generated_algebra_dim,
     is_direct_decomposition,
+    matrix_powers,
+    power_series,
     subspace_intersect,
-    subspace_sum,
+    subspace_sum,  # noqa: F401  (perfbench/tracer.py wraps this binding by name)
+    tails,
 )
-from .params import QRacahParams
+from .params import QRacahParams, theta_sequence
 from .qcalc import q_exp
 from .scalars import Scalar
 
@@ -119,8 +123,7 @@ def detect_qracah(thetas: Sequence[Scalar]) -> DetectionResult:
             continue
         if (q ** 4 - one).is_zero():
             continue
-        if all((thetas[i] - (a * q ** (d - 2 * i) + a ** -1 * q ** (2 * i - d))).is_zero()
-               for i in range(d + 1)):
+        if tuple(thetas) == theta_sequence(a, q, d):
             verified[(q.render(), a.render())] = (q, a)
     if not verified:
         raise NotQRacahError(
@@ -271,34 +274,28 @@ def _concat_basis(spaces: Sequence[Subspace]) -> Matrix:
     return Matrix.from_rows(field, cols).transpose()
 
 
+def _adapted(m: Matrix, spaces: Sequence[Subspace]) -> tuple[Matrix, list[range]]:
+    """m in the coordinates adapted to the ordered subspaces, and the index
+    range of each subspace's block."""
+    P = _concat_basis(spaces)
+    starts = [sum(s.dim for s in spaces[:i]) for i in range(len(spaces))]
+    return P.inverse() * m * P, [range(st, st + s.dim) for st, s in zip(starts, spaces)]
+
+
 def _block_eigenvalues(A: Matrix, spaces: Sequence[Subspace]) -> Optional[list[Scalar]]:
     """If A is block lower bidiagonal with scalar diagonal blocks in the
     coordinates adapted to the ordered subspaces, return those scalars."""
-    P = _concat_basis(spaces)
-    T = P.inverse() * A * P
-    sizes = [s.dim for s in spaces]
-    starts = []
-    offset = 0
-    for size in sizes:
-        starts.append(offset)
-        offset += size
+    T, blocks = _adapted(A, spaces)
     values: list[Scalar] = []
-    for bi, size_i in enumerate(sizes):
-        lam = T[starts[bi], starts[bi]]
-        for r in range(starts[bi], starts[bi] + size_i):
-            for c in range(starts[bi], starts[bi] + size_i):
-                expected = lam if r == c else A.field.zero
-                if T[r, c] != expected:
-                    return None
+    for block in blocks:
+        lam = T[block.start, block.start]
+        if any(T[r, c] != (lam if r == c else A.field.zero) for r in block for c in block):
+            return None
         values.append(lam)
-    for bc in range(len(sizes)):
-        for br in range(len(sizes)):
-            if br in (bc, bc + 1):
-                continue
-            for r in range(starts[br], starts[br] + sizes[br]):
-                for c in range(starts[bc], starts[bc] + sizes[bc]):
-                    if T[r, c]:
-                        return None
+    for bc, cols in enumerate(blocks):
+        for br, rows in enumerate(blocks):
+            if br not in (bc, bc + 1) and any(T[r, c] for r in rows for c in cols):
+                return None
     return values
 
 
@@ -311,21 +308,11 @@ def _path_ordering(spaces: Sequence[Subspace], cross: Matrix) -> Optional[list[i
     k = len(spaces)
     if k == 1:
         return [0]
-    P = _concat_basis(spaces)
-    T = P.inverse() * cross * P
-    sizes = [s.dim for s in spaces]
-    starts = [sum(sizes[:i]) for i in range(k)]
+    T, blocks = _adapted(cross, spaces)
     adj = {i: set() for i in range(k)}
-    for bi in range(k):
-        for bj in range(k):
-            if bi == bj:
-                continue
-            block_nonzero = any(
-                bool(T[r, c])
-                for r in range(starts[bi], starts[bi] + sizes[bi])
-                for c in range(starts[bj], starts[bj] + sizes[bj])
-            )
-            if block_nonzero:
+    for bi, rows in enumerate(blocks):
+        for bj, cols in enumerate(blocks):
+            if bi != bj and any(T[r, c] for r in rows for c in cols):
                 adj[bi].add(bj)
                 adj[bj].add(bi)
     if k == 2:
@@ -345,28 +332,12 @@ def _path_ordering(spaces: Sequence[Subspace], cross: Matrix) -> Optional[list[i
     return order
 
 
-def _split_subspaces(EV, EstarV, d):
-    """The defining flag intersections of the two split decompositions."""
-    field = EV[0].field
-    estar_flags = []
-    running: list[Subspace] = []
-    for i in range(d + 1):
-        running.append(EstarV[i])
-        estar_flags.append(subspace_sum(running))
-    e_tails = [subspace_sum(EV[i:]) for i in range(d + 1)]
-    e_heads = [subspace_sum(EV[: i + 1]) for i in range(d + 1)]
-    U = tuple(subspace_intersect(estar_flags[i], e_tails[i]) for i in range(d + 1))
-    Udd = tuple(subspace_intersect(estar_flags[i], e_heads[d - i]) for i in range(d + 1))
-    return U, Udd
-
-
 def split_from_pair(A: Matrix, Astar: Matrix,
                     params: Optional[QRacahParams] = None) -> SplitData:
     """Both split decompositions from a raw (A, A*) pair, by the defining
     intersections of the eigenspace flags."""
     if A.rows != Astar.rows or not A.is_square or not Astar.is_square:
         raise ValueError("A and A* must be square of the same size")
-    n = A.rows
     field = A.field
 
     avals, aspaces = _eigendata(A)
@@ -420,8 +391,11 @@ def split_from_pair(A: Matrix, Astar: Matrix,
     EstarV = tuple(sspaces[i] for i in sorder)
 
     new_params = QRacahParams(d, q, a, b)
-    U, Udd = _split_subspaces(EV, EstarV, d)
-    _check_split_consistency(U, Udd, EV, EstarV, d)
+    # the defining flag intersections of the two split decompositions
+    e_heads, e_tails, estar_flags = flags(EV), tails(EV), flags(EstarV)
+    U = tuple(subspace_intersect(estar_flags[i], e_tails[i]) for i in range(d + 1))
+    Udd = tuple(subspace_intersect(estar_flags[i], e_heads[d - i]) for i in range(d + 1))
+    _check_split_consistency(U, Udd, EV, EstarV, d, e_heads, e_tails, estar_flags)
     rho = tuple(s.dim for s in U)
     return SplitData(new_params, tuple(theta), tuple(theta_star), U, Udd, EV, EstarV, rho)
 
@@ -429,15 +403,11 @@ def split_from_pair(A: Matrix, Astar: Matrix,
 def _orient_dual(theta_star, q, d, field, b=None):
     """Pick the orientation of the dual eigenvalue sequence compatible with q
     (reversal swaps b and 1/b), preferring the given b when supplied."""
-    def fits(seq, bval):
-        return all((seq[i] - (bval * q ** (d - 2 * i) + bval ** -1 * q ** (2 * i - d))).is_zero()
-                   for i in range(d + 1))
-
     options = []
     for flip in (False, True):
         seq = theta_star[::-1] if flip else theta_star
         bval = _solve_a_linear(seq, q, d, field)
-        if bval is not None and fits(seq, bval):
+        if bval is not None and tuple(seq) == theta_sequence(bval, q, d):
             options.append((tuple(seq), flip, bval))
     if not options:
         return None
@@ -450,7 +420,9 @@ def _orient_dual(theta_star, q, d, field, b=None):
     return options[0]
 
 
-def _check_split_consistency(U, Udd, EV, EstarV, d):
+def _check_split_consistency(U, Udd, EV, EstarV, d, e_heads, e_tails, estar_flags=None):
+    """Directness, common multiplicities and the flag sum identities; the
+    eigenspace flags of A (and of A*, when given) come from the caller."""
     if not is_direct_decomposition(U):
         raise EngineError("split-failure", "the first split sequence is not a decomposition")
     if not is_direct_decomposition(Udd):
@@ -462,24 +434,16 @@ def _check_split_consistency(U, Udd, EV, EstarV, d):
         if len(dims) != 1:
             raise EngineError("split-failure",
                               f"multiplicities disagree at index {i}")
-    # flag sum identities
+    u_flags, u_tails, udd_flags, udd_tails = flags(U), tails(U), flags(Udd), tails(Udd)
     for i in range(d + 1):
-        e_tail = subspace_sum(EV[i:])
-        u_tail = subspace_sum(U[i:])
-        if e_tail != u_tail:
+        if e_tails[i] != u_tails[i]:
             raise EngineError("split-failure", f"eigenflag/tail mismatch at index {i}")
-        e_head = subspace_sum(EV[: i + 1])
-        udd_tail = subspace_sum(Udd[d - i:])
-        if e_head != udd_tail:
+        if e_heads[i] != udd_tails[d - i]:
             raise EngineError("split-failure", f"eigenflag/head mismatch at index {i}")
-        u_flag = subspace_sum(U[: i + 1])
-        udd_flag = subspace_sum(Udd[: i + 1])
-        if u_flag != udd_flag:
+        if u_flags[i] != udd_flags[i]:
             raise EngineError("split-failure", f"flag mismatch at index {i}")
-        if EstarV is not None:
-            estar_flag = subspace_sum(EstarV[: i + 1])
-            if estar_flag != u_flag:
-                raise EngineError("split-failure", f"dual flag mismatch at index {i}")
+        if estar_flags is not None and estar_flags[i] != u_flags[i]:
+            raise EngineError("split-failure", f"dual flag mismatch at index {i}")
 
 
 def split_from_AK(A: Matrix, K: Matrix,
@@ -493,7 +457,6 @@ def split_from_AK(A: Matrix, K: Matrix,
     if A.rows != K.rows or not A.is_square or not K.is_square:
         raise ValueError("A and K must be square of the same size")
     n = A.rows
-    field = A.field
 
     if params is not None:
         candidates = [(params.q, params.d)]
@@ -543,14 +506,9 @@ def split_from_AK(A: Matrix, K: Matrix,
             failure = EngineError("not-diagonalizable",
                                   "A is not diagonalizable over the working field")
             continue
-        u_flags = []
-        running: list[Subspace] = []
-        for i in range(d + 1):
-            running.append(U[i])
-            u_flags.append(subspace_sum(running))
-        e_heads = [subspace_sum(EV[: i + 1]) for i in range(d + 1)]
+        u_flags, e_heads = flags(U), flags(EV)
         Udd = tuple(subspace_intersect(u_flags[i], e_heads[d - i]) for i in range(d + 1))
-        _check_split_consistency(tuple(U), Udd, tuple(EV), None, d)
+        _check_split_consistency(tuple(U), Udd, tuple(EV), None, d, e_heads, tails(EV))
         rho = tuple(s.dim for s in U)
         return SplitData(new_params, tuple(theta), None, tuple(U), Udd,
                          tuple(EV), None, rho)
@@ -602,20 +560,14 @@ def _k_spectrum_candidates(K: Matrix) -> list[tuple[Scalar, int]]:
 def build_KB(U: Sequence[Subspace], Udd: Sequence[Subspace],
              q: Scalar, d: int) -> tuple[Matrix, Matrix]:
     """The unique operators with eigenvalue q^(d-2i) on U_i (resp. U_i-dd)."""
-    K = _semisimple_from_decomposition(U, [q ** (d - 2 * i) for i in range(d + 1)])
-    B = _semisimple_from_decomposition(Udd, [q ** (d - 2 * i) for i in range(d + 1)])
-    return K, B
+    return _semisimple_from_decomposition(U, q, d), _semisimple_from_decomposition(Udd, q, d)
 
 
-def _semisimple_from_decomposition(spaces: Sequence[Subspace],
-                                   eigenvalues: Sequence[Scalar]) -> Matrix:
-    field = spaces[0].field
+def _semisimple_from_decomposition(spaces: Sequence[Subspace], q: Scalar, d: int) -> Matrix:
+    """The operator acting as q^(d-2i) on spaces[i]."""
     P = _concat_basis(spaces)
-    diag: list[Scalar] = []
-    for space, lam in zip(spaces, eigenvalues):
-        diag.extend([lam] * space.dim)
-    D = Matrix.diagonal(field, diag)
-    return P * D * P.inverse()
+    diag = [q ** (d - 2 * i) for i, space in enumerate(spaces) for _ in range(space.dim)]
+    return P * Matrix.diagonal(q.field, diag) * P.inverse()
 
 
 def psi_from_KB(K: Matrix, B: Matrix, q: Scalar, a: Scalar) -> Matrix:
@@ -762,13 +714,6 @@ class OperatorSuite:
         return self.Astar is not None
 
 
-def _matrix_powers(m: Matrix, count: int) -> tuple[Matrix, ...]:
-    powers = [Matrix.identity(m.field, m.rows)]
-    for _ in range(count):
-        powers.append(powers[-1] * m)
-    return tuple(powers)
-
-
 def derive_suite(A: Matrix, K: Optional[Matrix] = None,
                  Astar: Optional[Matrix] = None,
                  params: Optional[QRacahParams] = None,
@@ -789,8 +734,7 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
         if Astar is not None:
             sd = _attach_astar(sd, Astar)
         K_op = K
-        B_op = _semisimple_from_decomposition(
-            sd.Udd, [sd.params.q ** (sd.params.d - 2 * i) for i in range(sd.params.d + 1)])
+        B_op = _semisimple_from_decomposition(sd.Udd, sd.params.q, sd.params.d)
     else:
         sd = split_from_pair(A, Astar, params)
         K_op, B_op = build_KB(sd.U, sd.Udd, sd.params.q, sd.params.d)
@@ -801,17 +745,14 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
     n = A.rows
 
     psi = psi_from_KB(K_op, B_op, q, a)
-    psi_pows = _matrix_powers(psi, d + 1)
+    psi_pows = matrix_powers(psi, d + 1)
 
     denom = a - a ** -1
     M = (a * K_op - (a ** -1) * B_op) * denom.inv()
     Minv = M.inverse()
 
     coeff = q - q ** -1
-    series = delta_series_coefficients(d, q, a)
-    Delta_series = Matrix.zero(field, n)
-    for c, p in zip(series, psi_pows):
-        Delta_series = Delta_series + c * p
+    Delta_series = power_series(delta_series_coefficients(d, q, a), psi_pows)
     Delta_exp = q_exp((a / coeff) * psi, q) * q_exp(-(a ** -1 / coeff) * psi, q, "q_inverse")
     Delta_tri = delta_from_characterization(sd.U, sd.Udd, field)
     if Delta_series != Delta_exp:
@@ -821,10 +762,7 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
         raise CrossRouteError("power series and triangular characterization for "
                               "Delta disagree", Delta_series, Delta_tri)
 
-    inv_series = delta_series_coefficients(d, q, a ** -1)
-    Deltainv = Matrix.zero(field, n)
-    for c, p in zip(inv_series, psi_pows):
-        Deltainv = Deltainv + c * p
+    Deltainv = power_series(delta_series_coefficients(d, q, a ** -1), psi_pows)
     if Delta_series * Deltainv != Matrix.identity(field, n):
         raise CrossRouteError("the two Delta power series are not inverse to "
                               "each other", Delta_series, Deltainv)
@@ -847,7 +785,7 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
             raise ValueError(f"cannot override {sorted(unknown)}")
         suite = replace(suite, **dict(overrides))
         if "psi" in overrides:
-            suite = replace(suite, psi_pows=_matrix_powers(suite.psi, d + 1))
+            suite = replace(suite, psi_pows=matrix_powers(suite.psi, d + 1))
     return suite
 
 
@@ -865,7 +803,7 @@ def _attach_astar(sd: SplitData, Astar: Matrix) -> SplitData:
     if len(svals) != d + 1:
         raise EngineError("diameter-mismatch",
                           "the dual operator has the wrong number of eigenspaces")
-    u_flags = [subspace_sum(sd.U[: i + 1]) for i in range(d + 1)]
+    u_flags = flags(sd.U)
     remaining = list(range(d + 1))
     order: list[int] = []
     for i in range(d + 1):
@@ -877,10 +815,7 @@ def _attach_astar(sd: SplitData, Astar: Matrix) -> SplitData:
         remaining.remove(inside[0])
     theta_star = [svals[i] for i in order]
     b = _solve_a_linear(theta_star, q, d, field)
-    fits = b is not None and all(
-        (theta_star[i] - (b * q ** (d - 2 * i) + b ** -1 * q ** (2 * i - d))).is_zero()
-        for i in range(d + 1))
-    if not fits:
+    if b is None or tuple(theta_star) != theta_sequence(b, q, d):
         raise NotQRacahError("dual-parameter-failure",
                              "no b in the working field matches the dual eigenvalues")
     if sd.params.b is not None and b != sd.params.b:
@@ -988,9 +923,7 @@ def validate_axioms(A: Matrix, Astar: Matrix) -> AxiomReport:
         try:
             detection = detect_qracah(theta)
             expected_q, expected_a = detection.representative
-            expected = [expected_q ** (d - 2 * i) * expected_a
-                        + expected_a ** -1 * expected_q ** (2 * i - d)
-                        for i in range(d + 1)]
+            expected = list(theta_sequence(expected_a, expected_q, d))
             if theta != expected and theta[::-1] == expected:
                 theta = theta[::-1]
         except (NotQRacahError, ValueError):

@@ -19,8 +19,12 @@ __all__ = [
     "eigenspace",
     "subspace_sum",
     "subspace_intersect",
+    "flags",
+    "tails",
     "is_direct_decomposition",
     "nilpotency_index",
+    "matrix_powers",
+    "power_series",
     "generated_algebra_dim",
 ]
 
@@ -83,12 +87,6 @@ class Matrix:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def to_lists(self) -> list[list[Scalar]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def render(self) -> list[list[str]]:
         return [[x.render() for x in self.row(i)] for i in range(self.rows)]
 
@@ -114,6 +112,15 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, self.rows, self.cols, [-x for x in self.entries])
+
+    def shift(self, lam) -> "Matrix":
+        """self - lam I."""
+        self._require_square()
+        lam = self.field.coerce(lam)
+        step = self.cols + 1
+        entries = list(self.entries)
+        entries[::step] = [x - lam for x in entries[::step]]
+        return Matrix(self.field, self.rows, self.cols, entries)
 
     def _check_shape(self, other: "Matrix"):
         if not isinstance(other, Matrix):
@@ -142,9 +149,7 @@ class Matrix:
         scalar = self.field.coerce(other)
         return Matrix(self.field, self.rows, self.cols, [scalar * x for x in self.entries])
 
-    def __rmul__(self, other):
-        scalar = self.field.coerce(other)
-        return Matrix(self.field, self.rows, self.cols, [scalar * x for x in self.entries])
+    __rmul__ = __mul__  # only reached with a scalar on the left
 
     def __pow__(self, exponent: int) -> "Matrix":
         self._require_square()
@@ -209,9 +214,6 @@ class Matrix:
         reduced, pivots = _rref_rows(rows, self.field)
         flat = [x for row in reduced for x in row]
         return Matrix(self.field, self.rows, self.cols, flat), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def det(self) -> Scalar:
         self._require_square()
@@ -381,14 +383,6 @@ class _RowAccumulator:
         self.pivots.append(pivot)
         return None
 
-    def contains(self, vector: Sequence[Scalar]) -> bool:
-        row = list(vector)
-        for i, p in enumerate(self.pivots):
-            if row[p]:
-                factor = row[p]
-                row = [x - factor * y for x, y in zip(row, self.rows[i])]
-        return all(not x for x in row)
-
 
 class Subspace:
     """A subspace of column vectors, stored as an RREF row basis."""
@@ -441,12 +435,6 @@ class Subspace:
     def render(self) -> list[list[str]]:
         return [[x.render() for x in row] for row in self.basis]
 
-    def contains_vector(self, vector: Sequence[Scalar]) -> bool:
-        acc = _RowAccumulator(self.field, self.ambient)
-        for row in self.basis:
-            acc.add(row)
-        return acc.contains(tuple(self.field.coerce(x) for x in vector))
-
     def contains(self, other: "Subspace") -> bool:
         return subspace_sum([self, other]) == self
 
@@ -470,6 +458,21 @@ def subspace_sum(spaces: Sequence[Subspace]) -> Subspace:
             raise ValueError("ambient dimension or backend mismatch")
         vectors.extend(s.basis)
     return Subspace.from_vectors(field, ambient, vectors)
+
+
+def flags(spaces: Sequence[Subspace]) -> list[Subspace]:
+    """Running sums: flag i is spaces[0] + ... + spaces[i], built as flag i-1
+    plus spaces[i]."""
+    out: list[Subspace] = []
+    for space in spaces:
+        out.append(subspace_sum(out[-1:] + [space]))
+    return out
+
+
+def tails(spaces: Sequence[Subspace]) -> list[Subspace]:
+    """Tail sums: tail i is spaces[i] + ... + spaces[-1], the flags of the
+    reversed sequence."""
+    return flags(spaces[::-1])[::-1]
 
 
 def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:
@@ -496,9 +499,7 @@ def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:
 
 def eigenspace(m: Matrix, value: Scalar) -> Subspace:
     """Canonical basis of ker(m - value*I); may be zero-dimensional."""
-    m._require_square()
-    shifted = m - Matrix.diagonal(m.field, [value] * m.rows)
-    return shifted.kernel()
+    return m.shift(value).kernel()
 
 
 def is_direct_decomposition(spaces: Sequence[Subspace]) -> bool:
@@ -523,6 +524,20 @@ def nilpotency_index(m: Matrix) -> Optional[int]:
             return k
         power = power * m
     return None
+
+
+def matrix_powers(m: Matrix, count: int) -> tuple[Matrix, ...]:
+    """I, m, m^2, ..., m^count."""
+    powers = [Matrix.identity(m.field, m.rows)]
+    for _ in range(count):
+        powers.append(powers[-1] * m)
+    return tuple(powers)
+
+
+def power_series(coeffs: Sequence[Scalar], powers: Sequence[Matrix]) -> Matrix:
+    """sum_n coeffs[n] powers[n], over the shorter of the two sequences."""
+    terms = [c * p for c, p in zip(coeffs, powers)]
+    return sum(terms[1:], terms[0])
 
 
 def generated_algebra_dim(mats: Sequence[Matrix]) -> int:

@@ -8,12 +8,13 @@ list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field as dataclass_field
+from typing import Callable, Optional, Sequence
 
 from .scalars import Scalar
 
-__all__ = ["QRacahParams", "ParamViolation", "ParamValidationError", "validate_params"]
+__all__ = ["QRacahParams", "ParamViolation", "ParamValidationError", "validate_params",
+           "theta_sequence"]
 
 
 @dataclass(frozen=True)
@@ -31,34 +32,54 @@ class ParamValidationError(ValueError):
         self.violations = tuple(violations)
 
 
+def theta_sequence(x: Scalar, q: Scalar, d: int) -> tuple[Scalar, ...]:
+    """x q^(d-2i) + x^-1 q^(2i-d) for i = 0..d: the eigenvalue sequence of
+    parameter x (a for the first operator, b for the dual one)."""
+    return tuple(x * q ** (d - 2 * i) + x ** -1 * q ** (2 * i - d) for i in range(d + 1))
+
+
 @dataclass(frozen=True)
 class QRacahParams:
-    """Validated parameters; b may be absent when no dual operator is used."""
+    """Validated parameters; b may be absent when no dual operator is used.
+
+    Values derived from the parameters (the eigenvalue sequences and the
+    closed forms of :mod:`tdq.leonard`) are kept in a private per-instance
+    memo, so they are computed once and released with the instance.
+    """
 
     d: int
     q: Scalar
     a: Scalar
     b: Optional[Scalar] = None
+    _memo: dict = dataclass_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         violations = validate_params(self.d, self.q, self.a, self.b)
         if violations:
             raise ParamValidationError(violations)
 
+    def _cached(self, key, build: Callable[[], object]):
+        """build(), computed once for this instance under ``key``."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     @property
     def field(self):
         return self.q.field
 
-    def qpow(self, exponent: int) -> Scalar:
-        return self.q ** exponent
-
     def theta(self, i: int) -> Scalar:
-        return self.a * self.q ** (self.d - 2 * i) + self.a ** -1 * self.q ** (2 * i - self.d)
+        return self._eigenvalue("theta", self.a, i)
 
     def theta_star(self, i: int) -> Scalar:
         if self.b is None:
             raise ValueError("dual eigenvalues need the parameter b")
-        return self.b * self.q ** (self.d - 2 * i) + self.b ** -1 * self.q ** (2 * i - self.d)
+        return self._eigenvalue("theta_star", self.b, i)
+
+    def _eigenvalue(self, key: str, x: Scalar, i: int) -> Scalar:
+        if not 0 <= i <= self.d:
+            raise IndexError(f"eigenvalue index {i} is outside 0..{self.d}")
+        return self._cached(key, lambda: theta_sequence(x, self.q, self.d))[i]
 
     def with_b(self, b: Scalar) -> "QRacahParams":
         return QRacahParams(self.d, self.q, self.a, b)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 from typing import Literal
 
-from .linalg import Matrix, nilpotency_index
+from .linalg import Matrix, matrix_powers, nilpotency_index, power_series
 from .scalars import Scalar
 
 __all__ = ["q_int", "q_fact", "q_binom", "q_exp", "q_exp_shift_check"]
@@ -62,14 +62,9 @@ def q_exp(t: Matrix, q: Scalar, variant: QExpVariant = "q") -> Matrix:
     index = nilpotency_index(t)
     if index is None:
         raise ValueError("q_exp needs a nilpotent matrix")
-    result = Matrix.identity(t.field, t.rows)
-    power = Matrix.identity(t.field, t.rows)
-    for n in range(1, index):
-        power = power * t
-        e = comb(n, 2)
-        coeff = (q ** e if variant == "q" else q ** (-e)) / q_fact(n, q)
-        result = result + coeff * power
-    return result
+    sign = 1 if variant == "q" else -1
+    coeffs = [q ** (sign * comb(n, 2)) / q_fact(n, q) for n in range(index)]
+    return power_series(coeffs, matrix_powers(t, index - 1))
 
 
 def q_exp_shift_check(s: Matrix, t: Matrix, q: Scalar) -> bool:

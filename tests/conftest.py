@@ -34,3 +34,19 @@ def params_d1(QF):
 @pytest.fixture
 def params_d2(QF):
     return make_params(QF, d=2)
+
+
+def load_perfbench(name):
+    """Import perfbench/<name>.py by path; the benchmark is not a package."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[key]

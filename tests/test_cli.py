@@ -55,6 +55,27 @@ def test_verify_mutated_fixture_exit_1(tmp_path):
     assert "FAIL" in proc.stdout
 
 
+def test_verify_non_nilpotent_psi_reports_failures(tmp_path):
+    # the q-exponentials of a psi that is not nilpotent cannot be built; only
+    # the items that use them fail, and the run ends with a report, not a crash
+    fix = tmp_path / "fix.json"
+    run_cli("generate", "--d", "2", "--q", "2", "--a", "3", "--b", "5",
+            "--out", str(fix))
+    doc = json.loads(fix.read_text())
+    doc["matrices"]["psi"][2][0] = "1"
+    fix.write_text(json.dumps(doc))
+    report = tmp_path / "rep.json"
+    proc = run_cli("verify", str(fix), "--report", str(report))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    status = {e["id"]: e for e in json.loads(report.read_text())["entries"]}
+    assert status["psi_nilpotent"]["status"] == "fail"
+    for item in ("exp_intertwine", "delta_exp_factorization", "exp_product_series",
+                 "u_w_exp_maps"):
+        assert status[item]["status"] == "fail"
+        assert "nilpotent" in status[item]["witness"]["error"]
+
+
 def test_verify_malformed_fixture_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -157,10 +157,14 @@ class TestSuite:
     def test_exp_entry_lemma(self, QF):
         # closed-form entries of exp_q(x psi-hat) against the series, both
         # variants, for a spread of scalars x
+        from tdq.qcalc import q_exp
+
         p = make_params(QF, d=3)
+        hat = leonard.psi_hat(3, p.q)
         for x in (QF.coerce(2), QF.coerce(Fraction(-2, 3)), QF.one):
-            leonard.exp_psi_matrix(3, x, p.q, "q")
-            leonard.exp_psi_matrix(3, x, p.q, "q_inverse")
+            for variant in ("q", "q_inverse"):
+                assert leonard.exp_psi_matrix(3, x, p.q, variant) == \
+                    q_exp(x * hat, p.q, variant)
 
     def test_backend_agreement(self, QF, RF_qa):
         # specializing the symbolic matrices at rational (q, a) reproduces the
@@ -173,3 +177,73 @@ class TestSuite:
             rational = leonard.operator_matrix(kind, "u", rat)
             specialized = [RF_qa.specialize(x, point) for x in symbolic.entries]
             assert specialized == list(rational.entries), kind
+
+
+def _perturbed(m):
+    """m with one more in its top-right entry."""
+    entries = list(m.entries)
+    entries[m.cols - 1] = entries[m.cols - 1] + 1
+    return Matrix(m.field, m.rows, m.cols, entries)
+
+
+def _perturb_result(name, kind=None, basis=None):
+    """A replacement for leonard.<name> whose result has one perturbed entry.
+
+    With ``kind`` given, only the result for that operator kind in ``basis``
+    is perturbed (in any basis for the frame-free Delta kinds), so exactly one
+    side of one cross-route changes.
+    """
+    original = getattr(leonard, name)
+
+    def hit(args):
+        if kind is None:
+            return True
+        return args[0] == kind and (kind in ("Delta", "Deltainv") or args[1] == basis)
+
+    def replacement(*args, **kwargs):
+        out = original(*args, **kwargs)
+        return _perturbed(out) if hit(args) else out
+    return replacement
+
+
+# (side of a cross-route, leonard attribute perturbed, operator kind or None)
+CROSS_ROUTE_SIDES = [
+    ("exp formula", "exp_psi_matrix", None),
+    ("exp series", "q_exp", None),
+    ("Delta formula", "delta_matrix", None),
+    ("Delta exp product", "_exp_product", None),
+] + [(f"{kind} {side}", f"_{side}_matrix", kind)
+     for kind in leonard.KINDS for side in ("formula", "constructive")]
+
+
+class TestCrossRouteMutation:
+    """One perturbed entry on either side of any cross-route is caught, even
+    though each route now runs once per parameter instance."""
+
+    @pytest.mark.parametrize("basis", leonard.BASES)
+    @pytest.mark.parametrize("label,name,kind", CROSS_ROUTE_SIDES,
+                             ids=[c[0] for c in CROSS_ROUTE_SIDES])
+    def test_perturbed_side_raises(self, QF, monkeypatch, label, name, kind, basis):
+        from tdq.engine import CrossRouteError
+
+        monkeypatch.setattr(leonard, name, _perturb_result(name, kind, basis))
+        with pytest.raises(CrossRouteError):
+            leonard.leonard_suite(make_params(QF, d=2), basis)
+
+    def test_unperturbed_suite_builds(self, QF):
+        leonard.leonard_suite(make_params(QF, d=2), "u")
+
+    def test_call_counts_once_per_params(self, QF, monkeypatch):
+        # psi-hat once; four q-exponentials, each with one series; Delta and
+        # Delta^-1 once each
+        p = make_params(QF, d=6, b=None)
+        calls = {}
+        for name in ("psi_hat", "exp_psi_matrix", "delta_matrix", "q_exp"):
+            original = getattr(leonard, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(leonard, name, counted)
+        leonard.leonard_suite(p, "u")
+        assert calls == {"psi_hat": 1, "exp_psi_matrix": 4, "delta_matrix": 2, "q_exp": 4}
