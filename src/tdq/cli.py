@@ -8,9 +8,11 @@ usage error.
 from __future__ import annotations
 
 import json
+import os
+
 import click
 
-from .battery import battery_ids, verify_battery
+from .battery import BATTERY_FILTER_ENV, battery_ids, verify_battery
 from .engine import EngineError, NotQRacahError, derive_suite, detect_qracah
 from .fixtures import (
     Fixture,
@@ -76,9 +78,12 @@ def generate(ctx, d, q_text, a_text, b_text, basis, backend, out_path):
 
 
 def _battery_filter(ctx, battery: str):
-    if battery == "all":
+    """The ids to run; the environment filter overrides the flag, as in
+    :func:`~tdq.battery.verify_battery`, so it is the one checked here."""
+    env_filter = os.environ.get(BATTERY_FILTER_ENV)
+    if not env_filter and battery == "all":
         return None
-    ids = [x.strip() for x in battery.split(",") if x.strip()]
+    ids = [x.strip() for x in (env_filter or battery).split(",") if x.strip()]
     unknown = set(ids) - set(battery_ids())
     if unknown:
         click.echo(f"error: unknown battery ids: {sorted(unknown)}", err=True)

@@ -6,28 +6,32 @@ eigenspace decomposition {W_i}, and the transition operator Delta computed
 along three independent routes that must agree exactly.  Everything downstream
 of the input matrices follows the defining formulas, not closed forms, so the
 derived suite is fit material for the identity battery.
+
+The suite keeps what was derived on the way, for the battery to read: the
+flags of its decompositions and the power series and q-exponentials of psi
+(see :class:`OperatorSuite`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .linalg import (
+    Decomposition,
     Matrix,
     Subspace,
     eigenspace,
-    flags,
     generated_algebra_dim,
     is_direct_decomposition,
     matrix_powers,
     power_series,
     subspace_intersect,
     subspace_sum,  # noqa: F401  (perfbench/tracer.py wraps this binding by name)
-    tails,
 )
 from .params import QRacahParams, theta_sequence
-from .qcalc import q_exp
+from .qcalc import QExpVariant, q_exp
 from .scalars import Scalar
 
 __all__ = [
@@ -43,6 +47,7 @@ __all__ = [
     "psi_from_KB",
     "delta_series_coefficients",
     "delta_from_characterization",
+    "PsiSeries",
     "OperatorSuite",
     "derive_suite",
     "downarrow",
@@ -238,10 +243,10 @@ class SplitData:
     params: QRacahParams
     theta: tuple[Scalar, ...]
     theta_star: Optional[tuple[Scalar, ...]]
-    U: tuple[Subspace, ...]
-    Udd: tuple[Subspace, ...]
-    EV: tuple[Subspace, ...]
-    EstarV: Optional[tuple[Subspace, ...]]
+    U: Decomposition
+    Udd: Decomposition
+    EV: Decomposition
+    EstarV: Optional[Decomposition]
     rho: tuple[int, ...]
 
 
@@ -372,7 +377,7 @@ def split_from_pair(A: Matrix, Astar: Matrix,
     else:
         # the representative solves the sequence in this exact order
         q, a = detect_qracah(theta).representative
-    EV = tuple(aspaces[i] for i in order)
+    EV = Decomposition(aspaces[i] for i in order)
 
     sorder = _path_ordering(sspaces, A)
     if sorder is None:
@@ -388,14 +393,14 @@ def split_from_pair(A: Matrix, Astar: Matrix,
     theta_star, sorder_flip, b = oriented
     if sorder_flip:
         sorder = sorder[::-1]
-    EstarV = tuple(sspaces[i] for i in sorder)
+    EstarV = Decomposition(sspaces[i] for i in sorder)
 
     new_params = QRacahParams(d, q, a, b)
     # the defining flag intersections of the two split decompositions
-    e_heads, e_tails, estar_flags = flags(EV), tails(EV), flags(EstarV)
-    U = tuple(subspace_intersect(estar_flags[i], e_tails[i]) for i in range(d + 1))
-    Udd = tuple(subspace_intersect(estar_flags[i], e_heads[d - i]) for i in range(d + 1))
-    _check_split_consistency(U, Udd, EV, EstarV, d, e_heads, e_tails, estar_flags)
+    U = Decomposition(subspace_intersect(EstarV.flags[i], EV.tails[i]) for i in range(d + 1))
+    Udd = Decomposition(subspace_intersect(EstarV.flags[i], EV.flags[d - i])
+                        for i in range(d + 1))
+    _check_split_consistency(U, Udd, EV, EstarV, d)
     rho = tuple(s.dim for s in U)
     return SplitData(new_params, tuple(theta), tuple(theta_star), U, Udd, EV, EstarV, rho)
 
@@ -420,9 +425,9 @@ def _orient_dual(theta_star, q, d, field, b=None):
     return options[0]
 
 
-def _check_split_consistency(U, Udd, EV, EstarV, d, e_heads, e_tails, estar_flags=None):
-    """Directness, common multiplicities and the flag sum identities; the
-    eigenspace flags of A (and of A*, when given) come from the caller."""
+def _check_split_consistency(U: Decomposition, Udd: Decomposition, EV: Decomposition,
+                             EstarV: Optional[Decomposition], d: int):
+    """Directness, common multiplicities and the flag sum identities."""
     if not is_direct_decomposition(U):
         raise EngineError("split-failure", "the first split sequence is not a decomposition")
     if not is_direct_decomposition(Udd):
@@ -434,15 +439,14 @@ def _check_split_consistency(U, Udd, EV, EstarV, d, e_heads, e_tails, estar_flag
         if len(dims) != 1:
             raise EngineError("split-failure",
                               f"multiplicities disagree at index {i}")
-    u_flags, u_tails, udd_flags, udd_tails = flags(U), tails(U), flags(Udd), tails(Udd)
     for i in range(d + 1):
-        if e_tails[i] != u_tails[i]:
+        if EV.tails[i] != U.tails[i]:
             raise EngineError("split-failure", f"eigenflag/tail mismatch at index {i}")
-        if e_heads[i] != udd_tails[d - i]:
+        if EV.flags[i] != Udd.tails[d - i]:
             raise EngineError("split-failure", f"eigenflag/head mismatch at index {i}")
-        if u_flags[i] != udd_flags[i]:
+        if U.flags[i] != Udd.flags[i]:
             raise EngineError("split-failure", f"flag mismatch at index {i}")
-        if estar_flags is not None and estar_flags[i] != u_flags[i]:
+        if EstarV is not None and EstarV.flags[i] != U.flags[i]:
             raise EngineError("split-failure", f"dual flag mismatch at index {i}")
 
 
@@ -465,7 +469,7 @@ def split_from_AK(A: Matrix, K: Matrix,
 
     failure: Optional[EngineError] = None
     for q, d in candidates:
-        U = [eigenspace(K, q ** (d - 2 * i)) for i in range(d + 1)]
+        U = Decomposition(eigenspace(K, q ** (d - 2 * i)) for i in range(d + 1))
         if any(s.is_zero() for s in U) or sum(s.dim for s in U) != n:
             failure = EngineError("spectrum-mismatch",
                                   "K is not diagonalizable with eigenvalues q^(d-2i)")
@@ -501,17 +505,16 @@ def split_from_AK(A: Matrix, K: Matrix,
             b = None
 
         new_params = QRacahParams(d, q, a, b)
-        EV = [eigenspace(A, t) for t in theta]
+        EV = Decomposition(eigenspace(A, t) for t in theta)
         if sum(s.dim for s in EV) != n:
             failure = EngineError("not-diagonalizable",
                                   "A is not diagonalizable over the working field")
             continue
-        u_flags, e_heads = flags(U), flags(EV)
-        Udd = tuple(subspace_intersect(u_flags[i], e_heads[d - i]) for i in range(d + 1))
-        _check_split_consistency(tuple(U), Udd, tuple(EV), None, d, e_heads, tails(EV))
+        Udd = Decomposition(subspace_intersect(U.flags[i], EV.flags[d - i])
+                            for i in range(d + 1))
+        _check_split_consistency(U, Udd, EV, None, d)
         rho = tuple(s.dim for s in U)
-        return SplitData(new_params, tuple(theta), None, tuple(U), Udd,
-                         tuple(EV), None, rho)
+        return SplitData(new_params, tuple(theta), None, U, Udd, EV, None, rho)
     raise failure if failure is not None else EngineError(
         "spectrum-mismatch", "no admissible (q, d) fits the K spectrum")
 
@@ -618,6 +621,46 @@ def delta_series_coefficients(d: int, q: Scalar, a: Scalar) -> list[Scalar]:
     return coeffs
 
 
+class PsiSeries:
+    """Series in one lowering operator psi, each built on first use, once:
+    the powers I, ..., psi^(d+1), the geometric series sum x^n psi^n, the
+    Delta (or Delta^-1) power series, the q-exponential of x psi, and the
+    product exp_q(a/(q-q^-1) psi) exp_(q^-1)(-a^-1/(q-q^-1) psi) (a and a^-1
+    exchanged for the inverse)."""
+
+    def __init__(self, psi: Matrix, q: Scalar, a: Scalar, d: int):
+        self.psi, self.q, self.a, self.d = psi, q, a, d
+        self._memo: dict = {}
+
+    def _cached(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    @cached_property
+    def powers(self) -> tuple[Matrix, ...]:
+        return matrix_powers(self.psi, self.d + 1)
+
+    def geometric(self, x: Scalar) -> Matrix:
+        return self._cached(("geometric", x), lambda: power_series(
+            [x ** n for n in range(self.d + 1)], self.powers))
+
+    def delta(self, inverse: bool = False) -> Matrix:
+        return self._cached(("delta", inverse), lambda: power_series(
+            delta_series_coefficients(self.d, self.q, self.a ** -1 if inverse else self.a),
+            self.powers))
+
+    def exp(self, x: Scalar, variant: QExpVariant = "q") -> Matrix:
+        return self._cached(("exp", x, variant), lambda: q_exp(x * self.psi, self.q, variant))
+
+    def exp_product(self, inverse: bool = False) -> Matrix:
+        def build():
+            c = self.q - self.q ** -1
+            s, t = (self.a ** -1, self.a) if inverse else (self.a, self.a ** -1)
+            return self.exp(s / c) * self.exp(-(t / c), "q_inverse")
+        return self._cached(("exp_product", inverse), build)
+
+
 def _solve_affine(columns: list[tuple[Scalar, ...]], rhs: tuple[Scalar, ...],
                   field) -> Optional[list[Scalar]]:
     """One solution x of (columns as a matrix) x = rhs, or None."""
@@ -670,7 +713,14 @@ def delta_from_characterization(U: Sequence[Subspace], Udd: Sequence[Subspace],
 
 @dataclass(frozen=True)
 class OperatorSuite:
-    """A coherent bundle of operators and decompositions on one space."""
+    """A coherent bundle of operators and decompositions on one space.
+
+    Decompositions are :class:`~tdq.linalg.Decomposition`s (plain tuples are
+    converted).  ``psi_series`` is replaced by a fresh one unless it was built
+    for a psi, q, a and d equal to this suite's, so a claimed psi never sees
+    a stale series.  The identity, K^-1 and B^-1 are built on first use, per
+    instance.
+    """
 
     params: QRacahParams
     n: int
@@ -683,15 +733,25 @@ class OperatorSuite:
     Delta: Matrix
     Deltainv: Matrix
     theta: tuple[Scalar, ...]
-    U: tuple[Subspace, ...]
-    Udd: tuple[Subspace, ...]
-    W: tuple[Subspace, ...]
-    EV: tuple[Subspace, ...]
+    U: Decomposition
+    Udd: Decomposition
+    W: Decomposition
+    EV: Decomposition
     rho: tuple[int, ...]
-    psi_pows: tuple[Matrix, ...]
     Astar: Optional[Matrix] = None
     theta_star: Optional[tuple[Scalar, ...]] = None
-    EstarV: Optional[tuple[Subspace, ...]] = None
+    EstarV: Optional[Decomposition] = None
+    psi_series: Optional[PsiSeries] = dataclass_field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("U", "Udd", "W", "EV", "EstarV"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, Decomposition):
+                object.__setattr__(self, name, Decomposition(value))
+        series = self.psi_series
+        if series is None or (series.psi, series.q, series.a, series.d) != (
+                self.psi, self.q, self.a, self.d):
+            object.__setattr__(self, "psi_series", PsiSeries(self.psi, self.q, self.a, self.d))
 
     @property
     def d(self) -> int:
@@ -712,6 +772,18 @@ class OperatorSuite:
     @property
     def has_astar(self) -> bool:
         return self.Astar is not None
+
+    @cached_property
+    def I(self) -> Matrix:
+        return Matrix.identity(self.field, self.n)
+
+    @cached_property
+    def Kinv(self) -> Matrix:
+        return self.K.inverse()
+
+    @cached_property
+    def Binv(self) -> Matrix:
+        return self.B.inverse()
 
 
 def derive_suite(A: Matrix, K: Optional[Matrix] = None,
@@ -745,15 +817,14 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
     n = A.rows
 
     psi = psi_from_KB(K_op, B_op, q, a)
-    psi_pows = matrix_powers(psi, d + 1)
+    series = PsiSeries(psi, q, a, d)
 
     denom = a - a ** -1
     M = (a * K_op - (a ** -1) * B_op) * denom.inv()
     Minv = M.inverse()
 
-    coeff = q - q ** -1
-    Delta_series = power_series(delta_series_coefficients(d, q, a), psi_pows)
-    Delta_exp = q_exp((a / coeff) * psi, q) * q_exp(-(a ** -1 / coeff) * psi, q, "q_inverse")
+    Delta_series = series.delta()
+    Delta_exp = series.exp_product()
     Delta_tri = delta_from_characterization(sd.U, sd.Udd, field)
     if Delta_series != Delta_exp:
         raise CrossRouteError("power series and exponential product for Delta disagree",
@@ -762,12 +833,12 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
         raise CrossRouteError("power series and triangular characterization for "
                               "Delta disagree", Delta_series, Delta_tri)
 
-    Deltainv = power_series(delta_series_coefficients(d, q, a ** -1), psi_pows)
+    Deltainv = series.delta(inverse=True)
     if Delta_series * Deltainv != Matrix.identity(field, n):
         raise CrossRouteError("the two Delta power series are not inverse to "
                               "each other", Delta_series, Deltainv)
 
-    W = tuple(eigenspace(M, q ** (d - 2 * i)) for i in range(d + 1))
+    W = Decomposition(eigenspace(M, q ** (d - 2 * i)) for i in range(d + 1))
     if any(s.is_zero() for s in W) or sum(s.dim for s in W) != n:
         raise EngineError("halfway-spectrum",
                           "M is not diagonalizable with eigenvalues q^(d-2i)")
@@ -775,8 +846,8 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
     suite = OperatorSuite(
         params=prms, n=n, A=A, K=K_op, B=B_op, psi=psi, M=M, Minv=Minv,
         Delta=Delta_series, Deltainv=Deltainv, theta=sd.theta,
-        U=sd.U, Udd=sd.Udd, W=W, EV=sd.EV, rho=sd.rho, psi_pows=psi_pows,
-        Astar=Astar, theta_star=sd.theta_star, EstarV=sd.EstarV,
+        U=sd.U, Udd=sd.Udd, W=W, EV=sd.EV, rho=sd.rho,
+        Astar=Astar, theta_star=sd.theta_star, EstarV=sd.EstarV, psi_series=series,
     )
     if overrides:
         allowed = {"A", "Astar", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv"}
@@ -784,8 +855,6 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
         if unknown:
             raise ValueError(f"cannot override {sorted(unknown)}")
         suite = replace(suite, **dict(overrides))
-        if "psi" in overrides:
-            suite = replace(suite, psi_pows=matrix_powers(suite.psi, d + 1))
     return suite
 
 
@@ -803,11 +872,10 @@ def _attach_astar(sd: SplitData, Astar: Matrix) -> SplitData:
     if len(svals) != d + 1:
         raise EngineError("diameter-mismatch",
                           "the dual operator has the wrong number of eigenspaces")
-    u_flags = flags(sd.U)
     remaining = list(range(d + 1))
     order: list[int] = []
     for i in range(d + 1):
-        inside = [j for j in remaining if u_flags[i].contains(sspaces[j])]
+        inside = [j for j in remaining if sd.U.flags[i].contains(sspaces[j])]
         if len(inside) != 1:
             raise EngineError("split-failure",
                               "the dual eigenspaces do not refine the split flags")
@@ -821,7 +889,7 @@ def _attach_astar(sd: SplitData, Astar: Matrix) -> SplitData:
     if sd.params.b is not None and b != sd.params.b:
         raise NotQRacahError("dual-parameter-failure",
                              "supplied b does not match the dual eigenvalues")
-    EstarV = tuple(sspaces[i] for i in order)
+    EstarV = Decomposition(sspaces[i] for i in order)
     return replace(sd, params=sd.params.with_b(b), theta_star=tuple(theta_star),
                    EstarV=EstarV)
 

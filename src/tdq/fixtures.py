@@ -144,7 +144,15 @@ def parse_fixture(doc: dict) -> Fixture:
         if (not isinstance(rows, list) or not rows
                 or any(not isinstance(r, list) or len(r) != len(rows[0]) for r in rows)):
             raise FixtureFormatError(f"matrix {name!r} must be a rectangular array")
+        if not rows[0]:
+            raise FixtureFormatError(f"matrix {name!r} must not be empty")
         matrices[name] = Matrix.from_rows(field, [[scalar(x) for x in r] for r in rows])
+    n = matrices["A"].rows if "A" in matrices else None
+    for name in OPERATOR_NAMES:
+        m = matrices.get(name)
+        if m is not None and not (m.is_square and m.rows == (n or m.rows)):
+            raise FixtureFormatError(f"operator {name!r} is {m.rows}x{m.cols}; operators "
+                                     "must be square and the size of A")
 
     subspaces: dict[str, Subspace] = {}
     for name, rows in (doc.get("subspaces") or {}).items():

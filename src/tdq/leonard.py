@@ -10,7 +10,7 @@ checked statement.  The q-exponentials of psi-hat are likewise checked
 against their series, and Delta and Delta^-1 against the product of two
 q-exponentials.
 
-Everything derived from a parameter tuple (psi-hat and its powers, the
+Everything derived from a parameter tuple (psi-hat and its power series, the
 q-factorial table, the diagonal D = diag(q^(d-2i)) and its inverse, the four
 q-exponentials, Delta and Delta^-1, and each checked operator matrix) is
 kept in the private memo of that :class:`~tdq.params.QRacahParams` instance.
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .engine import CrossRouteError, psi_from_KB
-from .linalg import Matrix, matrix_powers, power_series
+from .engine import CrossRouteError, PsiSeries, psi_from_KB
+from .linalg import Matrix
 from .params import QRacahParams
 from .qcalc import q_exp, q_fact
 from .scalars import Scalar
@@ -169,10 +169,9 @@ def _shift_diag(params: QRacahParams, sign: int = 1) -> Matrix:
         params.field, [q ** (sign * (d - 2 * i)) for i in range(d + 1)]))
 
 
-def _geometric(params: QRacahParams, x: Scalar) -> Matrix:
-    """sum_(n=0..d) x^n psihat^n, the inverse of (I - x psihat)."""
-    powers = params._cached("psi_hat_powers", lambda: matrix_powers(_hat(params), params.d))
-    return power_series([x ** n for n in range(params.d + 1)], powers)
+def _hat_series(params: QRacahParams) -> PsiSeries:
+    return params._cached("psi_hat_series", lambda: PsiSeries(
+        _hat(params), params.q, params.a, params.d))
 
 
 def _exp(params: QRacahParams, inverse_a: bool, variant: str) -> Matrix:
@@ -321,20 +320,20 @@ def _constructive_matrix(kind: str, basis: str, params: QRacahParams) -> Matrix:
     if kind == "K":
         if basis == "w":
             return (I - ainv * q * hat) * D
-        factor = ainv * ainv * I + (1 - ainv * ainv) * _geometric(params, a * q)
+        factor = ainv * ainv * I + (1 - ainv * ainv) * _hat_series(params).geometric(a * q)
         return factor * (_formula_matrix("B", "u", params) if basis == "u" else D)
 
     if kind == "B":
         if basis == "w":
             return (I - a * q * hat) * D
-        factor = a * a * I + (1 - a * a) * _geometric(params, ainv * q)
+        factor = a * a * I + (1 - a * a) * _hat_series(params).geometric(ainv * q)
         return factor * (_formula_matrix("K", "udd", params) if basis == "udd" else D)
 
     if kind == "M":
         if basis == "u":
-            return D * _geometric(params, ainv * q ** -1)
+            return D * _hat_series(params).geometric(ainv * q ** -1)
         if basis == "udd":
-            return D * _geometric(params, a * q ** -1)
+            return D * _hat_series(params).geometric(a * q ** -1)
         num = a * _formula_matrix("K", "w", params) - ainv * _formula_matrix("B", "w", params)
         return num * (a - ainv).inv()
 

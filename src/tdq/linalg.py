@@ -9,6 +9,7 @@ field.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .scalars import Scalar
@@ -19,8 +20,7 @@ __all__ = [
     "eigenspace",
     "subspace_sum",
     "subspace_intersect",
-    "flags",
-    "tails",
+    "Decomposition",
     "is_direct_decomposition",
     "nilpotency_index",
     "matrix_powers",
@@ -460,19 +460,36 @@ def subspace_sum(spaces: Sequence[Subspace]) -> Subspace:
     return Subspace.from_vectors(field, ambient, vectors)
 
 
-def flags(spaces: Sequence[Subspace]) -> list[Subspace]:
-    """Running sums: flag i is spaces[0] + ... + spaces[i], built as flag i-1
-    plus spaces[i]."""
+def _running_sums(spaces: Sequence[Subspace]) -> tuple[Subspace, ...]:
+    """Sum i is spaces[0] + ... + spaces[i], built as sum i-1 plus spaces[i]."""
     out: list[Subspace] = []
     for space in spaces:
         out.append(subspace_sum(out[-1:] + [space]))
-    return out
+    return tuple(out)
 
 
-def tails(spaces: Sequence[Subspace]) -> list[Subspace]:
-    """Tail sums: tail i is spaces[i] + ... + spaces[-1], the flags of the
-    reversed sequence."""
-    return flags(spaces[::-1])[::-1]
+class Decomposition(tuple):
+    """An ordered sequence of subspaces V_0, ..., V_d of one space.
+
+    Its flags (V_0 + ... + V_i) and tails (V_i + ... + V_d) are built once,
+    incrementally, on first use, and kept on the instance.
+    """
+
+    @cached_property
+    def flags(self) -> tuple[Subspace, ...]:
+        return _running_sums(self)
+
+    @cached_property
+    def tails(self) -> tuple[Subspace, ...]:
+        return _running_sums(self[::-1])[::-1]
+
+    def at(self, i: int) -> Subspace:
+        """V_i, and the zero subspace outside 0..d."""
+        return self[i] if 0 <= i < len(self) else Subspace.zero(self[0].field, self[0].ambient)
+
+    def flag(self, i: int) -> Subspace:
+        """V_0 + ... + V_i, and the zero subspace for i < 0."""
+        return self.flags[i] if i >= 0 else self.at(i)
 
 
 def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:

@@ -14,7 +14,7 @@ from typing import Literal
 from .linalg import Matrix, matrix_powers, nilpotency_index, power_series
 from .scalars import Scalar
 
-__all__ = ["q_int", "q_fact", "q_binom", "q_exp", "q_exp_shift_check"]
+__all__ = ["q_int", "q_fact", "q_binom", "q_exp"]
 
 QExpVariant = Literal["q", "q_inverse"]
 
@@ -65,21 +65,3 @@ def q_exp(t: Matrix, q: Scalar, variant: QExpVariant = "q") -> Matrix:
     sign = 1 if variant == "q" else -1
     coeffs = [q ** (sign * comb(n, 2)) / q_fact(n, q) for n in range(index)]
     return power_series(coeffs, matrix_powers(t, index - 1))
-
-
-def q_exp_shift_check(s: Matrix, t: Matrix, q: Scalar) -> bool:
-    """Check S exp_q(T) = exp_q(q^2 T) S and (I-(q^2-1)T) exp_q(q^2 T) = exp_q(T).
-
-    Preconditions (ST = q^2 TS, T nilpotent) are verified first and their
-    violation raises ValueError rather than returning False.
-    """
-    if s * t != (q * q) * (t * s):
-        raise ValueError("precondition failed: S T != q^2 T S")
-    if nilpotency_index(t) is None:
-        raise ValueError("precondition failed: T is not nilpotent")
-    exp_t = q_exp(t, q)
-    exp_q2t = q_exp((q * q) * t, q)
-    identity = Matrix.identity(t.field, t.rows)
-    shift = s * exp_t == exp_q2t * s
-    contract = (identity - (q * q - 1) * t) * exp_q2t == exp_t
-    return shift and contract

@@ -123,7 +123,7 @@ def test_criterion_4_three_route_delta(grid_suites, symbolic_suites):
         field = suite.field
         series = Matrix.zero(field, suite.n)
         for c, power in zip(delta_series_coefficients(suite.d, suite.q, suite.a),
-                            suite.psi_pows):
+                            suite.psi_series.powers):
             series = series + c * power
         coeff = suite.q - suite.q ** -1
         product = (q_exp((suite.a / coeff) * suite.psi, suite.q)

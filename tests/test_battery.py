@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from tdq import engine, leonard
+from tdq import engine, leonard, linalg, qcalc
 from tdq.battery import BATTERY_FILTER_ENV, battery_ids, verify_battery
 from tdq.linalg import Matrix
 from tdq.params import QRacahParams
@@ -100,3 +102,77 @@ class TestFilters:
         doc = report.to_dict()
         assert doc["summary"] == report.counts
         assert len(doc["entries"]) == len(report.entries)
+
+
+def _statuses(suite, only=None):
+    return {e.id: e for e in verify_battery(suite, only=only).entries}
+
+
+class TestSeriesFollowsClaimedPsi:
+    def test_doubled_psi(self):
+        # the series is rebuilt for the claimed psi: Delta no longer matches
+        # it, while the identities that involve only psi still hold
+        p = make_params(QF, d=2)
+        ls = leonard.leonard_suite(p, "u")
+        suite = engine.derive_suite(ls.A, K=ls.K, overrides={"psi": 2 * ls.psi})
+        assert suite.psi_series.psi is suite.psi
+        status = _statuses(suite)
+        for item in ("delta_power_series", "delta_exp_factorization"):
+            assert status[item].status == "fail", item
+        for item in ("psi_nilpotent", "exp_product_series"):
+            assert status[item].status == "pass", item
+
+
+class TestExpShiftRelations:
+    ITEM = ["exp_shift_relations"]
+
+    def test_valid_suite_passes(self):
+        suite, _ = rational_suite(d=2)
+        assert _statuses(suite, self.ITEM)["exp_shift_relations"].status == "pass"
+
+    def test_broken_commutation_gives_precondition_witness(self):
+        p = make_params(QF, d=2)
+        ls = leonard.leonard_suite(p, "u")
+        entries = list(ls.M.entries)
+        entries[1] = entries[1] + 1
+        M_bad = Matrix(QF, 3, 3, entries)
+        suite = engine.derive_suite(ls.A, K=ls.K, overrides={"M": M_bad})
+        entry = _statuses(suite, self.ITEM)["exp_shift_relations"]
+        assert entry.status == "fail"
+        assert entry.witness == {
+            "violations": [{"identity": "shift relations with S = M",
+                            "error": "precondition failed: S T != q^2 T S"}],
+            "violation_count": 1,
+        }
+
+    def test_zero_psi_passes(self):
+        p = make_params(QF, d=2)
+        ls = leonard.leonard_suite(p, "u")
+        suite = engine.derive_suite(ls.A, K=ls.K, overrides={"psi": Matrix.zero(QF, 3)})
+        assert _statuses(suite, self.ITEM)["exp_shift_relations"].status == "pass"
+
+
+class TestCallCounts:
+    def test_derived_data_built_once(self, monkeypatch):
+        # one derive_suite(A, K) + verify_battery at rational d=3 builds each
+        # flag sequence once and each q-exponential of psi once
+        ls = leonard.leonard_suite(make_params(QF, d=3), "u")
+        calls = {}
+        for owner, name in ((qcalc, "q_exp"), (linalg, "_running_sums"),
+                            (linalg, "subspace_sum"), (linalg, "power_series")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name == "tdq" or mod_name.startswith("tdq."):
+                    for attr, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, attr, counted)
+        suite = engine.derive_suite(ls.A, K=ls.K)
+        assert verify_battery(suite).passed
+        assert calls["q_exp"] == 5
+        assert calls["_running_sums"] == 7
+        assert calls["subspace_sum"] <= 103
+        assert calls["power_series"] <= 11

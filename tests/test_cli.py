@@ -1,9 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env=None):
+    # the child finds the package under src/ whether or not it is installed
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "tdq.cli", *args],
                           capture_output=True, text=True, check=False, env=env)
 
@@ -85,8 +94,6 @@ def test_verify_malformed_fixture_exit_2(tmp_path):
 
 
 def test_verify_battery_filter_flag_and_env(tmp_path):
-    import os
-
     fix = tmp_path / "fix.json"
     run_cli("generate", "--d", "1", "--q", "2", "--a", "3", "--b", "5",
             "--out", str(fix))
@@ -101,6 +108,49 @@ def test_verify_battery_filter_flag_and_env(tmp_path):
 
     proc = run_cli("verify", str(fix), "--battery", "bogus_id")
     assert proc.returncode == 2
+
+
+def test_verify_unknown_env_filter_exit_2(tmp_path):
+    # the environment filter overrides --battery, so it is the one validated
+    fix = tmp_path / "fix.json"
+    run_cli("generate", "--d", "1", "--q", "2", "--a", "3", "--b", "5",
+            "--out", str(fix))
+    env = dict(os.environ, TDQ_BATTERY_FILTER="nope")
+    proc = run_cli("verify", str(fix), env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "nope" in proc.stderr
+
+
+def _d2_fixture_doc(tmp_path):
+    fix = tmp_path / "fix.json"
+    run_cli("generate", "--d", "2", "--q", "2", "--a", "3", "--b", "5",
+            "--out", str(fix))
+    return json.loads(fix.read_text())
+
+
+BAD_SHAPES = {
+    "empty A": ("A", [[]]),
+    "2x3 psi": ("psi", [["0", "1", "0"], ["0", "0", "1"]]),
+    "2x2 Delta": ("Delta", [["1", "1"], ["0", "1"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+@pytest.mark.parametrize("command", ["verify", "engine"])
+def test_bad_operator_shape_exit_2(tmp_path, command, case):
+    doc = _d2_fixture_doc(tmp_path)
+    name, rows = BAD_SHAPES[case]
+    doc["matrices"][name] = rows
+    fix = tmp_path / "bad.json"
+    fix.write_text(json.dumps(doc))
+    args = [command, str(fix)]
+    if command == "engine":
+        args += ["--out", str(tmp_path / "out.json")]
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert name in proc.stderr
 
 
 def test_engine_emits_derived_suite(tmp_path):

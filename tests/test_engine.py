@@ -227,6 +227,38 @@ class TestDeriveSuite:
             engine.derive_suite(ls.A, K=ls.K, overrides={"Zeta": ls.M})
 
 
+class TestSuiteDerivedData:
+    def test_replaced_psi_gets_its_own_series(self):
+        from dataclasses import replace
+
+        p = make_params(QF, d=2)
+        ls = leonard.leonard_suite(p, "u")
+        s = engine.derive_suite(ls.A, K=ls.K)
+        assert s.psi_series.psi is s.psi
+        other = replace(s, psi=2 * s.psi)
+        assert other.psi_series is not s.psi_series
+        assert other.psi_series.powers[1] == 2 * s.psi
+        # an override that leaves psi alone, or claims an equal one, keeps it
+        assert replace(s, M=s.M).psi_series is s.psi_series
+        equal = Matrix(QF, 3, 3, list(s.psi.entries))
+        assert replace(s, psi=equal).psi_series is s.psi_series
+
+    def test_hand_built_suite(self):
+        from tdq.linalg import Decomposition
+
+        p = make_params(QF, d=1)
+        ls = leonard.leonard_suite(p, "u")
+        s = engine.derive_suite(ls.A, K=ls.K)
+        fields = {name: getattr(s, name) for name in (
+            "params", "n", "A", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv",
+            "theta", "rho")}
+        fields.update({name: tuple(getattr(s, name)) for name in ("U", "Udd", "W", "EV")})
+        built = engine.OperatorSuite(**fields)
+        assert isinstance(built.U, Decomposition) and built.U == s.U
+        assert built.psi_series.delta() == s.Delta
+        assert built.Kinv * built.K == built.I
+
+
 class TestDownarrow:
     def test_exchanges(self):
         p = make_params(QF, d=2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdq.linalg import (
+    Decomposition,
     Matrix,
     Subspace,
     eigenspace,
@@ -103,6 +104,31 @@ class TestSubspaces:
         total = subspace_sum([x, y])
         meet = subspace_intersect(x, y)
         assert x.dim + y.dim == total.dim + meet.dim
+
+
+class TestDecomposition:
+    def _axes(self):
+        return Decomposition([sub(3, [1, 0, 0]), sub(3, [0, 1, 0]), sub(3, [0, 0, 1])])
+
+    def test_flags_and_tails_are_running_sums(self):
+        dec = self._axes()
+        for i in range(3):
+            assert dec.flags[i] == subspace_sum(dec[: i + 1])
+            assert dec.tails[i] == subspace_sum(dec[i:])
+
+    def test_zero_outside_the_range(self):
+        dec = self._axes()
+        zero = Subspace.zero(QF, 3)
+        assert dec.at(-1) == dec.at(3) == dec.flag(-1) == zero
+        assert dec.at(1) == dec[1] and dec.flag(2) == Subspace.full(QF, 3)
+
+    def test_flags_built_once(self):
+        dec = self._axes()
+        assert dec.flags is dec.flags and dec.tails is dec.tails
+
+    def test_equal_to_the_plain_tuple(self):
+        spaces = (sub(2, [1, 0]), sub(2, [0, 1]))
+        assert Decomposition(spaces) == spaces
 
 
 class TestNilpotency:

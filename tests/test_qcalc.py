@@ -4,7 +4,7 @@ import pytest
 
 from tdq.leonard import psi_hat
 from tdq.linalg import Matrix, nilpotency_index
-from tdq.qcalc import q_binom, q_exp, q_exp_shift_check, q_fact, q_int
+from tdq.qcalc import q_binom, q_exp, q_fact, q_int
 from tdq.scalars import rational_field, ratfunc_field
 
 QF = rational_field()
@@ -98,22 +98,3 @@ class TestQExp:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             q_exp(Matrix.zero(QF, 2), TWO, "bogus")
-
-
-class TestShiftCheck:
-    def test_diag_shift_pair(self):
-        # S = diag(q, q^-1), T = psi-hat satisfy S T = q^2 T S
-        q = TWO
-        S = Matrix.diagonal(QF, [q, q ** -1])
-        T = psi_hat(1, q)
-        assert q_exp_shift_check(S, T, q)
-
-    def test_zero_t_trivially_true(self):
-        S = Matrix.diagonal(QF, [QF.coerce(3), QF.coerce(7)])
-        assert q_exp_shift_check(S, Matrix.zero(QF, 2), TWO)
-
-    def test_precondition_violation_raises(self):
-        S = Matrix.identity(QF, 2)
-        T = psi_hat(1, TWO)
-        with pytest.raises(ValueError, match="precondition"):
-            q_exp_shift_check(S, T, TWO)
