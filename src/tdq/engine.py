@@ -661,49 +661,29 @@ class PsiSeries:
         return self._cached(("exp_product", inverse), build)
 
 
-def _solve_affine(columns: list[tuple[Scalar, ...]], rhs: tuple[Scalar, ...],
-                  field) -> Optional[list[Scalar]]:
-    """One solution x of (columns as a matrix) x = rhs, or None."""
-    if not columns:
-        return [] if all(not v for v in rhs) else None
-    mat = Matrix.from_rows(field, list(zip(*columns)) )
-    n_unknowns = len(columns)
-    aug = Matrix.from_rows(field, [list(mat.row(i)) + [rhs[i]] for i in range(mat.rows)])
-    reduced, pivots = aug.rref()
-    if n_unknowns in pivots:
-        return None
-    solution = [field.zero] * n_unknowns
-    for r, pc in enumerate(pivots):
-        solution[pc] = reduced[r, n_unknowns]
-    return solution
-
-
 def delta_from_characterization(U: Sequence[Subspace], Udd: Sequence[Subspace],
                                  field) -> Matrix:
-    """Solve for the unique operator with Delta U_i <= U_i-dd and
-    (Delta - I) U_i <= U_0 + ... + U_(i-1)."""
+    """The unique operator with Delta U_i <= U_i-dd and
+    (Delta - I) U_i <= U_0 + ... + U_(i-1).
+
+    With P and Q the concatenated bases of U and Udd, C = Q^-1 P (one
+    reduction of [Q | P]) holds the U-basis in Udd coordinates.  Delta keeps
+    the U_i-dd component of each vector of U_i, so Delta = Q C' P^-1, where C'
+    is C with everything outside its diagonal blocks zeroed.  U and Udd must
+    be direct decompositions with equal flags.
+    """
+    U, Udd = (s if isinstance(s, Decomposition) else Decomposition(s) for s in (U, Udd))
+    if not (is_direct_decomposition(U) and is_direct_decomposition(Udd)
+            and U.flags == Udd.flags):
+        raise EngineError("delta-characterization",
+                          "the split sequences are not direct decompositions with equal flags")
     n = U[0].ambient
-    domain_cols: list[tuple[Scalar, ...]] = []
-    image_cols: list[tuple[Scalar, ...]] = []
-    flag_vectors: list[tuple[Scalar, ...]] = []
-    for i, space in enumerate(U):
-        target_basis = list(Udd[i].basis)
-        columns = [tuple(v) for v in target_basis]
-        columns += [tuple(-x for x in v) for v in flag_vectors]
-        for u in space.basis:
-            sol = _solve_affine(columns, tuple(u), field)
-            if sol is None:
-                raise EngineError("delta-characterization",
-                                  "the triangular system for Delta is inconsistent")
-            image = [field.zero] * n
-            for coeff, vec in zip(sol[: len(target_basis)], target_basis):
-                image = [x + coeff * y for x, y in zip(image, vec)]
-            domain_cols.append(tuple(u))
-            image_cols.append(tuple(image))
-        flag_vectors.extend(space.basis)
-    P = Matrix.from_rows(field, domain_cols).transpose()
-    X = Matrix.from_rows(field, image_cols).transpose()
-    return X * P.inverse()
+    P, Q = _concat_basis(U), _concat_basis(Udd)
+    reduced, _ = Matrix.from_rows(field, [Q.row(i) + P.row(i) for i in range(n)]).rref()
+    block = [i for i, space in enumerate(U) for _ in space.basis]
+    C = Matrix(field, n, n, [reduced[r, n + c] if block[r] == block[c] else field.zero
+                             for r in range(n) for c in range(n)])
+    return Q * C * P.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -796,10 +776,20 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
     three independent ways (power series, q-exponential product, triangular
     characterization) which must coincide exactly.  ``overrides`` replaces
     named operator matrices in the returned suite, so a downstream battery
-    run can vet externally supplied data.
+    run can vet externally supplied data; each must be a square matrix the
+    size of A over A's field, or ``ValueError`` names it.
     """
     if K is None and Astar is None:
         raise ValueError("need K or Astar alongside A")
+    overrides = dict(overrides or {})
+    unknown = set(overrides) - {"A", "Astar", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv"}
+    if unknown:
+        raise ValueError(f"cannot override {sorted(unknown)}")
+    for name, m in overrides.items():
+        if not (isinstance(m, Matrix) and m.is_square and m.rows == A.rows
+                and m.field == A.field):
+            raise ValueError(f"override {name!r} must be a {A.rows}x{A.rows} matrix "
+                             "over the field of A")
 
     if K is not None:
         sd = split_from_AK(A, K, params)
@@ -850,11 +840,7 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
         Astar=Astar, theta_star=sd.theta_star, EstarV=sd.EstarV, psi_series=series,
     )
     if overrides:
-        allowed = {"A", "Astar", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv"}
-        unknown = set(overrides) - allowed
-        if unknown:
-            raise ValueError(f"cannot override {sorted(unknown)}")
-        suite = replace(suite, **dict(overrides))
+        suite = replace(suite, **overrides)
     return suite
 
 

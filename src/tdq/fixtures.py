@@ -176,6 +176,8 @@ def read_fixture(path: str) -> Fixture:
         raise FixtureFormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FixtureFormatError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise FixtureFormatError(f"JSON in {path} is nested too deeply") from None
     return parse_fixture(doc)
 
 

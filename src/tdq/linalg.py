@@ -5,6 +5,9 @@ row-echelon basis of its row span (pivots 1, zero rows dropped), which makes
 subspace equality a plain data comparison.  Everything is immutable and
 backend-agnostic: entries are :class:`~tdq.scalars.Scalar` values from one
 field.
+
+``_rref_rows`` is the one Gaussian elimination: rref, kernel, inverse, the
+minimal polynomial, subspace sums and intersections all reduce through it.
 """
 
 from __future__ import annotations
@@ -215,53 +218,16 @@ class Matrix:
         flat = [x for row in reduced for x in row]
         return Matrix(self.field, self.rows, self.cols, flat), pivots
 
-    def det(self) -> Scalar:
-        self._require_square()
-        n = self.rows
-        rows = [list(self.row(i)) for i in range(n)]
-        det = self.field.one
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if rows[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return self.field.zero
-            if pivot_row != col:
-                rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-                det = -det
-            pivot = rows[col][col]
-            det = det * pivot
-            inv = pivot ** -1
-            for r in range(col + 1, n):
-                factor = rows[r][col]
-                if factor:
-                    factor = factor * inv
-                    rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-        return det
-
     def inverse(self) -> "Matrix":
+        """The inverse, read off the reduced form of [self | I]."""
         self._require_square()
         n = self.rows
         zero, one = self.field.zero, self.field.one
         aug = [list(self.row(i)) + [one if i == j else zero for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if aug[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            inv = aug[col][col] ** -1
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return Matrix(self.field, n, n, [x for row in aug for x in row[n:]])
+        reduced, pivots = _rref_rows(aug, self.field)
+        if pivots != tuple(range(n)):
+            raise ValueError("matrix is singular")
+        return Matrix(self.field, n, n, [x for row in reduced for x in row[n:]])
 
     def kernel(self) -> "Subspace":
         """Canonical basis of the right null space {v : Mv = 0}."""
@@ -279,25 +245,26 @@ class Matrix:
         return Subspace.from_vectors(self.field, self.cols, vectors)
 
     def minimal_polynomial(self) -> list[Scalar]:
-        """Monic minimal polynomial coefficients, constant term first."""
+        """Monic minimal polynomial coefficients, constant term first.
+
+        The columns vec(I), vec(M), ..., vec(M^n) are dependent; the first
+        non-pivot column k of their reduced form holds the coefficients of
+        M^k in the lower powers.
+        """
         self._require_square()
         n = self.rows
-        acc = _RowAccumulator(self.field, n * n, track=True)
-        power = Matrix.identity(self.field, n)
-        k = 0
-        while True:
-            combo = acc.add(power.entries)
-            if combo is not None:
-                # vec(A^k) = sum_j combo[j] vec(A^j): monic coefficients
-                coeffs = [-c for c in combo] + [self.field.one]
-                return coeffs
-            power = power * self
-            k += 1
-            if k > n:
-                raise RuntimeError("minimal polynomial search exceeded the dimension")
+        powers = matrix_powers(self, n)
+        stacked = Matrix(self.field, n * n, n + 1,
+                         [p.entries[i] for i in range(n * n) for p in powers])
+        reduced, pivots = stacked.rref()
+        k = next(c for c in range(n + 1) if c not in pivots)
+        return [-reduced[r, k] for r in range(k)] + [self.field.one]
 
 
 def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tuple[int, ...]]:
+    """Reduce the rows in place to reduced row-echelon form; return them and
+    the pivot columns.  Each pivot is the first nonzero entry at or below the
+    current row."""
     if not rows:
         return rows, ()
     ncols = len(rows[0])
@@ -324,64 +291,6 @@ def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tup
         if r == nrows:
             break
     return rows, tuple(pivots)
-
-
-class _RowAccumulator:
-    """Incrementally reduced row span, optionally tracking combinations.
-
-    With track=True, add() returns the coefficients expressing a dependent
-    vector in terms of the previously added ones (in insertion order), or
-    None when the vector was independent and got added.
-    """
-
-    def __init__(self, field, width: int, track: bool = False):
-        self.field = field
-        self.width = width
-        self.track = track
-        self.rows: list[list[Scalar]] = []   # reduced, pivot-normalized
-        self.tails: list[list[Scalar]] = []  # combination bookkeeping
-        self.pivots: list[int] = []
-        self.count = 0
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add(self, vector: Sequence[Scalar]):
-        row = list(vector)
-        tail = []
-        if self.track:
-            zero, one = self.field.zero, self.field.one
-            tail = [zero] * self.count + [one]
-            for t in self.tails:
-                t.append(zero)
-        self.count += 1
-        for i, p in enumerate(self.pivots):
-            if row[p]:
-                factor = row[p]
-                row = [x - factor * y for x, y in zip(row, self.rows[i])]
-                if self.track:
-                    tail = [x - factor * y for x, y in zip(tail, self.tails[i])]
-        pivot = next((j for j, x in enumerate(row) if x), None)
-        if pivot is None:
-            if self.track:
-                # vector = -sum(tail[j] * original_j) for j < count-1
-                return [-c for c in tail[:-1]]
-            return ()
-        inv = row[pivot] ** -1
-        row = [x * inv for x in row]
-        if self.track:
-            tail = [x * inv for x in tail]
-        for i in range(len(self.rows)):
-            if self.rows[i][pivot]:
-                factor = self.rows[i][pivot]
-                self.rows[i] = [x - factor * y for x, y in zip(self.rows[i], row)]
-                if self.track:
-                    self.tails[i] = [x - factor * y for x, y in zip(self.tails[i], tail)]
-        self.rows.append(row)
-        self.tails.append(tail)
-        self.pivots.append(pivot)
-        return None
 
 
 class Subspace:
@@ -521,7 +430,8 @@ def eigenspace(m: Matrix, value: Scalar) -> Subspace:
 
 def is_direct_decomposition(spaces: Sequence[Subspace]) -> bool:
     """True when the subspaces are all nonzero, their dimensions sum to the
-    ambient dimension, and their sum is the full space."""
+    ambient dimension, and their sum is the full space.  A
+    :class:`Decomposition` reads its sum off its cached flags."""
     if not spaces:
         return False
     ambient = spaces[0].ambient
@@ -529,7 +439,8 @@ def is_direct_decomposition(spaces: Sequence[Subspace]) -> bool:
         return False
     if sum(s.dim for s in spaces) != ambient:
         return False
-    return subspace_sum(spaces).dim == ambient
+    total = spaces.flags[-1] if isinstance(spaces, Decomposition) else subspace_sum(spaces)
+    return total.dim == ambient
 
 
 def nilpotency_index(m: Matrix) -> Optional[int]:
@@ -560,7 +471,8 @@ def power_series(coeffs: Sequence[Scalar], powers: Sequence[Matrix]) -> Matrix:
 def generated_algebra_dim(mats: Sequence[Matrix]) -> int:
     """Dimension of the unital algebra generated by the matrices.
 
-    Words are added by increasing length until the span stabilizes.
+    The span of I is grown by right-multiplying each of its basis elements by
+    each generator until it stops growing.
     """
     mats = list(mats)
     if not mats:
@@ -571,16 +483,11 @@ def generated_algebra_dim(mats: Sequence[Matrix]) -> int:
         m._require_square()
         if m.rows != n or m.field != field:
             raise ValueError("size or backend mismatch")
-    acc = _RowAccumulator(field, n * n)
-    identity = Matrix.identity(field, n)
-    acc.add(identity.entries)
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for word in frontier:
-            for gen in mats:
-                candidate = word * gen
-                if acc.add(candidate.entries) is None:
-                    next_frontier.append(candidate)
-        frontier = next_frontier
-    return acc.rank
+    span = Subspace.from_vectors(field, n * n, [Matrix.identity(field, n).entries])
+    while True:
+        words = [Matrix(field, n, n, v) for v in span.basis]
+        grown = Subspace.from_vectors(
+            field, n * n, list(span.basis) + [(w * g).entries for w in words for g in mats])
+        if grown.dim == span.dim:
+            return span.dim
+        span = grown

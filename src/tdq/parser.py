@@ -12,6 +12,10 @@ Grammar (standard precedence, '-' and '/' left associative):
 Identifiers are the field's indeterminates (ratfunc backend only); '^' binds
 tighter than unary minus, so ``-q^2`` means ``-(q^2)``.  Exponents are
 integer literals and may be negative.
+
+Limits: parentheses nest at most ``MAX_NESTING`` (100) deep, and an integer
+literal has at most ``MAX_DIGITS`` (4,300, Python's default limit for
+converting a decimal string) digits; beyond either, :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from __future__ import annotations
 from .scalars import Scalar
 
 __all__ = ["ParseError", "parse_scalar"]
+
+MAX_NESTING = 100
+MAX_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -43,6 +50,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", i)
             tokens.append(("int", text[i:j], i))
             i = j
         elif ch.isalpha() or ch == "_":
@@ -65,6 +74,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -160,8 +170,12 @@ class _Parser:
             except ValueError as exc:
                 raise ParseError(str(exc), at) from None
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.depth += 1
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError(f"expected a value, found {text!r}" if text else "unexpected end of input", at)
 

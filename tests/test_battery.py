@@ -174,5 +174,5 @@ class TestCallCounts:
         assert verify_battery(suite).passed
         assert calls["q_exp"] == 5
         assert calls["_running_sums"] == 7
-        assert calls["subspace_sum"] <= 103
+        assert calls["subspace_sum"] <= 99
         assert calls["power_series"] <= 11

@@ -10,11 +10,16 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env=None):
+    """Run the CLI in a child process and check the README contract that
+    holds for every input: exit code 0, 1 or 2 and no traceback."""
     # the child finds the package under src/ whether or not it is installed
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "tdq.cli", *args],
+    proc = subprocess.run([sys.executable, "-m", "tdq.cli", *args],
                           capture_output=True, text=True, check=False, env=env)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
 
 
 def test_generate_and_verify_round_trip(tmp_path):
@@ -76,7 +81,6 @@ def test_verify_non_nilpotent_psi_reports_failures(tmp_path):
     report = tmp_path / "rep.json"
     proc = run_cli("verify", str(fix), "--report", str(report))
     assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
     status = {e["id"]: e for e in json.loads(report.read_text())["entries"]}
     assert status["psi_nilpotent"]["status"] == "fail"
     for item in ("exp_intertwine", "delta_exp_factorization", "exp_product_series",
@@ -118,7 +122,6 @@ def test_verify_unknown_env_filter_exit_2(tmp_path):
     env = dict(os.environ, TDQ_BATTERY_FILTER="nope")
     proc = run_cli("verify", str(fix), env=env)
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
     assert "nope" in proc.stderr
 
 
@@ -149,8 +152,33 @@ def test_bad_operator_shape_exit_2(tmp_path, command, case):
         args += ["--out", str(tmp_path / "out.json")]
     proc = run_cli(*args)
     assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert "Traceback" not in proc.stderr
     assert name in proc.stderr
+
+
+NESTED = "(" * 200 + "1" + ")" * 200
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("literal", [NESTED, LONG], ids=["nested", "long"])
+def test_oversized_scalar_exit_2(tmp_path, literal):
+    proc = run_cli("generate", "--d", "1", "--q", literal, "--a", "3",
+                   "--out", str(tmp_path / "x.json"))
+    assert proc.returncode == 2
+    doc = _d2_fixture_doc(tmp_path)
+    doc["matrices"]["A"][0][0] = literal
+    fix = tmp_path / "bad.json"
+    fix.write_text(json.dumps(doc))
+    proc = run_cli("verify", str(fix))
+    assert proc.returncode == 2
+    assert "bad scalar" in proc.stderr
+
+
+def test_deeply_nested_json_exit_2(tmp_path):
+    fix = tmp_path / "deep.json"
+    fix.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli("verify", str(fix))
+    assert proc.returncode == 2
+    assert "nested too deeply" in proc.stderr
 
 
 def test_engine_emits_derived_suite(tmp_path):

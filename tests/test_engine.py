@@ -6,7 +6,7 @@ import pytest
 from tdq import engine, leonard
 from tdq.engine import EngineError, NotQRacahError
 from tdq.linalg import Matrix, Subspace
-from tdq.scalars import rational_field
+from tdq.scalars import rational_field, ratfunc_field
 
 from conftest import make_params
 
@@ -110,7 +110,6 @@ class TestSplits:
         p = make_params(QF, d=2)
         ls = leonard.leonard_suite(p, "u")
         S = Matrix.from_rows(QF, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
-        assert not S.det().is_zero()
         Sinv = S.inverse()
         sd = engine.split_from_AK(S * ls.A * Sinv, S * ls.K * Sinv)
         plain = engine.split_from_AK(ls.A, ls.K)
@@ -225,6 +224,33 @@ class TestDeriveSuite:
         ls = leonard.leonard_suite(p, "u")
         with pytest.raises(ValueError):
             engine.derive_suite(ls.A, K=ls.K, overrides={"Zeta": ls.M})
+
+    @pytest.mark.parametrize("name, matrix", [
+        ("Delta", Matrix.identity(QF, 2)),
+        ("psi", Matrix.zero(QF, 3, 2)),
+        ("M", Matrix.identity(ratfunc_field(("q",)), 3)),
+    ])
+    def test_override_of_wrong_shape_or_field_rejected(self, name, matrix):
+        ls = leonard.leonard_suite(make_params(QF, d=2), "u")
+        with pytest.raises(ValueError, match=name):
+            engine.derive_suite(ls.A, K=ls.K, overrides={name: matrix})
+
+
+class TestDeltaCharacterization:
+    def test_plain_sequences_give_the_suite_delta(self):
+        ls = leonard.leonard_suite(make_params(QF, d=3), "u")
+        suite = engine.derive_suite(ls.A, K=ls.K)
+        delta = engine.delta_from_characterization(tuple(suite.U), tuple(suite.Udd), QF)
+        assert delta == suite.Delta
+
+    def test_swapped_udd_spaces_rejected(self):
+        ls = leonard.leonard_suite(make_params(QF, d=2), "u")
+        suite = engine.derive_suite(ls.A, K=ls.K)
+        Udd = list(suite.Udd)
+        Udd[0], Udd[1] = Udd[1], Udd[0]
+        with pytest.raises(EngineError) as exc:
+            engine.delta_from_characterization(suite.U, Udd, QF)
+        assert exc.value.reason == "delta-characterization"
 
 
 class TestSuiteDerivedData:
@@ -344,9 +370,11 @@ class TestEquivariance:
                     S = Matrix.from_rows(
                         QF, [[rng.randint(-3, 3) for _ in range(d + 1)]
                              for _ in range(d + 1)])
-                    if not S.det().is_zero():
+                    try:
+                        Sinv = S.inverse()
                         break
-                Sinv = S.inverse()
+                    except ValueError:
+                        continue
                 conj = engine.derive_suite(S * ls.A * Sinv, K=S * ls.K * Sinv)
                 for name in ("K", "B", "psi", "M", "Minv", "Delta", "Deltainv"):
                     assert getattr(conj, name) == S * getattr(base, name) * Sinv

@@ -161,16 +161,14 @@ class TestGeneratedAlgebra:
 
 class TestMatrixBasics:
     def test_inverse_round_trip(self):
-        m = mat([[2, 1], [1, 1]])
-        assert m * m.inverse() == Matrix.identity(QF, 2)
+        # the second needs a row swap
+        for m in (mat([[2, 1], [1, 1]]), mat([[0, 1], [1, 0]])):
+            assert m * m.inverse() == Matrix.identity(QF, 2)
+            assert m.inverse() * m == Matrix.identity(QF, 2)
 
     def test_singular_inverse_raises(self):
         with pytest.raises(ValueError):
             mat([[1, 2], [2, 4]]).inverse()
-
-    def test_determinant(self):
-        assert mat([[2, 1], [1, 1]]).det() == QF.one
-        assert mat([[1, 2], [2, 4]]).det() == QF.zero
 
     def test_pow(self):
         m = mat([[1, 1], [0, 1]])
@@ -179,10 +177,14 @@ class TestMatrixBasics:
         assert m ** -1 == m.inverse()
 
     def test_minimal_polynomial(self):
-        m = mat([[2, Fraction(3, 4)], [0, Fraction(1, 2)]])
-        coeffs = m.minimal_polynomial()
-        # (x - 2)(x - 1/2) = x^2 - 5/2 x + 1
-        assert [str(c) for c in coeffs] == ["1", "-5/2", "1"]
+        cases = [
+            # (x - 2)(x - 1/2) = x^2 - 5/2 x + 1
+            (mat([[2, Fraction(3, 4)], [0, Fraction(1, 2)]]), ["1", "-5/2", "1"]),
+            # (x - 1)(x - 2): degree below n
+            (Matrix.diagonal(QF, [QF.one, QF.one, QF.coerce(2)]), ["2", "-3", "1"]),
+        ]
+        for m, expected in cases:
+            assert [str(c) for c in m.minimal_polynomial()] == expected
 
     def test_minimal_polynomial_of_projector(self):
         m = mat([[1, 0], [0, 0]])
