@@ -28,13 +28,24 @@ from .leonard import BASES, leonard_suite
 from .params import QRacahParams, validate_params
 from .parser import ParseError, parse_scalar
 from .reports import build_report_document, exit_code_for, text_table
-from .scalars import get_field
+from .scalars import RenderError, get_field
 
 MATH_FAILURE = 1
 USAGE_ERROR = 2
 
 
-@click.group()
+class _Commands(click.Group):
+    """Runs a command; a value too long to render is an input error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RenderError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(USAGE_ERROR)
+
+
+@click.group(cls=_Commands)
 def main():
     """Exact q-Racah tridiagonal suites: generate, verify, derive, detect."""
 

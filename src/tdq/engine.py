@@ -7,6 +7,9 @@ along three independent routes that must agree exactly.  Everything downstream
 of the input matrices follows the defining formulas, not closed forms, so the
 derived suite is fit material for the identity battery.
 
+Every change to coordinates adapted to a decomposition reads the basis and
+its inverse from the :class:`~tdq.linalg.Decomposition`, so each is inverted
+once; every eigenvalue sequence is matched to its parameter by ``_fit``.
 The suite keeps what was derived on the way, for the battery to read: the
 flags of its decompositions and the power series and q-exponentials of psi
 (see :class:`OperatorSuite`).
@@ -96,9 +99,6 @@ class DetectionResult:
     def representative(self) -> tuple[Scalar, Scalar]:
         return self.solutions[0]
 
-    def contains(self, q: Scalar, a: Scalar) -> bool:
-        return any(sq == q and sa == a for sq, sa in self.solutions)
-
 
 def detect_qracah(thetas: Sequence[Scalar]) -> DetectionResult:
     """Find every (q, a) with theta_i = a q^(d-2i) + a^-1 q^(2i-d).
@@ -120,16 +120,7 @@ def detect_qracah(thetas: Sequence[Scalar]) -> DetectionResult:
         candidates = _detect_diameter_one(thetas, field)
     else:
         candidates = _detect_recurrence(thetas, field, d)
-
-    verified: dict[tuple[str, str], tuple[Scalar, Scalar]] = {}
-    one = field.one
-    for q, a in candidates:
-        if q.is_zero() or a.is_zero():
-            continue
-        if (q ** 4 - one).is_zero():
-            continue
-        if tuple(thetas) == theta_sequence(a, q, d):
-            verified[(q.render(), a.render())] = (q, a)
+    verified = {(q.render(), a.render()): (q, a) for q, a in candidates}
     if not verified:
         raise NotQRacahError(
             "a-system-inconsistent",
@@ -137,6 +128,21 @@ def detect_qracah(thetas: Sequence[Scalar]) -> DetectionResult:
         )
     ordered = tuple(verified[key] for key in sorted(verified))
     return DetectionResult(ordered)
+
+
+def _fit(seq: Sequence[Scalar], q: Scalar, d: int) -> Optional[Scalar]:
+    """The x with seq = theta_sequence(x, q, d), or None.
+
+    x and x^-1 solve the 2x2 linear system of seq[0] and seq[1]; the whole
+    sequence is then compared.  q must be nonzero.
+    """
+    det = q ** 2 - q ** -2  # of the system's matrix [[q^d, q^-d], [q^(d-2), q^(2-d)]]
+    if det.is_zero():
+        return None
+    x = (seq[0] * q ** (2 - d) - seq[1] * q ** -d) / det
+    if x.is_zero() or tuple(seq) != theta_sequence(x, q, d):
+        return None
+    return x
 
 
 def _quadratic_roots_unit_product(s: Scalar, field) -> Optional[tuple[Scalar, Scalar]]:
@@ -149,34 +155,32 @@ def _quadratic_roots_unit_product(s: Scalar, field) -> Optional[tuple[Scalar, Sc
     return ((s + root) * half, (s - root) * half)
 
 
+def _fits(thetas, qsq: Scalar, d: int) -> list[tuple[Scalar, Scalar]]:
+    """Each (q, a) with q^2 = qsq, q in the field, and thetas =
+    theta_sequence(a, q, d); qsq must be nonzero."""
+    root = qsq.field.sqrt(qsq)
+    if root is None:
+        return []
+    return [(q, a) for q in (root, -root) if (a := _fit(thetas, q, d)) is not None]
+
+
 def _detect_diameter_one(thetas, field):
     """d = 1: theta_0 = aq + (aq)^-1 and theta_1 = a/q + q/a, so the product
-    p = aq and the ratio r = a/q each solve their own unit-product quadratic."""
+    p = aq and the ratio r = a/q each solve their own unit-product quadratic
+    (so neither is zero), and q^2 = p/r."""
     p_roots = _quadratic_roots_unit_product(thetas[0], field)
     r_roots = _quadratic_roots_unit_product(thetas[1], field)
     if p_roots is None or r_roots is None:
         raise NotQRacahError(
             "no-field-root", "the quadratic for aq or a/q has no root in the working field"
         )
-    candidates = []
-    for p in p_roots:
-        for r in r_roots:
-            if r.is_zero():
-                continue
-            qsq = p / r
-            qroot = field.sqrt(qsq)
-            if qroot is None:
-                continue
-            for q in (qroot, -qroot):
-                if q.is_zero():
-                    continue
-                candidates.append((q, p / q))
-    return candidates
+    return [pair for p in p_roots for r in r_roots for pair in _fits(thetas, p / r, 1)]
 
 
 def _detect_recurrence(thetas, field, d):
     """d >= 2: recover s = q^2 + q^-2 from the three-term recurrence, check
-    consistency, solve for q^2, then for (a, a^-1) linearly."""
+    consistency, solve for q^2 (a unit-product root, so nonzero), then fit a
+    to each square root q."""
     s = None
     for i in range(1, d):
         if not thetas[i].is_zero():
@@ -202,35 +206,12 @@ def _detect_recurrence(thetas, field, d):
         raise NotQRacahError(
             "no-field-root", "the quadratic for q^2 has no root in the working field"
         )
-    candidates = []
-    for qsq in roots:
-        qroot = field.sqrt(qsq)
-        if qroot is None:
-            continue
-        for q in (qroot, -qroot):
-            pair = _solve_a_linear(thetas, q, d, field)
-            if pair is not None:
-                candidates.append((q, pair))
+    candidates = [pair for qsq in roots for pair in _fits(thetas, qsq, d)]
     if not candidates:
         raise NotQRacahError(
             "no-field-root", "q^2 lies in the working field but q itself does not"
         )
     return candidates
-
-
-def _solve_a_linear(thetas, q, d, field):
-    """Solve the 2x2 linear system for (a, a^-1) from theta_0, theta_1 and
-    check the unit-product consistency condition."""
-    m00, m01 = q ** d, q ** -d
-    m10, m11 = q ** (d - 2), q ** (2 - d)
-    det = m00 * m11 - m01 * m10  # q^2 - q^-2, nonzero since q^4 != 1
-    if det.is_zero():
-        return None
-    alpha = (thetas[0] * m11 - thetas[1] * m01) / det
-    beta = (thetas[1] * m00 - thetas[0] * m10) / det
-    if alpha.is_zero() or not (alpha * beta - 1).is_zero():
-        return None
-    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -250,47 +231,32 @@ class SplitData:
     rho: tuple[int, ...]
 
 
-def _eigendata(m: Matrix) -> tuple[list[Scalar], list[Subspace]]:
-    """Distinct field eigenvalues and eigenspaces; errors when the minimal
-    polynomial does not split into linear factors over the field."""
-    coeffs = m.minimal_polynomial()
-    roots, splits = m.field.poly_roots(coeffs)
+def _eigenvalues(m: Matrix) -> list[Scalar]:
+    """The distinct eigenvalues of m, which must be diagonalizable over the
+    field: its minimal polynomial splits into distinct linear factors."""
+    roots, splits = m.field.poly_roots(m.minimal_polynomial())
     if not splits:
         raise EngineError(
             "not-diagonalizable",
             "minimal polynomial does not split over the working field",
         )
-    distinct: list[Scalar] = []
-    for r in roots:
-        if all(r != seen for seen in distinct):
-            distinct.append(r)
-    spaces = [eigenspace(m, lam) for lam in distinct]
-    if sum(s.dim for s in spaces) != m.rows:
+    if len(set(roots)) != len(roots):
         raise EngineError(
             "not-diagonalizable", "eigenspaces do not span the whole space"
         )
-    return distinct, spaces
+    return list(roots)
 
 
-def _concat_basis(spaces: Sequence[Subspace]) -> Matrix:
-    """Matrix whose columns run through the subspace bases in order."""
-    field = spaces[0].field
-    cols = [vec for s in spaces for vec in s.basis]
-    return Matrix.from_rows(field, cols).transpose()
+def _eigendata(m: Matrix) -> tuple[list[Scalar], Decomposition]:
+    """The distinct eigenvalues of a diagonalizable m and their eigenspaces."""
+    values = _eigenvalues(m)
+    return values, Decomposition(eigenspace(m, lam) for lam in values)
 
 
-def _adapted(m: Matrix, spaces: Sequence[Subspace]) -> tuple[Matrix, list[range]]:
-    """m in the coordinates adapted to the ordered subspaces, and the index
-    range of each subspace's block."""
-    P = _concat_basis(spaces)
-    starts = [sum(s.dim for s in spaces[:i]) for i in range(len(spaces))]
-    return P.inverse() * m * P, [range(st, st + s.dim) for st, s in zip(starts, spaces)]
-
-
-def _block_eigenvalues(A: Matrix, spaces: Sequence[Subspace]) -> Optional[list[Scalar]]:
+def _block_eigenvalues(A: Matrix, spaces: Decomposition) -> Optional[list[Scalar]]:
     """If A is block lower bidiagonal with scalar diagonal blocks in the
     coordinates adapted to the ordered subspaces, return those scalars."""
-    T, blocks = _adapted(A, spaces)
+    T, blocks = spaces.coordinates * A * spaces.basis, spaces.blocks
     values: list[Scalar] = []
     for block in blocks:
         lam = T[block.start, block.start]
@@ -304,24 +270,22 @@ def _block_eigenvalues(A: Matrix, spaces: Sequence[Subspace]) -> Optional[list[S
     return values
 
 
-def _path_ordering(spaces: Sequence[Subspace], cross: Matrix) -> Optional[list[int]]:
+def _path_ordering(spaces: Decomposition, cross: Matrix) -> Optional[list[int]]:
     """Order the eigenspaces so the cross operator acts tridiagonally.
 
     The block-adjacency graph must be a simple path (isolated pairs are fine
     when there are only two eigenspaces, where tridiagonality is vacuous).
     """
     k = len(spaces)
-    if k == 1:
-        return [0]
-    T, blocks = _adapted(cross, spaces)
+    if k <= 2:
+        return list(range(k))
+    T, blocks = spaces.coordinates * cross * spaces.basis, spaces.blocks
     adj = {i: set() for i in range(k)}
     for bi, rows in enumerate(blocks):
         for bj, cols in enumerate(blocks):
             if bi != bj and any(T[r, c] for r in rows for c in cols):
                 adj[bi].add(bj)
                 adj[bj].add(bi)
-    if k == 2:
-        return [0, 1]
     degrees = {i: len(adj[i]) for i in range(k)}
     ends = [i for i in range(k) if degrees[i] == 1]
     if len(ends) != 2 or any(degrees[i] > 2 for i in range(k)):
@@ -343,7 +307,6 @@ def split_from_pair(A: Matrix, Astar: Matrix,
     intersections of the eigenspace flags."""
     if A.rows != Astar.rows or not A.is_square or not Astar.is_square:
         raise ValueError("A and A* must be square of the same size")
-    field = A.field
 
     avals, aspaces = _eigendata(A)
     svals, sspaces = _eigendata(Astar)
@@ -386,7 +349,7 @@ def split_from_pair(A: Matrix, Astar: Matrix,
                           "ordering of the dual eigenspaces")
     theta_star = [svals[i] for i in sorder]
     b = params.b if params is not None else None
-    oriented = _orient_dual(theta_star, q, d, field, b)
+    oriented = _orient_dual(theta_star, q, d, b)
     if oriented is None:
         raise NotQRacahError("dual-parameter-failure",
                              "no b in the working field matches the dual eigenvalues")
@@ -405,24 +368,16 @@ def split_from_pair(A: Matrix, Astar: Matrix,
     return SplitData(new_params, tuple(theta), tuple(theta_star), U, Udd, EV, EstarV, rho)
 
 
-def _orient_dual(theta_star, q, d, field, b=None):
+def _orient_dual(theta_star, q, d, b=None):
     """Pick the orientation of the dual eigenvalue sequence compatible with q
     (reversal swaps b and 1/b), preferring the given b when supplied."""
     options = []
     for flip in (False, True):
         seq = theta_star[::-1] if flip else theta_star
-        bval = _solve_a_linear(seq, q, d, field)
-        if bval is not None and tuple(seq) == theta_sequence(bval, q, d):
+        bval = _fit(seq, q, d)
+        if bval is not None and (b is None or bval == b):
             options.append((tuple(seq), flip, bval))
-    if not options:
-        return None
-    if b is not None:
-        for seq, flip, bval in options:
-            if bval == b:
-                return seq, flip, bval
-        return None
-    options.sort(key=lambda item: item[2].render())
-    return options[0]
+    return min(options, key=lambda item: item[2].render(), default=None)
 
 
 def _check_split_consistency(U: Decomposition, Udd: Decomposition, EV: Decomposition,
@@ -489,6 +444,10 @@ def split_from_AK(A: Matrix, K: Matrix,
                 continue
             a = params.a
             b = params.b
+        elif len(set(theta)) != len(theta):
+            failure = NotQRacahError("eigenvalues-not-distinct",
+                                     "A has a repeated eigenvalue on the K-eigenspaces")
+            continue
         else:
             try:
                 detection = detect_qracah(theta)
@@ -521,7 +480,7 @@ def split_from_AK(A: Matrix, K: Matrix,
 
 def _k_spectrum_candidates(K: Matrix) -> list[tuple[Scalar, int]]:
     """Candidate q values such that the K spectrum is {q^(d-2i)}."""
-    values, _ = _eigendata(K)
+    values = _eigenvalues(K)
     d = len(values) - 1
     if d < 1:
         raise EngineError("diameter-zero", "K must have at least two eigenvalues")
@@ -560,17 +519,16 @@ def _k_spectrum_candidates(K: Matrix) -> list[tuple[Scalar, int]]:
 # ---------------------------------------------------------------------------
 
 
-def build_KB(U: Sequence[Subspace], Udd: Sequence[Subspace],
+def build_KB(U: Decomposition, Udd: Decomposition,
              q: Scalar, d: int) -> tuple[Matrix, Matrix]:
     """The unique operators with eigenvalue q^(d-2i) on U_i (resp. U_i-dd)."""
     return _semisimple_from_decomposition(U, q, d), _semisimple_from_decomposition(Udd, q, d)
 
 
-def _semisimple_from_decomposition(spaces: Sequence[Subspace], q: Scalar, d: int) -> Matrix:
+def _semisimple_from_decomposition(spaces: Decomposition, q: Scalar, d: int) -> Matrix:
     """The operator acting as q^(d-2i) on spaces[i]."""
-    P = _concat_basis(spaces)
-    diag = [q ** (d - 2 * i) for i, space in enumerate(spaces) for _ in range(space.dim)]
-    return P * Matrix.diagonal(q.field, diag) * P.inverse()
+    diag = [q ** (d - 2 * i) for i, block in enumerate(spaces.blocks) for _ in block]
+    return spaces.basis * Matrix.diagonal(q.field, diag) * spaces.coordinates
 
 
 def psi_from_KB(K: Matrix, B: Matrix, q: Scalar, a: Scalar) -> Matrix:
@@ -666,11 +624,11 @@ def delta_from_characterization(U: Sequence[Subspace], Udd: Sequence[Subspace],
     """The unique operator with Delta U_i <= U_i-dd and
     (Delta - I) U_i <= U_0 + ... + U_(i-1).
 
-    With P and Q the concatenated bases of U and Udd, C = Q^-1 P (one
-    reduction of [Q | P]) holds the U-basis in Udd coordinates.  Delta keeps
-    the U_i-dd component of each vector of U_i, so Delta = Q C' P^-1, where C'
-    is C with everything outside its diagonal blocks zeroed.  U and Udd must
-    be direct decompositions with equal flags.
+    Delta is the transition from {U_i} to {U_i-dd}: C = Udd.coordinates *
+    U.basis holds the U-basis in Udd coordinates, Delta keeps the U_i-dd
+    component of each vector of U_i, so Delta = Udd.basis * C' *
+    U.coordinates, where C' is C with everything outside its diagonal blocks
+    zeroed.  U and Udd must be direct decompositions with equal flags.
     """
     U, Udd = (s if isinstance(s, Decomposition) else Decomposition(s) for s in (U, Udd))
     if not (is_direct_decomposition(U) and is_direct_decomposition(Udd)
@@ -678,12 +636,11 @@ def delta_from_characterization(U: Sequence[Subspace], Udd: Sequence[Subspace],
         raise EngineError("delta-characterization",
                           "the split sequences are not direct decompositions with equal flags")
     n = U[0].ambient
-    P, Q = _concat_basis(U), _concat_basis(Udd)
-    reduced, _ = Matrix.from_rows(field, [Q.row(i) + P.row(i) for i in range(n)]).rref()
-    block = [i for i, space in enumerate(U) for _ in space.basis]
-    C = Matrix(field, n, n, [reduced[r, n + c] if block[r] == block[c] else field.zero
+    C = Udd.coordinates * U.basis
+    block = [i for i, rows in enumerate(U.blocks) for _ in rows]
+    C = Matrix(field, n, n, [C[r, c] if block[r] == block[c] else field.zero
                              for r in range(n) for c in range(n)])
-    return Q * C * P.inverse()
+    return Udd.basis * C * U.coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +808,6 @@ def _attach_astar(sd: SplitData, Astar: Matrix) -> SplitData:
     (no orientation freedom remains once U is fixed), so b is solved for that
     one ordering and checked against a supplied value if any.
     """
-    field = Astar.field
     d = sd.params.d
     q = sd.params.q
     svals, sspaces = _eigendata(Astar)
@@ -868,8 +824,8 @@ def _attach_astar(sd: SplitData, Astar: Matrix) -> SplitData:
         order.append(inside[0])
         remaining.remove(inside[0])
     theta_star = [svals[i] for i in order]
-    b = _solve_a_linear(theta_star, q, d, field)
-    if b is None or tuple(theta_star) != theta_sequence(b, q, d):
+    b = _fit(theta_star, q, d)
+    if b is None:
         raise NotQRacahError("dual-parameter-failure",
                              "no b in the working field matches the dual eigenvalues")
     if sd.params.b is not None and b != sd.params.b:
@@ -974,14 +930,6 @@ def validate_axioms(A: Matrix, Astar: Matrix) -> AxiomReport:
                                   "no ordering makes the dual action tridiagonal"))
     else:
         theta = [avals[i] for i in order]
-        try:
-            detection = detect_qracah(theta)
-            expected_q, expected_a = detection.representative
-            expected = list(theta_sequence(expected_a, expected_q, d))
-            if theta != expected and theta[::-1] == expected:
-                theta = theta[::-1]
-        except (NotQRacahError, ValueError):
-            pass
         checks.append(CheckRecord("standard-ordering-A", "pass",
                                   "ordering found; its reversal is the only other "
                                   "standard ordering"))

@@ -126,19 +126,6 @@ def parse_fixture(doc: dict) -> Fixture:
         except (ParseError, ZeroDivisionError) as exc:
             raise FixtureFormatError(f"bad scalar {text!r}: {exc}") from None
 
-    params = None
-    if "params" in doc:
-        raw = doc["params"]
-        if not isinstance(raw, dict) or "d" not in raw:
-            raise FixtureFormatError("params must carry at least d, q, a")
-        try:
-            params = QRacahParams(
-                int(raw["d"]), scalar(raw["q"]), scalar(raw["a"]),
-                scalar(raw["b"]) if "b" in raw else None,
-            )
-        except (KeyError, ValueError) as exc:
-            raise FixtureFormatError(f"bad params: {exc}") from None
-
     matrices: dict[str, Matrix] = {}
     for name, rows in (doc.get("matrices") or {}).items():
         if (not isinstance(rows, list) or not rows
@@ -153,6 +140,22 @@ def parse_fixture(doc: dict) -> Fixture:
         if m is not None and not (m.is_square and m.rows == (n or m.rows)):
             raise FixtureFormatError(f"operator {name!r} is {m.rows}x{m.cols}; operators "
                                      "must be square and the size of A")
+
+    params = None
+    if "params" in doc:
+        raw = doc["params"]
+        if not isinstance(raw, dict) or "d" not in raw:
+            raise FixtureFormatError("params must carry at least d, q, a")
+        try:
+            d = int(raw["d"])
+            if n is None or d >= n:  # checked first: validation loops over d
+                raise ValueError(f"d = {d} needs an n x n matrix A with n > d")
+            params = QRacahParams(
+                d, scalar(raw["q"]), scalar(raw["a"]),
+                scalar(raw["b"]) if "b" in raw else None,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FixtureFormatError(f"bad params: {exc}") from None
 
     subspaces: dict[str, Subspace] = {}
     for name, rows in (doc.get("subspaces") or {}).items():

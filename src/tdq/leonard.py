@@ -18,9 +18,9 @@ So each cross-check runs once per instance and distinct matrix, however many
 frames, transitions and basis changes reuse the result, and the memo goes
 away with the instance.  There is no process-wide cache: a new instance with
 equal parameters computes and checks everything again.  The public closed
-forms :func:`psi_hat`, :func:`exp_psi_matrix` and :func:`delta_matrix` take
-plain scalars and compute only their entries; the checks belong to the
-parameter-bound routes that call them.
+forms :func:`psi_hat`, :func:`exp_psi_matrix` and :func:`delta_matrix` compute
+only their entries (the last two read the q-factorial table from the memo);
+the checks belong to the routes that call them.
 
 Transition convention: ``transition_matrix(frm, to)`` has the frm-basis
 coordinates of the j-th to-basis vector in column j, so it converts to-basis
@@ -115,34 +115,33 @@ def _upper_triangular(d: int, field, entry) -> Matrix:
     return Matrix.from_rows(field, rows)
 
 
-def exp_psi_matrix(d: int, x: Scalar, q: Scalar, variant: str = "q") -> Matrix:
+def exp_psi_matrix(params: QRacahParams, x: Scalar, variant: str = "q") -> Matrix:
     """Closed form of the q-exponential of x times the lowering matrix:
     entry (i,j) is x^(j-i) q^(+-C(j-i,2)) (q-q^-1)^(2(j-i)) [j]![d-i]!/([i]![j-i]![d-j]!).
 
-    The parameter-bound routes (:func:`transition_matrix`, the Delta kinds of
+    The routes that call it (:func:`transition_matrix`, the Delta kinds of
     :func:`operator_matrix`) check it against the truncated series.
     """
     if variant not in ("q", "q_inverse"):
         raise ValueError(f"unknown variant {variant!r}")
+    d, q, fact = params.d, params.q, _fact(params)
     sign = 1 if variant == "q" else -1
-    fact = [q_fact(n, q) for n in range(d + 1)]
     return _upper_triangular(d, q.field, lambda i, j: (
         x ** (j - i) * q ** (sign * comb(j - i, 2)) * (q - q ** -1) ** (2 * (j - i))
         * _fact_ratio(d, i, j, fact)))
 
 
-def delta_matrix(d: int, q: Scalar, a: Scalar, inverse: bool = False) -> Matrix:
+def delta_matrix(params: QRacahParams, inverse: bool = False) -> Matrix:
     """Closed form of the transition operator, the same in all three frames:
     entry (i,j) is
     (q-q^-1)^(j-i) [j]![d-i]!/([i]![j-i]![d-j]!) prod_(n=1..j-i)(a q^(n-1) - a^-1 q^(1-n)),
     with a and a^-1 exchanged for the inverse.  :func:`operator_matrix`
     checks it against the product of the two q-exponentials.
     """
+    d, q, fact = params.d, params.q, _fact(params)
     field = q.field
-    if inverse:
-        a = a ** -1
+    a = params.a ** -1 if inverse else params.a
     ainv = a ** -1
-    fact = [q_fact(n, q) for n in range(d + 1)]
 
     def entry(i, j):
         prod = field.one
@@ -160,6 +159,11 @@ def delta_matrix(d: int, q: Scalar, a: Scalar, inverse: bool = False) -> Matrix:
 
 def _hat(params: QRacahParams) -> Matrix:
     return params._cached("psi_hat", lambda: psi_hat(params.d, params.q))
+
+
+def _fact(params: QRacahParams) -> list[Scalar]:
+    """[0]!, ..., [d]!."""
+    return params._cached("q_fact", lambda: [q_fact(n, params.q) for n in range(params.d + 1)])
 
 
 def _shift_diag(params: QRacahParams, sign: int = 1) -> Matrix:
@@ -183,7 +187,7 @@ def _exp(params: QRacahParams, inverse_a: bool, variant: str) -> Matrix:
         x = (a ** -1 if inverse_a else a) / (q - q ** -1)
         if variant != "q":
             x = -x
-        formula = exp_psi_matrix(params.d, x, q, variant)
+        formula = exp_psi_matrix(params, x, variant)
         series = q_exp(x * _hat(params), q, variant)  # type: ignore[arg-type]
         if formula != series:
             raise CrossRouteError("closed-form q-exponential entries disagree with "
@@ -231,7 +235,7 @@ def _formula_matrix(kind: str, basis: str, params: QRacahParams) -> Matrix:
 def _build_formula(kind: str, basis: str, params: QRacahParams) -> Matrix:
     d, q, a = params.d, params.q, params.a
     field = params.field
-    fact = params._cached("q_fact", lambda: [q_fact(n, q) for n in range(d + 1)])
+    fact = _fact(params)
     ainv = a ** -1
 
     def triangular(amount):
@@ -248,9 +252,9 @@ def _build_formula(kind: str, basis: str, params: QRacahParams) -> Matrix:
     if kind == "psi":
         return _hat(params)
     if kind == "Delta":
-        return delta_matrix(d, q, a)
+        return delta_matrix(params)
     if kind == "Deltainv":
-        return delta_matrix(d, q, a, inverse=True)
+        return delta_matrix(params, inverse=True)
 
     if kind == "A":
         if basis == "u":

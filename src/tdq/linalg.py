@@ -8,11 +8,15 @@ field.
 
 ``_rref_rows`` is the one Gaussian elimination: rref, kernel, inverse, the
 minimal polynomial, subspace sums and intersections all reduce through it.
+
+A :class:`Decomposition` owns its adapted coordinates, built once on first
+use; every change to adapted coordinates reads them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .scalars import Scalar
@@ -26,6 +30,7 @@ __all__ = [
     "Decomposition",
     "is_direct_decomposition",
     "nilpotency_index",
+    "nilpotent_powers",
     "matrix_powers",
     "power_series",
     "generated_algebra_dim",
@@ -381,7 +386,8 @@ class Decomposition(tuple):
     """An ordered sequence of subspaces V_0, ..., V_d of one space.
 
     Its flags (V_0 + ... + V_i) and tails (V_i + ... + V_d) are built once,
-    incrementally, on first use, and kept on the instance.
+    incrementally, on first use, and kept on the instance; so are its adapted
+    coordinates (``basis``, ``coordinates`` and ``blocks``).
     """
 
     @cached_property
@@ -391,6 +397,23 @@ class Decomposition(tuple):
     @cached_property
     def tails(self) -> tuple[Subspace, ...]:
         return _running_sums(self[::-1])[::-1]
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The matrix whose columns are the bases of V_0, ..., V_d, in order."""
+        return Matrix.from_rows(self[0].field, [v for s in self for v in s.basis]).transpose()
+
+    @cached_property
+    def coordinates(self) -> Matrix:
+        """The inverse of ``basis``: a vector's coordinates along the V_i.
+        ValueError when the decomposition is not direct."""
+        return self.basis.inverse()
+
+    @cached_property
+    def blocks(self) -> tuple[range, ...]:
+        """The index range of each V_i in the adapted coordinates."""
+        ends = list(accumulate((s.dim for s in self), initial=0))
+        return tuple(map(range, ends, ends[1:]))
 
     def at(self, i: int) -> Subspace:
         """V_i, and the zero subspace outside 0..d."""
@@ -443,15 +466,22 @@ def is_direct_decomposition(spaces: Sequence[Subspace]) -> bool:
     return total.dim == ambient
 
 
+def nilpotent_powers(m: Matrix) -> Optional[tuple[Matrix, ...]]:
+    """I, m, ..., m^(k-1) for the least k <= n with m^k = 0, or None when m
+    is not nilpotent."""
+    m._require_square()
+    powers = [Matrix.identity(m.field, m.rows), m]
+    while not powers[-1].is_zero():
+        if len(powers) > m.rows:
+            return None
+        powers.append(powers[-1] * m)
+    return tuple(powers[:-1])
+
+
 def nilpotency_index(m: Matrix) -> Optional[int]:
     """Least k <= n with m^k = 0, or None when m is not nilpotent."""
-    m._require_square()
-    power = m
-    for k in range(1, m.rows + 1):
-        if power.is_zero():
-            return k
-        power = power * m
-    return None
+    powers = nilpotent_powers(m)
+    return None if powers is None else len(powers)
 
 
 def matrix_powers(m: Matrix, count: int) -> tuple[Matrix, ...]:

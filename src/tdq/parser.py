@@ -13,9 +13,12 @@ Identifiers are the field's indeterminates (ratfunc backend only); '^' binds
 tighter than unary minus, so ``-q^2`` means ``-(q^2)``.  Exponents are
 integer literals and may be negative.
 
-Limits: parentheses nest at most ``MAX_NESTING`` (100) deep, and an integer
+Limits: parentheses nest at most ``MAX_NESTING`` (100) deep, an integer
 literal has at most ``MAX_DIGITS`` (4,300, Python's default limit for
-converting a decimal string) digits; beyond either, :class:`ParseError`.
+converting a decimal string) digits, and an exponent is at most
+``MAX_EXPONENT`` (1,000) in absolute value; beyond any of them,
+:class:`ParseError`.  The exponent bound stops ``2^99999999`` from running
+for minutes; rendered ratfunc fixtures need about 2d^2.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = ["ParseError", "parse_scalar"]
 
 MAX_NESTING = 100
 MAX_DIGITS = 4300
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -158,6 +162,8 @@ class _Parser:
         self.advance()
         if parenthesized:
             self.expect_op(")")
+        if int(text) > MAX_EXPONENT:
+            raise ParseError(f"exponent larger than {MAX_EXPONENT}", at)
         return sign * int(text)
 
     def atom(self) -> Scalar:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 from typing import Literal
 
-from .linalg import Matrix, matrix_powers, nilpotency_index, power_series
+from .linalg import Matrix, nilpotent_powers, power_series
 from .scalars import Scalar
 
 __all__ = ["q_int", "q_fact", "q_binom", "q_exp"]
@@ -59,9 +59,9 @@ def q_exp(t: Matrix, q: Scalar, variant: QExpVariant = "q") -> Matrix:
     """
     if variant not in ("q", "q_inverse"):
         raise ValueError(f"unknown variant {variant!r}")
-    index = nilpotency_index(t)
-    if index is None:
+    powers = nilpotent_powers(t)
+    if powers is None:
         raise ValueError("q_exp needs a nilpotent matrix")
     sign = 1 if variant == "q" else -1
-    coeffs = [q ** (sign * comb(n, 2)) / q_fact(n, q) for n in range(index)]
-    return power_series(coeffs, matrix_powers(t, index - 1))
+    coeffs = [q ** (sign * comb(n, 2)) / q_fact(n, q) for n in range(len(powers))]
+    return power_series(coeffs, powers)

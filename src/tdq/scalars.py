@@ -14,7 +14,9 @@ freely between threads.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from sympy import QQ, factor_list, symbols
@@ -22,12 +24,18 @@ from sympy.polys.fields import field as _sympy_frac_field
 
 __all__ = [
     "Scalar",
+    "RenderError",
     "RationalField",
     "RatFuncField",
     "rational_field",
     "ratfunc_field",
     "get_field",
 ]
+
+
+class RenderError(ValueError):
+    """A number in a scalar's text form has more digits than Python converts
+    to a decimal string (``sys.get_int_max_str_digits()``, 4,300 by default)."""
 
 
 class Scalar:
@@ -142,8 +150,13 @@ class Scalar:
         return hash((self.field, self.raw))
 
     def render(self) -> str:
-        """Canonical text form; parses back to an equal scalar."""
-        return self.field.render(self.raw)
+        """Canonical text form; parses back to an equal scalar.  Raises
+        :class:`RenderError` when a number in it is too long to convert."""
+        try:
+            return self.field.render(self.raw)
+        except ValueError:
+            raise RenderError("a value has a number with more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
 
     def __str__(self):
         return self.render()
@@ -152,28 +165,20 @@ class Scalar:
         return f"Scalar({self.render()!r})"
 
 
-class RationalField:
-    """The field of arbitrary-precision rationals."""
+class _Field:
+    """What both backends share: equality by backend and variable names,
+    coercion, zero and one.  A backend supplies ``backend``, ``variables``,
+    ``from_int`` and ``from_fraction``."""
 
-    backend = "rational"
+    backend: str
     variables: tuple[str, ...] = ()
 
     def __eq__(self, other):
-        return isinstance(other, RationalField)
+        return self is other or (isinstance(other, _Field) and self.backend == other.backend
+                                 and self.variables == other.variables)
 
     def __hash__(self):
-        return hash("rational")
-
-    def __repr__(self):
-        return "RationalField()"
-
-    # -- construction -------------------------------------------------------
-
-    def from_int(self, value: int) -> Scalar:
-        return Scalar(self, Fraction(value))
-
-    def from_fraction(self, value: Fraction) -> Scalar:
-        return Scalar(self, value)
+        return hash((self.backend, self.variables))
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
@@ -188,15 +193,32 @@ class RationalField:
             from .parser import parse_scalar
 
             return parse_scalar(value, self)
-        raise TypeError(f"cannot coerce {value!r} to a rational scalar")
+        raise TypeError(f"cannot coerce {value!r} to a {self.backend} scalar")
 
-    @property
+    @cached_property
     def zero(self) -> Scalar:
-        return Scalar(self, Fraction(0))
+        return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self) -> Scalar:
-        return Scalar(self, Fraction(1))
+        return self.from_int(1)
+
+
+class RationalField(_Field):
+    """The field of arbitrary-precision rationals."""
+
+    backend = "rational"
+
+    def __repr__(self):
+        return "RationalField()"
+
+    # -- construction -------------------------------------------------------
+
+    def from_int(self, value: int) -> Scalar:
+        return Scalar(self, Fraction(value))
+
+    def from_fraction(self, value: Fraction) -> Scalar:
+        return Scalar(self, value)
 
     def generator(self, name: str) -> Scalar:
         raise ValueError(f"identifier {name!r} is not allowed in the rational backend")
@@ -210,14 +232,8 @@ class RationalField:
 
     def sqrt(self, value: Scalar) -> Optional[Scalar]:
         """Exact square root, or None when the value is not a square."""
-        raw = value.raw
-        if raw < 0:
-            return None
-        num, den = raw.numerator, raw.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn != num or rd * rd != den:
-            return None
-        return Scalar(self, Fraction(rn, rd))
+        root = _fraction_sqrt(value.raw)
+        return None if root is None else Scalar(self, root)
 
     def poly_roots(self, coeffs: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], bool]:
         """Roots in the field of sum(coeffs[i] x^i), with multiplicity.
@@ -230,7 +246,7 @@ class RationalField:
         return _roots_from_factorization(expr, lam, self)
 
 
-class RatFuncField:
+class RatFuncField(_Field):
     """A field of rational functions over Q in named indeterminates."""
 
     backend = "ratfunc"
@@ -246,12 +262,6 @@ class RatFuncField:
         self._ring = self._field.ring
         self._gens = dict(zip(variables, gens))
 
-    def __eq__(self, other):
-        return isinstance(other, RatFuncField) and self.variables == other.variables
-
-    def __hash__(self):
-        return hash(("ratfunc", self.variables))
-
     def __repr__(self):
         return f"RatFuncField(variables={self.variables!r})"
 
@@ -262,29 +272,6 @@ class RatFuncField:
 
     def from_fraction(self, value: Fraction) -> Scalar:
         return Scalar(self, self._field.ground_new(QQ(value.numerator, value.denominator)))
-
-    def coerce(self, value) -> Scalar:
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise ValueError("scalar belongs to a different backend")
-            return value
-        if isinstance(value, int):
-            return self.from_int(value)
-        if isinstance(value, Fraction):
-            return self.from_fraction(value)
-        if isinstance(value, str):
-            from .parser import parse_scalar
-
-            return parse_scalar(value, self)
-        raise TypeError(f"cannot coerce {value!r} to a ratfunc scalar")
-
-    @property
-    def zero(self) -> Scalar:
-        return Scalar(self, self._field.zero)
-
-    @property
-    def one(self) -> Scalar:
-        return Scalar(self, self._field.one)
 
     def generator(self, name: str) -> Scalar:
         try:
@@ -362,11 +349,7 @@ class RatFuncField:
         except ValueError:
             return None
         candidate = Scalar(self, candidate_num / self._field.new(den, self._ring.one))
-        if candidate * candidate == value:
-            return candidate
-        if candidate * candidate == -value:
-            return None
-        return None
+        return candidate if candidate * candidate == value else None
 
     def poly_roots(self, coeffs: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], bool]:
         """Roots in the field of sum(coeffs[i] x^i), with multiplicity."""

@@ -155,22 +155,27 @@ class TestExpShiftRelations:
 class TestCallCounts:
     def test_derived_data_built_once(self, monkeypatch):
         # one derive_suite(A, K) + verify_battery at rational d=3 builds each
-        # flag sequence once and each q-exponential of psi once
+        # flag sequence once and each q-exponential of psi once; derive
+        # inverts each split basis once and builds each eigenspace of K once
         ls = leonard.leonard_suite(make_params(QF, d=3), "u")
         calls = {}
         for owner, name in ((qcalc, "q_exp"), (linalg, "_running_sums"),
-                            (linalg, "subspace_sum"), (linalg, "power_series")):
+                            (linalg, "subspace_sum"), (linalg, "power_series"),
+                            (linalg, "eigenspace"), (Matrix, "inverse")):
             original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(*args, **kwargs)
+            if owner is Matrix:
+                monkeypatch.setattr(Matrix, name, counted)
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name == "tdq" or mod_name.startswith("tdq."):
                     for attr, value in list(vars(mod).items()):
                         if value is original:
                             monkeypatch.setattr(mod, attr, counted)
         suite = engine.derive_suite(ls.A, K=ls.K)
+        assert (calls["inverse"], calls["eigenspace"]) == (9, 12)
         assert verify_battery(suite).passed
         assert calls["q_exp"] == 5
         assert calls["_running_sums"] == 7

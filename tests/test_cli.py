@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,8 @@ def run_cli(*args, env=None):
     # the child finds the package under src/ whether or not it is installed
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "tdq.cli", *args],
-                          capture_output=True, text=True, check=False, env=env)
+    proc = subprocess.run([sys.executable, "-m", "tdq.cli", *args], capture_output=True,
+                          text=True, check=False, env=env, timeout=120)
     assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc
@@ -171,6 +172,58 @@ def test_oversized_scalar_exit_2(tmp_path, literal):
     proc = run_cli("verify", str(fix))
     assert proc.returncode == 2
     assert "bad scalar" in proc.stderr
+
+
+# "2^1000" fifteen times over: each factor parses, the product has 4,516 digits
+TOO_LONG_TO_WRITE = "*".join(["2^1000"] * 15)
+
+
+@pytest.mark.parametrize("literal,message", [
+    ("2^99999999", "exponent larger than 1000"),
+    ("2^20000", "exponent larger than 1000"),
+    (TOO_LONG_TO_WRITE, "more than 4300 digits"),
+], ids=["huge-exponent", "long-power", "long-product"])
+def test_oversized_generate_exit_2(tmp_path, literal, message):
+    out = tmp_path / "x.json"
+    started = time.perf_counter()
+    proc = run_cli("generate", "--d", "1", "--q", literal, "--a", "3", "--out", str(out))
+    assert time.perf_counter() - started < 30
+    assert proc.returncode == 2
+    assert message in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "engine"])
+def test_diameter_above_size_exit_2(tmp_path, command):
+    doc = {
+        "format": "tdq-fixture/1",
+        "field": {"backend": "rational"},
+        "params": {"d": 100000, "q": "2", "a": "3"},
+        "matrices": {"A": [["1", "0"], ["1", "2"]], "K": [["2", "0"], ["0", "1/2"]]},
+    }
+    fix = tmp_path / "fix.json"
+    fix.write_text(json.dumps(doc))
+    args = [command, str(fix)] + (["--out", str(tmp_path / "o.json")] if command == "engine" else [])
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "d = 100000" in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "engine"])
+def test_repeated_block_eigenvalue_exit_1(tmp_path, command):
+    # A acts on the K-eigenspaces with the eigenvalue 1 three times
+    doc = {
+        "format": "tdq-fixture/1",
+        "field": {"backend": "rational"},
+        "matrices": {"A": [["1", "0", "0"], ["1", "1", "0"], ["0", "1", "1"]],
+                     "K": [["4", "0", "0"], ["0", "1", "0"], ["0", "0", "1/4"]]},
+    }
+    fix = tmp_path / "fix.json"
+    fix.write_text(json.dumps(doc))
+    args = [command, str(fix)] + (["--out", str(tmp_path / "o.json")] if command == "engine" else [])
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("mathematical failure:")
 
 
 def test_deeply_nested_json_exit_2(tmp_path):

@@ -163,7 +163,7 @@ class TestSuite:
         hat = leonard.psi_hat(3, p.q)
         for x in (QF.coerce(2), QF.coerce(Fraction(-2, 3)), QF.one):
             for variant in ("q", "q_inverse"):
-                assert leonard.exp_psi_matrix(3, x, p.q, variant) == \
+                assert leonard.exp_psi_matrix(p, x, variant) == \
                     q_exp(x * hat, p.q, variant)
 
     def test_backend_agreement(self, QF, RF_qa):
@@ -235,10 +235,10 @@ class TestCrossRouteMutation:
 
     def test_call_counts_once_per_params(self, QF, monkeypatch):
         # psi-hat once; four q-exponentials, each with one series; Delta and
-        # Delta^-1 once each
+        # Delta^-1 once each; one q-factorial table, [0]! to [6]!
         p = make_params(QF, d=6, b=None)
         calls = {}
-        for name in ("psi_hat", "exp_psi_matrix", "delta_matrix", "q_exp"):
+        for name in ("psi_hat", "exp_psi_matrix", "delta_matrix", "q_exp", "q_fact"):
             original = getattr(leonard, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -246,4 +246,5 @@ class TestCrossRouteMutation:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(leonard, name, counted)
         leonard.leonard_suite(p, "u")
-        assert calls == {"psi_hat": 1, "exp_psi_matrix": 4, "delta_matrix": 2, "q_exp": 4}
+        assert calls == {"psi_hat": 1, "exp_psi_matrix": 4, "delta_matrix": 2, "q_exp": 4,
+                         "q_fact": 7}
