@@ -26,7 +26,7 @@ from .fixtures import (
 )
 from .leonard import BASES, leonard_suite
 from .params import QRacahParams, validate_params
-from .parser import ParseError, parse_scalar
+from .parser import MAX_DIAMETER, ParseError, parse_scalar
 from .reports import build_report_document, exit_code_for, text_table
 from .scalars import RenderError, get_field
 
@@ -59,7 +59,7 @@ def _parse_scalar_flag(ctx, text: str, field, flag: str):
 
 
 @main.command()
-@click.option("--d", "d", type=int, required=True, help="diameter (>= 1)")
+@click.option("--d", "d", type=int, required=True, help=f"diameter (1 to {MAX_DIAMETER})")
 @click.option("--q", "q_text", required=True, help="scalar literal for q")
 @click.option("--a", "a_text", required=True, help="scalar literal for a")
 @click.option("--b", "b_text", default=None, help="scalar literal for b (optional)")
@@ -73,6 +73,9 @@ def generate(ctx, d, q_text, a_text, b_text, basis, backend, out_path):
     field = get_field(backend)
     if d < 1:
         click.echo("error: --d must be >= 1", err=True)
+        ctx.exit(USAGE_ERROR)
+    if d > MAX_DIAMETER:
+        click.echo(f"error: --d must be <= {MAX_DIAMETER}", err=True)
         ctx.exit(USAGE_ERROR)
     q = _parse_scalar_flag(ctx, q_text, field, "--q")
     a = _parse_scalar_flag(ctx, a_text, field, "--a")

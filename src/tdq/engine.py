@@ -422,43 +422,45 @@ def split_from_AK(A: Matrix, K: Matrix,
     else:
         candidates = _k_spectrum_candidates(K)
 
-    failure: Optional[EngineError] = None
+    # (stage reached, error) per failed candidate; the stages are spectrum 0,
+    # split action 1, parameter or eigenvalue checks 2, diagonalizable 3.
+    failures: list[tuple[int, EngineError]] = []
     for q, d in candidates:
         U = Decomposition(eigenspace(K, q ** (d - 2 * i)) for i in range(d + 1))
         if any(s.is_zero() for s in U) or sum(s.dim for s in U) != n:
-            failure = EngineError("spectrum-mismatch",
-                                  "K is not diagonalizable with eigenvalues q^(d-2i)")
+            failures.append((0, EngineError(
+                "spectrum-mismatch", "K is not diagonalizable with eigenvalues q^(d-2i)")))
             continue
         theta = _block_eigenvalues(A, U)
         if theta is None:
-            failure = EngineError("split-action",
-                                  "A does not act as a block lower bidiagonal raising "
-                                  "operator on the K-eigenspace ordering")
+            failures.append((1, EngineError("split-action",
+                                            "A does not act as a block lower bidiagonal "
+                                            "raising operator on the K-eigenspace ordering")))
             continue
         if params is not None:
             expected = [params.theta(i) for i in range(d + 1)]
             if theta != expected:
-                failure = NotQRacahError("parameter-mismatch",
-                                         "extracted eigenvalues do not match the "
-                                         "supplied parameters")
+                failures.append((2, NotQRacahError("parameter-mismatch",
+                                                   "extracted eigenvalues do not match the "
+                                                   "supplied parameters")))
                 continue
             a = params.a
             b = params.b
         elif len(set(theta)) != len(theta):
-            failure = NotQRacahError("eigenvalues-not-distinct",
-                                     "A has a repeated eigenvalue on the K-eigenspaces")
+            failures.append((2, NotQRacahError(
+                "eigenvalues-not-distinct", "A has a repeated eigenvalue on the K-eigenspaces")))
             continue
         else:
             try:
                 detection = detect_qracah(theta)
             except NotQRacahError as exc:
-                failure = exc
+                failures.append((2, exc))
                 continue
             match = [(sq, sa) for sq, sa in detection.solutions if sq == q]
             if not match:
-                failure = NotQRacahError("parameter-detection",
-                                         "no detected (q, a) shares the q recovered "
-                                         "from the K spectrum")
+                failures.append((2, NotQRacahError("parameter-detection",
+                                                   "no detected (q, a) shares the q "
+                                                   "recovered from the K spectrum")))
                 continue
             a = match[0][1]
             b = None
@@ -466,16 +468,18 @@ def split_from_AK(A: Matrix, K: Matrix,
         new_params = QRacahParams(d, q, a, b)
         EV = Decomposition(eigenspace(A, t) for t in theta)
         if sum(s.dim for s in EV) != n:
-            failure = EngineError("not-diagonalizable",
-                                  "A is not diagonalizable over the working field")
+            failures.append((3, EngineError("not-diagonalizable",
+                                            "A is not diagonalizable over the working field")))
             continue
         Udd = Decomposition(subspace_intersect(U.flags[i], EV.flags[d - i])
                             for i in range(d + 1))
         _check_split_consistency(U, Udd, EV, None, d)
         rho = tuple(s.dim for s in U)
         return SplitData(new_params, tuple(theta), None, U, Udd, EV, None, rho)
-    raise failure if failure is not None else EngineError(
-        "spectrum-mismatch", "no admissible (q, d) fits the K spectrum")
+    if failures:
+        # max keeps the first of equal stages: the earliest candidate's failure
+        raise max(failures, key=lambda f: f[0])[1]
+    raise EngineError("spectrum-mismatch", "no admissible (q, d) fits the K spectrum")
 
 
 def _k_spectrum_candidates(K: Matrix) -> list[tuple[Scalar, int]]:

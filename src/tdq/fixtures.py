@@ -109,8 +109,12 @@ def parse_fixture(doc: dict) -> Fixture:
     field_spec = doc.get("field")
     if not isinstance(field_spec, dict) or "backend" not in field_spec:
         raise FixtureFormatError("missing or malformed field spec")
+    variables = field_spec.get("variables")
+    if variables is not None and not (isinstance(variables, list)
+                                      and all(isinstance(v, str) for v in variables)):
+        raise FixtureFormatError("field variables must be an array of names")
     try:
-        field = get_field(field_spec["backend"], field_spec.get("variables"))
+        field = get_field(field_spec["backend"], variables)
     except ValueError as exc:
         raise FixtureFormatError(str(exc)) from None
 
@@ -126,14 +130,23 @@ def parse_fixture(doc: dict) -> Fixture:
         except (ParseError, ZeroDivisionError) as exc:
             raise FixtureFormatError(f"bad scalar {text!r}: {exc}") from None
 
-    matrices: dict[str, Matrix] = {}
-    for name, rows in (doc.get("matrices") or {}).items():
+    def section(key):
+        value = doc.get(key) or {}
+        if not isinstance(value, dict):
+            raise FixtureFormatError(f"{key} must be a JSON object")
+        return value.items()
+
+    def table(kind, name, rows):
         if (not isinstance(rows, list) or not rows
                 or any(not isinstance(r, list) or len(r) != len(rows[0]) for r in rows)):
-            raise FixtureFormatError(f"matrix {name!r} must be a rectangular array")
+            raise FixtureFormatError(f"{kind} {name!r} must be a rectangular array")
         if not rows[0]:
-            raise FixtureFormatError(f"matrix {name!r} must not be empty")
-        matrices[name] = Matrix.from_rows(field, [[scalar(x) for x in r] for r in rows])
+            raise FixtureFormatError(f"{kind} {name!r} must not be empty")
+        return [[scalar(x) for x in r] for r in rows]
+
+    matrices: dict[str, Matrix] = {}
+    for name, rows in section("matrices"):
+        matrices[name] = Matrix.from_rows(field, table("matrix", name, rows))
     n = matrices["A"].rows if "A" in matrices else None
     for name in OPERATOR_NAMES:
         m = matrices.get(name)
@@ -154,18 +167,13 @@ def parse_fixture(doc: dict) -> Fixture:
                 d, scalar(raw["q"]), scalar(raw["a"]),
                 scalar(raw["b"]) if "b" in raw else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FixtureFormatError(f"bad params: {exc}") from None
 
     subspaces: dict[str, Subspace] = {}
-    for name, rows in (doc.get("subspaces") or {}).items():
-        if not isinstance(rows, list):
-            raise FixtureFormatError(f"subspace {name!r} must be an array of rows")
-        if not rows:
-            raise FixtureFormatError(f"subspace {name!r} needs an ambient dimension")
-        ambient = len(rows[0])
-        subspaces[name] = Subspace.from_vectors(
-            field, ambient, [[scalar(x) for x in r] for r in rows])
+    for name, rows in section("subspaces"):
+        vectors = table("subspace", name, rows)
+        subspaces[name] = Subspace.from_vectors(field, len(vectors[0]), vectors)
 
     return Fixture(field=field, basis=basis, params=params,
                    matrices=matrices, subspaces=subspaces)

@@ -149,9 +149,9 @@ class Matrix:
                 for j in range(m):
                     acc = zero
                     for t in range(k):
-                        x = arow[t]
-                        if x:
-                            acc = acc + x * b[t * m + j]
+                        x, y = arow[t], b[t * m + j]
+                        if x and y:
+                            acc = acc + x * y
                     out.append(acc)
             return Matrix(self.field, n, m, out)
         scalar = self.field.coerce(other)
@@ -269,7 +269,8 @@ class Matrix:
 def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tuple[int, ...]]:
     """Reduce the rows in place to reduced row-echelon form; return them and
     the pivot columns.  Each pivot is the first nonzero entry at or below the
-    current row."""
+    current row.  Zero entries are never multiplied: x * 0 and x - f * 0 are
+    known without the field's arithmetic."""
     if not rows:
         return rows, ()
     ncols = len(rows[0])
@@ -286,11 +287,11 @@ def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tup
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c] ** -1
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - factor * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -19,6 +19,11 @@ converting a decimal string) digits, and an exponent is at most
 ``MAX_EXPONENT`` (1,000) in absolute value; beyond any of them,
 :class:`ParseError`.  The exponent bound stops ``2^99999999`` from running
 for minutes; rendered ratfunc fixtures need about 2d^2.
+
+``MAX_DIAMETER`` (64) bounds the diameter ``tdq generate --d`` accepts:
+validating the parameters loops over every i <= d before anything else
+runs, so ``--d 100000`` would run for minutes.  The tests and the benchmark
+use d <= 16.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = ["ParseError", "parse_scalar"]
 MAX_NESTING = 100
 MAX_DIGITS = 4300
 MAX_EXPONENT = 1000
+MAX_DIAMETER = 64
 
 
 class ParseError(ValueError):

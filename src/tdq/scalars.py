@@ -1,11 +1,14 @@
 """Exact field scalars with two interchangeable backends.
 
 The ``rational`` backend wraps :class:`fractions.Fraction`.  The ``ratfunc``
-backend wraps elements of a rational-function field over the rationals in a
-chosen tuple of indeterminates (by default ``q, a, b``), represented by
-sympy's sparse polynomial fraction fields.  Both backends keep every value in
-a canonical form, so two scalars are equal as field elements exactly when
-their representations compare equal.
+backend wraps elements of the rational-function field Q(q, a, ...) in a
+chosen tuple of indeterminates (by default ``q, a, b``), stored by sympy's
+sparse fraction field as reduced fractions of polynomials over ZZ: a
+rational constant such as 1/2 sits in the numerator and the denominator.
+Integer coefficients keep sympy's gcd cancellation free of rational
+arithmetic.  Both backends keep every value in a canonical form, so two
+scalars are equal as field elements exactly when their representations
+compare equal.
 
 Scalars are immutable and all operations are pure, so values may be shared
 freely between threads.
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from sympy import QQ, factor_list, symbols
+from sympy import QQ, ZZ, factor_list, symbols
 from sympy.polys.fields import field as _sympy_frac_field
 
 __all__ = [
@@ -123,9 +126,13 @@ class Scalar:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0 and not self.raw:
+        if exponent >= 0:
+            return Scalar(self.field, self.raw ** exponent)
+        if not self.raw:
             raise ZeroDivisionError("zero cannot be raised to a negative power")
-        return Scalar(self.field, self.raw ** exponent)
+        # sympy's x ** -k only swaps numerator and denominator, which leaves a
+        # negative denominator when x's numerator leads negative; 1/x is reduced
+        return Scalar(self.field, (1 / self.raw) ** -exponent)
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse; raises ZeroDivisionError for zero."""
@@ -247,7 +254,12 @@ class RationalField(_Field):
 
 
 class RatFuncField(_Field):
-    """A field of rational functions over Q in named indeterminates."""
+    """The field Q(x_1, ..., x_k) of rational functions in named indeterminates.
+
+    Each value is a reduced fraction of polynomials in ZZ[x_1, ..., x_k]
+    whose denominator has a positive leading coefficient; this is the same
+    field as the one built over QQ, with integer coefficients throughout.
+    """
 
     backend = "ratfunc"
 
@@ -257,8 +269,10 @@ class RatFuncField(_Field):
             raise ValueError("ratfunc backend needs at least one variable")
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
+        if not all(isinstance(v, str) and v.isidentifier() for v in variables):
+            raise ValueError(f"variable names must be identifiers, got {list(variables)!r}")
         self.variables = variables
-        self._field, *gens = _sympy_frac_field(",".join(variables), QQ)
+        self._field, *gens = _sympy_frac_field(",".join(variables), ZZ)
         self._ring = self._field.ring
         self._gens = dict(zip(variables, gens))
 
@@ -268,10 +282,10 @@ class RatFuncField(_Field):
     # -- construction -------------------------------------------------------
 
     def from_int(self, value: int) -> Scalar:
-        return Scalar(self, self._field.ground_new(QQ(value)))
+        return Scalar(self, self._field.ground_new(ZZ(value)))
 
     def from_fraction(self, value: Fraction) -> Scalar:
-        return Scalar(self, self._field.ground_new(QQ(value.numerator, value.denominator)))
+        return Scalar(self, self._field.new(self._ring(value.numerator), self._ring(value.denominator)))
 
     def generator(self, name: str) -> Scalar:
         try:
@@ -306,23 +320,25 @@ class RatFuncField(_Field):
         ints/Fractions).  Raises ZeroDivisionError when the denominator
         vanishes at the given point.
         """
-        target = rational_field()
+        # Evaluating over ZZ cannot take the value 1/2, so evaluate in a
+        # copy of the ring over QQ.
+        ring = self._ring.clone(domain=QQ)
         pairs = []
-        for i, name in enumerate(self.variables):
+        for gen, name in zip(ring.gens, self.variables):
             if name not in assignment:
                 raise ValueError(f"no value supplied for {name!r}")
             val = assignment[name]
             if isinstance(val, Scalar):
                 val = val.raw
-            pairs.append((self._ring.gens[i], QQ(Fraction(val))))
-        num = value.raw.numer.evaluate(pairs)
-        den = value.raw.denom.evaluate(pairs)
+            pairs.append((gen, QQ(Fraction(val))))
+        num = value.raw.numer.set_ring(ring).evaluate(pairs)
+        den = value.raw.denom.set_ring(ring).evaluate(pairs)
         if not den:
             raise ZeroDivisionError("denominator vanishes at the specialization point")
         result = Fraction(int(num.numerator), int(num.denominator)) / Fraction(
             int(den.numerator), int(den.denominator)
         )
-        return target.from_fraction(result)
+        return rational_field().from_fraction(result)
 
     # -- root extraction ----------------------------------------------------
 

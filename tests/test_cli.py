@@ -193,6 +193,16 @@ def test_oversized_generate_exit_2(tmp_path, literal, message):
     assert not out.exists()
 
 
+def test_generate_diameter_above_bound_exit_2(tmp_path):
+    out = tmp_path / "x.json"
+    started = time.perf_counter()
+    proc = run_cli("generate", "--d", "100000", "--q", "2", "--a", "3", "--out", str(out))
+    assert time.perf_counter() - started < 30
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --d must be <= 64\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "engine"])
 def test_diameter_above_size_exit_2(tmp_path, command):
     doc = {
@@ -223,7 +233,10 @@ def test_repeated_block_eigenvalue_exit_1(tmp_path, command):
     args = [command, str(fix)] + (["--out", str(tmp_path / "o.json")] if command == "engine" else [])
     proc = run_cli(*args)
     assert proc.returncode == 1
+    # q = 2 and -2 stop at the repeated eigenvalue, further than the split
+    # action that stops q = 1/2 and -1/2; the furthest failure is reported
     assert proc.stderr.startswith("mathematical failure:")
+    assert "A has a repeated eigenvalue" in proc.stderr
 
 
 def test_deeply_nested_json_exit_2(tmp_path):

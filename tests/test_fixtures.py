@@ -71,6 +71,27 @@ def test_malformed_documents_rejected(mangle):
         parse_fixture(doc)
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda d: d["field"].update(backend="ratfunc", variables=5),
+    lambda d: d["field"].update(backend="ratfunc", variables=["q", 1]),
+    lambda d: d["field"].update(backend="ratfunc", variables=[{}]),
+    lambda d: d["field"].update(backend="ratfunc", variables=["x y", "1"]),
+    lambda d: d.update(matrices=["A"]),
+    lambda d: d.update(subspaces="U0"),
+    lambda d: d.update(subspaces={"U0": [["1", "0"], ["1"]]}),
+    lambda d: d.update(subspaces={"U0": [5]}),
+    lambda d: d["params"].update(d=float("inf")),
+], ids=["variables-int", "variables-mixed", "variables-dict", "variables-not-names",
+        "matrices-list", "subspaces-string", "subspace-ragged", "subspace-row-int", "d-inf"])
+def test_malformed_sections_are_format_errors(mangle):
+    # each of these raised TypeError, AttributeError, OverflowError or a bare
+    # ValueError from deeper code, which the CLI reported with a traceback
+    doc = leonard_fixture().to_dict()
+    mangle(doc)
+    with pytest.raises(FixtureFormatError):
+        parse_fixture(doc)
+
+
 def test_scalars_serialized_as_grammar_strings():
     doc = leonard_fixture().to_dict()
     payload = json.dumps(doc)

@@ -14,9 +14,10 @@ from tdq.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from tdq.scalars import rational_field
+from tdq.scalars import Scalar, rational_field, ratfunc_field
 
 QF = rational_field()
+RF = ratfunc_field(("q", "a"))
 
 
 def mat(rows):
@@ -195,3 +196,152 @@ class TestMatrixBasics:
         line = sub(2, [0, 1])
         assert line.image(m) == sub(2, [1, 0])
         assert sub(2, [1, 0]).image(m).is_zero()
+
+
+# -- the kernels against plain references ---------------------------------------
+#
+# Matrix.__mul__ and _rref_rows skip every product with a zero factor.  The
+# references below multiply every pair and eliminate every entry.
+
+
+def ref_product(x, y):
+    """Triple loop over every (i, j, t)."""
+    zero = x.field.zero
+    return [[sum((x[i, t] * y[t, j] for t in range(x.cols)), zero) for j in range(y.cols)]
+            for i in range(x.rows)]
+
+
+def ref_rref(rows, field):
+    """Gauss-Jordan on a copy: scale the whole pivot row, subtract from every
+    other row.  Returns the reduced rows (zero rows kept) and the pivots."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        inv = field.one / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, tuple(pivots)
+
+
+def ref_kernel_basis(m):
+    """RREF row basis of {v : m v = 0}, from the reference elimination."""
+    reduced, pivots = ref_rref([m.row(i) for i in range(m.rows)], m.field)
+    vectors = []
+    for free in (j for j in range(m.cols) if j not in pivots):
+        v = [m.field.zero] * m.cols
+        v[free] = m.field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][free]
+        vectors.append(v)
+    if not vectors:
+        return ()
+    basis, pivots = ref_rref(vectors, m.field)
+    return tuple(tuple(row) for row in basis[: len(pivots)])
+
+
+@st.composite
+def nonzero_scalars(draw, field):
+    num = draw(st.integers(-5, 5).filter(bool))
+    den = draw(st.integers(1, 4))
+    value = field.coerce(Fraction(num, den))
+    if field is RF:
+        q, a = RF.generator("q"), RF.generator("a")
+        value = value * q ** draw(st.integers(-1, 2)) * a ** draw(st.integers(-1, 1))
+        if draw(st.booleans()):
+            value = value + RF.coerce(draw(st.integers(-3, 3)))
+        if draw(st.booleans()):
+            value = value / (q - RF.coerce(draw(st.integers(1, 3))))
+    return value
+
+
+@st.composite
+def sparse_matrices(draw, field, rows, cols):
+    """At least half of the entries are zero."""
+    size = rows * cols
+    nonzero = draw(st.sets(st.integers(0, size - 1), max_size=size // 2))
+    return Matrix(field, rows, cols, [draw(nonzero_scalars(field)) if k in nonzero
+                                      else field.zero for k in range(size)])
+
+
+@st.composite
+def sparse_products(draw):
+    field = draw(st.sampled_from([QF, RF]))
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(sparse_matrices(field, n, k)), draw(sparse_matrices(field, k, m))
+
+
+@st.composite
+def sparse_shapes(draw):
+    field = draw(st.sampled_from([QF, RF]))
+    n = draw(st.integers(1, 4))
+    return draw(sparse_matrices(field, n, draw(st.integers(1, 5)) if draw(st.booleans()) else n))
+
+
+class TestSparseKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_products())
+    def test_product(self, pair):
+        x, y = pair
+        assert [list((x * y).row(i)) for i in range(x.rows)] == ref_product(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_shapes())
+    def test_rref_inverse_kernel(self, m):
+        reduced, pivots = m.rref()
+        ref_rows, ref_pivots = ref_rref([m.row(i) for i in range(m.rows)], m.field)
+        assert pivots == ref_pivots
+        assert [list(reduced.row(i)) for i in range(m.rows)] == ref_rows
+        assert m.kernel().basis == ref_kernel_basis(m)
+        if m.is_square:
+            eye = [[m.field.one if i == j else m.field.zero for j in range(m.rows)]
+                   for i in range(m.rows)]
+            aug, aug_pivots = ref_rref([list(m.row(i)) + eye[i] for i in range(m.rows)],
+                                       m.field)
+            if aug_pivots[: m.rows] == tuple(range(m.rows)):
+                assert [list(m.inverse().row(i)) for i in range(m.rows)] == \
+                    [row[m.rows:] for row in aug]
+            else:
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+
+
+class TestZeroProductsSkipped:
+    """Counts of Scalar.__mul__ calls: a product with a zero factor is never
+    formed, in the product or in the elimination."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        original = Scalar.__mul__
+
+        def counting(x, y):
+            calls.append(1)
+            return original(x, y)
+
+        monkeypatch.setattr(Scalar, "__mul__", counting)
+        return calls
+
+    def test_dense_times_identity(self, products):
+        n = 4
+        dense = Matrix(QF, n, n, [QF.coerce(k + 1) for k in range(n * n)])
+        assert dense * Matrix.identity(QF, n) == dense
+        assert len(products) == n * n
+
+    def test_rref_scales_and_eliminates_nonzero_entries_only(self, products):
+        # the identity plus ones down column 0: each pivot row has one nonzero
+        # entry to scale, and each of the n - 1 eliminations one to subtract
+        n = 4
+        m = Matrix(QF, n, n, [QF.one if j == 0 or i == j else QF.zero
+                              for i in range(n) for j in range(n)])
+        reduced, pivots = m.rref()
+        assert reduced == Matrix.identity(QF, n) and pivots == tuple(range(n))
+        assert len(products) == n + (n - 1)

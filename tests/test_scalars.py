@@ -62,6 +62,13 @@ class TestArithmetic:
         q = RF.generator("q")
         assert q.inv() == parse_scalar("1/q", RF)
 
+    def test_negative_power_is_canonical(self):
+        # the numerator of 1 - q and of -q/2 leads with a negative coefficient
+        q = RF.generator("q")
+        for x in (RF.one - q, -q / 2):
+            assert x ** -1 == RF.one / x and hash(x ** -1) == hash(RF.one / x)
+            assert x ** -3 == RF.one / (x * x * x)
+
     def test_difference_of_squares(self):
         q = RF.generator("q")
         lhs = (q - q ** -1) * (q + q ** -1)
@@ -191,3 +198,41 @@ class TestRoots:
         coeffs = [RF.one, -(q + q ** -1), RF.one]
         roots, splits = RF.poly_roots(coeffs)
         assert splits and set(roots) == {q, q ** -1}
+
+
+class TestIntegerCoefficients:
+    """Ratfunc values are reduced fractions over ZZ[q, a]; the representation
+    shows in no render, specialization or root."""
+
+    F = ratfunc_field(("q", "a"))
+
+    @pytest.mark.parametrize("text,rendered,at_point", [
+        ("1/2*q + 1/3", "1/2*q + 1/3", Fraction(11, 6)),
+        ("(q/2)/(a/3)", "(3*q)/(2*a)", Fraction(63, 10)),
+        ("(1/2)/(q - 1/3)", "(3)/(6*q - 2)", Fraction(3, 16)),
+        ("(q^2 - 1/4)/(q + 1/2)", "q - 1/2", Fraction(5, 2)),
+        ("q^-1/6", "(1)/(6*q)", Fraction(1, 18)),
+    ])
+    def test_render_and_specialize(self, text, rendered, at_point):
+        value = parse_scalar(text, self.F)
+        assert value.render() == rendered
+        assert parse_scalar(rendered, self.F) == value
+        assert self.F.specialize(value, {"q": 3, "a": Fraction(5, 7)}) == QF.coerce(at_point)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(-4, 4).filter(bool), st.integers(1, 6), st.integers(-2, 2),
+           st.integers(-3, 3))
+    def test_sqrt_of_square(self, num, den, power, shift):
+        q, a = self.F.generator("q"), self.F.generator("a")
+        x = (self.F.coerce(Fraction(num, den)) * q ** power + shift) / a
+        root = self.F.sqrt(x * x)
+        assert root in (x, -x)
+
+    def test_poly_roots_with_rational_coefficients(self):
+        roots, splits = self.F.poly_roots([self.F.coerce(Fraction(-1, 4)), self.F.zero,
+                                           self.F.one])
+        assert splits and sorted(r.render() for r in roots) == ["-1/2", "1/2"]
+
+    def test_from_fraction(self):
+        assert self.F.from_fraction(Fraction(-6, 4)).render() == "-3/2"
+        assert self.F.from_fraction(Fraction(-6, 4)) == parse_scalar("-3/2", self.F)
