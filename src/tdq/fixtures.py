@@ -159,15 +159,17 @@ def parse_fixture(doc: dict) -> Fixture:
         raw = doc["params"]
         if not isinstance(raw, dict) or "d" not in raw:
             raise FixtureFormatError("params must carry at least d, q, a")
+        d = raw["d"]
+        if type(d) is not int:  # a float, a bool or a string is not a diameter
+            raise FixtureFormatError(f"bad params: d must be a JSON integer, got {d!r}")
         try:
-            d = int(raw["d"])
             if n is None or d >= n:  # checked first: validation loops over d
                 raise ValueError(f"d = {d} needs an n x n matrix A with n > d")
             params = QRacahParams(
                 d, scalar(raw["q"]), scalar(raw["a"]),
                 scalar(raw["b"]) if "b" in raw else None,
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FixtureFormatError(f"bad params: {exc}") from None
 
     subspaces: dict[str, Subspace] = {}

@@ -10,6 +10,10 @@ arithmetic.  Both backends keep every value in a canonical form, so two
 scalars are equal as field elements exactly when their representations
 compare equal.
 
+sympy is imported only where it is used: the first time a ratfunc field is
+built, and the first time roots of a polynomial are found (eigenvalues the
+engine must detect itself).  The rational backend never loads it otherwise.
+
 Scalars are immutable and all operations are pure, so values may be shared
 freely between threads.
 """
@@ -21,9 +25,6 @@ import sys
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
-
-from sympy import QQ, ZZ, factor_list, symbols
-from sympy.polys.fields import field as _sympy_frac_field
 
 __all__ = [
     "Scalar",
@@ -235,6 +236,11 @@ class RationalField(_Field):
     def render(self, raw: Fraction) -> str:
         return str(raw)
 
+    def leading_coefficients(self, value: Scalar) -> tuple[Fraction, ...]:
+        """Rendered coefficients that ``value ** n`` raises to exactly the
+        |n|-th power: here the value itself."""
+        return (value.raw,)
+
     # -- root extraction ----------------------------------------------------
 
     def sqrt(self, value: Scalar) -> Optional[Scalar]:
@@ -248,6 +254,8 @@ class RationalField(_Field):
         Returns (roots, splits) where splits is True when the polynomial
         factors completely into linear factors over the field.
         """
+        from sympy import symbols
+
         lam = symbols("_lam")
         expr = sum((c.raw * lam ** i for i, c in enumerate(coeffs)), 0 * lam)
         return _roots_from_factorization(expr, lam, self)
@@ -271,8 +279,11 @@ class RatFuncField(_Field):
             raise ValueError("duplicate variable names")
         if not all(isinstance(v, str) and v.isidentifier() for v in variables):
             raise ValueError(f"variable names must be identifiers, got {list(variables)!r}")
+        from sympy import ZZ
+        from sympy.polys.fields import field
+
         self.variables = variables
-        self._field, *gens = _sympy_frac_field(",".join(variables), ZZ)
+        self._field, *gens = field(",".join(variables), ZZ)
         self._ring = self._field.ring
         self._gens = dict(zip(variables, gens))
 
@@ -282,7 +293,7 @@ class RatFuncField(_Field):
     # -- construction -------------------------------------------------------
 
     def from_int(self, value: int) -> Scalar:
-        return Scalar(self, self._field.ground_new(ZZ(value)))
+        return Scalar(self, self._field.ground_new(self._ring.domain(value)))
 
     def from_fraction(self, value: Fraction) -> Scalar:
         return Scalar(self, self._field.new(self._ring(value.numerator), self._ring(value.denominator)))
@@ -311,6 +322,16 @@ class RatFuncField(_Field):
             _render_terms(den_terms, self.variables),
         )
 
+    def leading_coefficients(self, value: Scalar) -> tuple[Fraction, ...]:
+        """Rendered coefficients that ``value ** n`` raises to exactly the
+        |n|-th power: the leading coefficients of numerator and denominator,
+        or, when the denominator is a constant c, the leading coefficient
+        of the numerator over c, which is how :meth:`render` shows it."""
+        num, den = value.raw.numer, value.raw.denom
+        if den.is_ground:
+            return (Fraction(int(num.LC), int(den.LC)),)
+        return (Fraction(int(num.LC)), Fraction(int(den.LC)))
+
     # -- specialization -----------------------------------------------------
 
     def specialize(self, value: Scalar, assignment: dict) -> Scalar:
@@ -320,6 +341,8 @@ class RatFuncField(_Field):
         ints/Fractions).  Raises ZeroDivisionError when the denominator
         vanishes at the given point.
         """
+        from sympy import QQ
+
         # Evaluating over ZZ cannot take the value 1/2, so evaluate in a
         # copy of the ring over QQ.
         ring = self._ring.clone(domain=QQ)
@@ -344,6 +367,8 @@ class RatFuncField(_Field):
 
     def sqrt(self, value: Scalar) -> Optional[Scalar]:
         """Exact square root in the field, or None."""
+        from sympy import factor_list
+
         raw = value.raw
         if not raw:
             return self.zero
@@ -369,6 +394,8 @@ class RatFuncField(_Field):
 
     def poly_roots(self, coeffs: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], bool]:
         """Roots in the field of sum(coeffs[i] x^i), with multiplicity."""
+        from sympy import symbols
+
         lam = symbols("_lam")
         denom = self._ring.one
         for c in coeffs:
@@ -476,7 +503,7 @@ def _fraction_sqrt(value: Fraction) -> Optional[Fraction]:
 
 def _roots_from_factorization(expr, lam, target_field):
     """Shared root extraction: factor over Q, keep factors linear in lam."""
-    from sympy import Poly
+    from sympy import Poly, factor_list
 
     total = Poly(expr, lam).degree()
     _, factors = factor_list(expr, lam)

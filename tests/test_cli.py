@@ -181,8 +181,9 @@ TOO_LONG_TO_WRITE = "*".join(["2^1000"] * 15)
 @pytest.mark.parametrize("literal,message", [
     ("2^99999999", "exponent larger than 1000"),
     ("2^20000", "exponent larger than 1000"),
+    (f"({'9' * 4300})^1000", "power with a number of more than 4300 digits"),
     (TOO_LONG_TO_WRITE, "more than 4300 digits"),
-], ids=["huge-exponent", "long-power", "long-product"])
+], ids=["huge-exponent", "long-power", "huge-power", "long-product"])
 def test_oversized_generate_exit_2(tmp_path, literal, message):
     out = tmp_path / "x.json"
     started = time.perf_counter()

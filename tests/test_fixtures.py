@@ -81,8 +81,12 @@ def test_malformed_documents_rejected(mangle):
     lambda d: d.update(subspaces={"U0": [["1", "0"], ["1"]]}),
     lambda d: d.update(subspaces={"U0": [5]}),
     lambda d: d["params"].update(d=float("inf")),
+    lambda d: d["params"].update(d=1.9),
+    lambda d: d["params"].update(d=True),
+    lambda d: d["params"].update(d="1"),
 ], ids=["variables-int", "variables-mixed", "variables-dict", "variables-not-names",
-        "matrices-list", "subspaces-string", "subspace-ragged", "subspace-row-int", "d-inf"])
+        "matrices-list", "subspaces-string", "subspace-ragged", "subspace-row-int", "d-inf",
+        "d-float", "d-bool", "d-string"])
 def test_malformed_sections_are_format_errors(mangle):
     # each of these raised TypeError, AttributeError, OverflowError or a bare
     # ValueError from deeper code, which the CLI reported with a traceback

@@ -53,6 +53,27 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_scalar("1 + 2 )", QF)
 
+    @pytest.mark.parametrize("field,text", [
+        (QF, "(10^4)^1000"),            # 4,001 digits
+        (QF, "(1/10^4)^-1000"),
+        (QF, f"({'9' * 4300})^1"),
+        (RF, "(10^4*q + 1)^1000"),
+        (RF, "(100*q + 1/1000)^1000"),  # renders as (100 q + 10^-3)^1000: 3,001 digits
+    ], ids=["rational", "rational-negative", "nines-once", "ratfunc", "ratfunc-constant-den"])
+    def test_power_inside_digit_bound_parses(self, field, text):
+        assert parse_scalar(text, field).render()
+
+    @pytest.mark.parametrize("field,text", [
+        (QF, "(10^5)^1000"),            # 5,001 digits
+        (QF, "(1/10^5)^-1000"),
+        (QF, f"({'9' * 4300})^2"),
+        (RF, "(10^5*q + 1)^1000"),      # leading coefficient 10^5000
+        (RF, "(q/(10^5*q + 1))^-1000"),
+    ], ids=["rational", "rational-negative", "nines-twice", "ratfunc", "ratfunc-negative"])
+    def test_power_beyond_digit_bound_rejected(self, field, text):
+        with pytest.raises(ParseError, match="more than 4300 digits"):
+            parse_scalar(text, field)
+
 
 class TestArithmetic:
     def test_add(self):
