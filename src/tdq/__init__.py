@@ -17,9 +17,7 @@ from .linalg import (
 )
 from .qcalc import q_int, q_fact, q_binom, q_exp
 from .leonard import (
-    EigenvalueSeq,
     LeonardSuite,
-    eigenvalue_seq,
     leonard_suite,
     operator_matrix,
     psi_hat,
@@ -45,9 +43,7 @@ from .battery import VerificationReport, battery_ids, verify_battery
 from .fixtures import Fixture, FixtureFormatError, read_fixture, write_fixture
 
 __all__ = [
-    "EigenvalueSeq",
     "LeonardSuite",
-    "eigenvalue_seq",
     "leonard_suite",
     "operator_matrix",
     "psi_hat",

@@ -9,12 +9,16 @@ formula text, so a report is readable without external references.
 Items take the :class:`~tdq.engine.OperatorSuite` and read the flags, psi
 series, identity and inverses it carries; each is built once per suite, on
 first use, so a psi that is not nilpotent fails only the items that need its
-q-exponentials.
+q-exponentials.  A family over the indices 0 <= i <= d runs through
+``_each``, which returns one ``{"identity", "i"}`` witness per failed check.
+
+:func:`verify_battery` is a function of the suite and the requested ids
+alone; it reads no environment variable (``tdq verify`` reads
+``TDQ_BATTERY_FILTER`` itself).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -34,10 +38,7 @@ __all__ = [
     "VerificationReport",
     "battery_ids",
     "verify_battery",
-    "BATTERY_FILTER_ENV",
 ]
-
-BATTERY_FILTER_ENV = "TDQ_BATTERY_FILTER"
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,13 @@ def _maps_into(mat: Matrix, source: Subspace, target: Subspace) -> bool:
     return image.is_zero() or target.contains(image)
 
 
+def _each(s: OperatorSuite, checks: Callable[[int], Iterable[tuple[str, bool]]]) -> list[dict]:
+    """A witness ``{"identity": label, "i": i}`` for every failed check, index
+    by index; ``checks(i)`` gives the (label, holds) pairs of index i."""
+    return [{"identity": label, "i": i}
+            for i in range(s.d + 1) for label, holds in checks(i) if not holds]
+
+
 def _action_witnesses(label: str, mat: Matrix, sources: Sequence[Subspace],
                       target_of) -> list[dict]:
     out = []
@@ -150,67 +158,46 @@ def _splits_direct(s):
 
 @_item("eigenflag_tails", "E_iV + ... + E_dV = U_i + ... + U_d and E_0V + ... + E_iV = U_(d-i)^dd + ... + U_d^dd")
 def _eigenflag_tails(s):
-    out = []
-    for i in range(s.d + 1):
-        if s.EV.tails[i] != s.U.tails[i]:
-            out.append({"identity": "E-tail = U-tail", "i": i})
-        if s.EV.flags[i] != s.Udd.tails[s.d - i]:
-            out.append({"identity": "E-head = Udd-tail", "i": i})
-    return out
+    return _each(s, lambda i: [("E-tail = U-tail", s.EV.tails[i] == s.U.tails[i]),
+                               ("E-head = Udd-tail", s.EV.flags[i] == s.Udd.tails[s.d - i])])
 
 
 @_item("split_flags_match", "U_0 + ... + U_i = U_0^dd + ... + U_i^dd")
 def _split_flags_match(s):
-    out = []
-    for i in range(s.d + 1):
-        if s.U.flags[i] != s.Udd.flags[i]:
-            out.append({"identity": "U-flag = Udd-flag", "i": i})
-    return out
+    return _each(s, lambda i: [("U-flag = Udd-flag", s.U.flags[i] == s.Udd.flags[i])])
 
 
 @_item("dual_eigenflags", "E*_0V + ... + E*_iV = U_0 + ... + U_i", needs_astar=True)
 def _dual_eigenflags(s):
-    out = []
-    for i in range(s.d + 1):
-        if s.EstarV.flags[i] != s.U.flags[i]:
-            out.append({"identity": "E*-flag = U-flag", "i": i})
-    return out
+    return _each(s, lambda i: [("E*-flag = U-flag", s.EstarV.flags[i] == s.U.flags[i])])
 
 
 @_item("a_action_splits", "(A - theta_i I)U_i <= U_(i+1) and (A - theta_(d-i) I)U_i^dd <= U_(i+1)^dd")
 def _a_action_splits(s):
-    out = []
-    for i in range(s.d + 1):
-        if not _maps_into(s.A.shift(s.theta[i]), s.U[i], s.U.at(i + 1)):
-            out.append({"identity": "(A - theta_i)U_i <= U_(i+1)", "i": i})
-        shift_d = s.A.shift(s.theta[s.d - i])
-        if not _maps_into(shift_d, s.Udd[i], s.Udd.at(i + 1)):
-            out.append({"identity": "(A - theta_(d-i))U_i^dd <= U_(i+1)^dd", "i": i})
-    return out
+    def checks(i):
+        yield ("(A - theta_i)U_i <= U_(i+1)",
+               _maps_into(s.A.shift(s.theta[i]), s.U[i], s.U.at(i + 1)))
+        yield ("(A - theta_(d-i))U_i^dd <= U_(i+1)^dd",
+               _maps_into(s.A.shift(s.theta[s.d - i]), s.Udd[i], s.Udd.at(i + 1)))
+    return _each(s, checks)
 
 
 @_item("astar_action_splits", "(A* - theta*_i I)U_i <= U_(i-1) and (A* - theta*_i I)U_i^dd <= U_(i-1)^dd", needs_astar=True)
 def _astar_action_splits(s):
-    out = []
-    for i in range(s.d + 1):
+    def checks(i):
         shift = s.Astar.shift(s.theta_star[i])
-        if not _maps_into(shift, s.U[i], s.U.at(i - 1)):
-            out.append({"identity": "(A* - theta*_i)U_i <= U_(i-1)", "i": i})
-        if not _maps_into(shift, s.Udd[i], s.Udd.at(i - 1)):
-            out.append({"identity": "(A* - theta*_i)U_i^dd <= U_(i-1)^dd", "i": i})
-    return out
+        yield "(A* - theta*_i)U_i <= U_(i-1)", _maps_into(shift, s.U[i], s.U.at(i - 1))
+        yield "(A* - theta*_i)U_i^dd <= U_(i-1)^dd", _maps_into(shift, s.Udd[i], s.Udd.at(i - 1))
+    return _each(s, checks)
 
 
 @_item("kb_eigenspaces", "U_i is the K-eigenspace and U_i^dd the B-eigenspace for q^(d-2i)")
 def _kb_eigenspaces(s):
-    out = []
-    for i in range(s.d + 1):
+    def checks(i):
         lam = s.q ** (s.d - 2 * i)
-        if eigenspace(s.K, lam) != s.U[i]:
-            out.append({"identity": "eigenspace(K, q^(d-2i)) = U_i", "i": i})
-        if eigenspace(s.B, lam) != s.Udd[i]:
-            out.append({"identity": "eigenspace(B, q^(d-2i)) = U_i^dd", "i": i})
-    return out
+        yield "eigenspace(K, q^(d-2i)) = U_i", eigenspace(s.K, lam) == s.U[i]
+        yield "eigenspace(B, q^(d-2i)) = U_i^dd", eigenspace(s.B, lam) == s.Udd[i]
+    return _each(s, checks)
 
 
 @_item("k_weyl_a", "(qKA - q^-1 AK)/(q - q^-1) = aK^2 + a^-1 I and (qBA - q^-1 AB)/(q - q^-1) = a^-1 B^2 + aI")
@@ -242,14 +229,12 @@ def _kb_quadratic(s):
 
 @_item("kb_triangular_on_splits", "(B - q^(d-2i)I)U_i <= U_0 + ... + U_(i-1) and (K - q^(d-2i)I)U_i^dd <= U_0^dd + ... + U_(i-1)^dd")
 def _kb_triangular(s):
-    out = []
-    for i in range(s.d + 1):
+    def checks(i):
         lam = s.q ** (s.d - 2 * i)
-        if not _maps_into(s.B.shift(lam), s.U[i], s.U.flag(i - 1)):
-            out.append({"identity": "(B - q^(d-2i))U_i <= U-flag", "i": i})
-        if not _maps_into(s.K.shift(lam), s.Udd[i], s.Udd.flag(i - 1)):
-            out.append({"identity": "(K - q^(d-2i))U_i^dd <= Udd-flag", "i": i})
-    return out
+        yield "(B - q^(d-2i))U_i <= U-flag", _maps_into(s.B.shift(lam), s.U[i], s.U.flag(i - 1))
+        yield ("(K - q^(d-2i))U_i^dd <= Udd-flag",
+               _maps_into(s.K.shift(lam), s.Udd[i], s.Udd.flag(i - 1)))
+    return _each(s, checks)
 
 
 @_item("psi_four_expressions", "psi = (I - BK^-1)/(q(aI - a^-1 BK^-1)) = ... (all four rational expressions)")
@@ -541,26 +526,17 @@ def _w_dims(s):
 @_item("u_w_exp_maps", "U_i = exp_q(a^-1/(q-q^-1) psi) W_i, U_i^dd = exp_q(a/(q-q^-1) psi) W_i, and the inverse maps")
 def _u_w_exp_maps(s):
     E_plus, E_minus, Einv_plus, Einv_minus = _exps(s)
-    out = []
-    for i in range(s.d + 1):
-        if s.W[i].image(E_minus) != s.U[i]:
-            out.append({"identity": "E- W_i = U_i", "i": i})
-        if s.W[i].image(E_plus) != s.Udd[i]:
-            out.append({"identity": "E+ W_i = U_i^dd", "i": i})
-        if s.U[i].image(Einv_minus) != s.W[i]:
-            out.append({"identity": "E-^(-1 variant) U_i = W_i", "i": i})
-        if s.Udd[i].image(Einv_plus) != s.W[i]:
-            out.append({"identity": "E+^(-1 variant) U_i^dd = W_i", "i": i})
-    return out
+    return _each(s, lambda i: [
+        ("E- W_i = U_i", s.W[i].image(E_minus) == s.U[i]),
+        ("E+ W_i = U_i^dd", s.W[i].image(E_plus) == s.Udd[i]),
+        ("E-^(-1 variant) U_i = W_i", s.U[i].image(Einv_minus) == s.W[i]),
+        ("E+^(-1 variant) U_i^dd = W_i", s.Udd[i].image(Einv_plus) == s.W[i]),
+    ])
 
 
 @_item("w_flag_sums", "W_0 + ... + W_i = U_0 + ... + U_i = U_0^dd + ... + U_i^dd")
 def _w_flag_sums(s):
-    out = []
-    for i in range(s.d + 1):
-        if s.W.flags[i] != s.U.flags[i]:
-            out.append({"identity": "W-flag = U-flag", "i": i})
-    return out
+    return _each(s, lambda i: [("W-flag = U-flag", s.W.flags[i] == s.U.flags[i])])
 
 
 @_item("psi_lowers_w", "psi W_i <= W_(i-1)")
@@ -571,15 +547,12 @@ def _psi_lowers_w(s):
 
 @_item("kb_action_w", "(K - q^(d-2i)I)W_i <= W_(i-1) and (B - q^(d-2i)I)W_i <= W_(i-1)")
 def _kb_action_w(s):
-    out = []
-    for i in range(s.d + 1):
+    def checks(i):
         lam = s.q ** (s.d - 2 * i)
         target = s.W.at(i - 1)
-        if not _maps_into(s.K.shift(lam), s.W[i], target):
-            out.append({"identity": "(K - q^(d-2i))W_i <= W_(i-1)", "i": i})
-        if not _maps_into(s.B.shift(lam), s.W[i], target):
-            out.append({"identity": "(B - q^(d-2i))W_i <= W_(i-1)", "i": i})
-    return out
+        yield "(K - q^(d-2i))W_i <= W_(i-1)", _maps_into(s.K.shift(lam), s.W[i], target)
+        yield "(B - q^(d-2i))W_i <= W_(i-1)", _maps_into(s.B.shift(lam), s.W[i], target)
+    return _each(s, checks)
 
 
 @_item("delta_action_w", "(Delta - I)W_i and (Delta^-1 - I)W_i lie in W_0 + ... + W_(i-1)")
@@ -593,74 +566,53 @@ def _delta_action_w(s):
 
 @_item("a_action_w", "(A - (a + a^-1) q^(d-2i) I)W_i <= W_(i-1) + W_(i+1)")
 def _a_action_w(s):
-    out = []
-    for i in range(s.d + 1):
-        lam = (s.a + s.a ** -1) * s.q ** (s.d - 2 * i)
-        shift = s.A.shift(lam)
-        target = subspace_sum([s.W.at(i - 1),
-                               s.W.at(i + 1)])
-        if not _maps_into(shift, s.W[i], target):
-            out.append({"identity": "(A - (a+a^-1)q^(d-2i))W_i <= W_(i-1)+W_(i+1)", "i": i})
-    return out
+    def checks(i):
+        shift = s.A.shift((s.a + s.a ** -1) * s.q ** (s.d - 2 * i))
+        target = subspace_sum([s.W.at(i - 1), s.W.at(i + 1)])
+        yield "(A - (a+a^-1)q^(d-2i))W_i <= W_(i-1)+W_(i+1)", _maps_into(shift, s.W[i], target)
+    return _each(s, checks)
 
 
 @_item("astar_action_w", "(A* - theta*_i I)W_i <= W_0 + ... + W_(i-1)", needs_astar=True)
 def _astar_action_w(s):
-    out = []
-    for i in range(s.d + 1):
-        shift = s.Astar.shift(s.theta_star[i])
-        if not _maps_into(shift, s.W[i], s.W.flag(i - 1)):
-            out.append({"identity": "(A* - theta*_i)W_i <= W-flag", "i": i})
-    return out
+    return _each(s, lambda i: [("(A* - theta*_i)W_i <= W-flag", _maps_into(
+        s.Astar.shift(s.theta_star[i]), s.W[i], s.W.flag(i - 1)))])
 
 
 @_item("m_action_splits", "(M - q^(d-2i)I)U_i <= U_0 + ... + U_(i-1), and the same on the second split")
 def _m_action_splits(s):
-    out = []
-    for i in range(s.d + 1):
-        lam = s.q ** (s.d - 2 * i)
-        shift = s.M.shift(lam)
-        if not _maps_into(shift, s.U[i], s.U.flag(i - 1)):
-            out.append({"identity": "(M - q^(d-2i))U_i <= U-flag", "i": i})
-        if not _maps_into(shift, s.Udd[i], s.Udd.flag(i - 1)):
-            out.append({"identity": "(M - q^(d-2i))U_i^dd <= Udd-flag", "i": i})
-    return out
+    def checks(i):
+        shift = s.M.shift(s.q ** (s.d - 2 * i))
+        yield "(M - q^(d-2i))U_i <= U-flag", _maps_into(shift, s.U[i], s.U.flag(i - 1))
+        yield "(M - q^(d-2i))U_i^dd <= Udd-flag", _maps_into(shift, s.Udd[i], s.Udd.flag(i - 1))
+    return _each(s, checks)
 
 
 @_item("minv_action_splits", "(M^-1 - q^(2i-d)I)U_i <= U_(i-1) and (M^-1 - q^(2i-d)I)U_i^dd <= U_(i-1)^dd")
 def _minv_action_splits(s):
-    out = []
-    for i in range(s.d + 1):
-        lam = s.q ** (2 * i - s.d)
-        shift = s.Minv.shift(lam)
-        if not _maps_into(shift, s.U[i], s.U.at(i - 1)):
-            out.append({"identity": "(M^-1 - q^(2i-d))U_i <= U_(i-1)", "i": i})
-        if not _maps_into(shift, s.Udd[i], s.Udd.at(i - 1)):
-            out.append({"identity": "(M^-1 - q^(2i-d))U_i^dd <= U_(i-1)^dd", "i": i})
-    return out
+    def checks(i):
+        shift = s.Minv.shift(s.q ** (2 * i - s.d))
+        yield "(M^-1 - q^(2i-d))U_i <= U_(i-1)", _maps_into(shift, s.U[i], s.U.at(i - 1))
+        yield ("(M^-1 - q^(2i-d))U_i^dd <= U_(i-1)^dd",
+               _maps_into(shift, s.Udd[i], s.Udd.at(i - 1)))
+    return _each(s, checks)
 
 
 @_item("minv_action_ev", "M^-1 E_iV <= E_(i-1)V + E_iV + E_(i+1)V")
 def _minv_action_ev(s):
-    out = []
-    for i in range(s.d + 1):
-        target = subspace_sum([s.EV.at(i - 1), s.EV[i],
-                               s.EV.at(i + 1)])
-        if not _maps_into(s.Minv, s.EV[i], target):
-            out.append({"identity": "M^-1 E_iV <= E_(i-1)V + E_iV + E_(i+1)V", "i": i})
-    return out
+    return _each(s, lambda i: [("M^-1 E_iV <= E_(i-1)V + E_iV + E_(i+1)V", _maps_into(
+        s.Minv, s.EV[i], subspace_sum([s.EV.at(i - 1), s.EV[i], s.EV.at(i + 1)])))])
 
 
 @_item("m_action_dual_ev", "(M - q^(d-2i)I)E*_iV and (M^-1 - q^(2i-d)I)E*_iV lie in E*_0V + ... + E*_(i-1)V", needs_astar=True)
 def _m_action_dual_ev(s):
-    out = []
-    for i in range(s.d + 1):
+    def checks(i):
         flag = s.EstarV.flag(i - 1)
-        if not _maps_into(s.M.shift(s.q ** (s.d - 2 * i)), s.EstarV[i], flag):
-            out.append({"identity": "(M - q^(d-2i))E*_iV <= E*-flag", "i": i})
-        if not _maps_into(s.Minv.shift(s.q ** (2 * i - s.d)), s.EstarV[i], flag):
-            out.append({"identity": "(M^-1 - q^(2i-d))E*_iV <= E*-flag", "i": i})
-    return out
+        yield ("(M - q^(d-2i))E*_iV <= E*-flag",
+               _maps_into(s.M.shift(s.q ** (s.d - 2 * i)), s.EstarV[i], flag))
+        yield ("(M^-1 - q^(2i-d))E*_iV <= E*-flag",
+               _maps_into(s.Minv.shift(s.q ** (2 * i - s.d)), s.EstarV[i], flag))
+    return _each(s, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -676,13 +628,11 @@ def verify_battery(suite: OperatorSuite,
                    only: Optional[Iterable[str]] = None) -> VerificationReport:
     """Run the identity battery on a suite.
 
-    ``only`` restricts the run to the named identities; the environment
-    variable ``TDQ_BATTERY_FILTER`` (comma-separated ids) overrides it.
-    Failures never raise: they are entries in the returned report.
+    ``only`` restricts the run to the named identities (``ValueError`` for an
+    unknown id); the result depends on nothing else, not even the process
+    environment.  Failures never raise: they are entries in the returned
+    report.
     """
-    env_filter = os.environ.get(BATTERY_FILTER_ENV)
-    if env_filter:
-        only = [x.strip() for x in env_filter.split(",") if x.strip()]
     selected = None if only is None else set(only)
     if selected is not None:
         unknown = selected - set(battery_ids())

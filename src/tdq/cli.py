@@ -12,7 +12,7 @@ import os
 
 import click
 
-from .battery import BATTERY_FILTER_ENV, battery_ids, verify_battery
+from .battery import battery_ids, verify_battery
 from .engine import EngineError, NotQRacahError, derive_suite, detect_qracah
 from .fixtures import (
     Fixture,
@@ -32,6 +32,7 @@ from .scalars import RenderError, get_field
 
 MATH_FAILURE = 1
 USAGE_ERROR = 2
+BATTERY_FILTER_ENV = "TDQ_BATTERY_FILTER"
 
 
 class _Commands(click.Group):
@@ -92,8 +93,9 @@ def generate(ctx, d, q_text, a_text, b_text, basis, backend, out_path):
 
 
 def _battery_filter(ctx, battery: str):
-    """The ids to run; the environment filter overrides the flag, as in
-    :func:`~tdq.battery.verify_battery`, so it is the one checked here."""
+    """The ids to run, or None for all of them.  ``TDQ_BATTERY_FILTER``
+    (comma-separated ids) overrides ``--battery``; this is the only place it
+    is read, and an unknown id in whichever one applies is a usage error."""
     env_filter = os.environ.get(BATTERY_FILTER_ENV)
     if not env_filter and battery == "all":
         return None

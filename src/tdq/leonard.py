@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 from .engine import CrossRouteError, PsiSeries, psi_from_KB
 from .linalg import Matrix
@@ -43,8 +42,6 @@ from .scalars import Scalar
 __all__ = [
     "KINDS",
     "BASES",
-    "EigenvalueSeq",
-    "eigenvalue_seq",
     "psi_hat",
     "exp_psi_matrix",
     "delta_matrix",
@@ -57,25 +54,6 @@ __all__ = [
 
 KINDS = ("A", "K", "B", "M", "Minv", "Delta", "Deltainv", "psi")
 BASES = ("u", "udd", "w")
-
-
-@dataclass(frozen=True)
-class EigenvalueSeq:
-    theta: tuple[Scalar, ...]
-    theta_star: Optional[tuple[Scalar, ...]]
-
-
-def eigenvalue_seq(params: QRacahParams) -> EigenvalueSeq:
-    """Both eigenvalue sequences; mutual distinctness is rechecked."""
-    theta = tuple(params.theta(i) for i in range(params.d + 1))
-    if len(set(theta)) != len(theta):
-        raise ValueError("eigenvalues are not mutually distinct")
-    theta_star = None
-    if params.b is not None:
-        theta_star = tuple(params.theta_star(i) for i in range(params.d + 1))
-        if len(set(theta_star)) != len(theta_star):
-            raise ValueError("dual eigenvalues are not mutually distinct")
-    return EigenvalueSeq(theta, theta_star)
 
 
 def psi_hat(d: int, q: Scalar) -> Matrix:
@@ -403,11 +381,7 @@ class LeonardSuite:
     Delta: Matrix
     Deltainv: Matrix
     A_udd: Matrix
-    eigenvalues: EigenvalueSeq
     transitions: dict[tuple[str, str], Matrix]
-
-    def matrix(self, kind: str) -> Matrix:
-        return getattr(self, kind)
 
 
 def leonard_suite(params: QRacahParams, basis: str = "u") -> LeonardSuite:
@@ -422,7 +396,6 @@ def leonard_suite(params: QRacahParams, basis: str = "u") -> LeonardSuite:
         params=params,
         basis=basis,
         A_udd=operator_matrix("A", "udd", params),
-        eigenvalues=eigenvalue_seq(params),
         transitions=transitions,
         **matrices,
     )

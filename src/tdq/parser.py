@@ -18,13 +18,15 @@ literal has at most ``MAX_DIGITS`` (4,300, Python's default limit for
 converting a decimal string) digits, an exponent is at most
 ``MAX_EXPONENT`` (1,000) in absolute value, and a power ``x^n`` is refused
 before it is computed when |n| * log10(max(|p|, q)) > ``MAX_DIGITS`` for a
-leading coefficient p/q of x (the field's ``leading_coefficients``; a
-rational x is its own).  That coefficient's |n|-th power then appears in the
+coefficient p/q among the field's ``end_coefficients`` of x: a rational x
+is its own, and a ratfunc x gives the coefficients of the leading and the
+least term of its numerator and denominator (both over the denominator when
+that is a constant).  That coefficient's |n|-th power then appears in the
 rendered result with more than ``MAX_DIGITS`` digits, so no value that could
 be written is refused.  Beyond any of these limits, :class:`ParseError`.
 The exponent bound stops ``2^99999999`` from running for minutes, and the
-power bound ``(<4,300 nines>)^1000``; rendered ratfunc fixtures need
-exponents of about 2d^2.
+power bound ``(<4,300 nines>)^1000`` and ``(q + 10^50)^1000``; rendered
+ratfunc fixtures need exponents of about 2d^2.
 
 ``MAX_DIAMETER`` (64) bounds the diameter ``tdq generate --d`` accepts:
 validating the parameters loops over every i <= d before anything else
@@ -159,7 +161,7 @@ class _Parser:
             if exponent < 0 and value.is_zero():
                 raise ZeroDivisionError(f"division by zero at position {at}")
             base = max(max(abs(c.numerator), c.denominator)
-                       for c in value.field.leading_coefficients(value))
+                       for c in value.field.end_coefficients(value))
             if abs(exponent) * math.log10(base) > MAX_DIGITS:
                 raise ParseError(f"power with a number of more than {MAX_DIGITS} digits", at)
             value = value ** exponent

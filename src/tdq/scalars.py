@@ -236,7 +236,7 @@ class RationalField(_Field):
     def render(self, raw: Fraction) -> str:
         return str(raw)
 
-    def leading_coefficients(self, value: Scalar) -> tuple[Fraction, ...]:
+    def end_coefficients(self, value: Scalar) -> tuple[Fraction, ...]:
         """Rendered coefficients that ``value ** n`` raises to exactly the
         |n|-th power: here the value itself."""
         return (value.raw,)
@@ -322,15 +322,20 @@ class RatFuncField(_Field):
             _render_terms(den_terms, self.variables),
         )
 
-    def leading_coefficients(self, value: Scalar) -> tuple[Fraction, ...]:
+    def end_coefficients(self, value: Scalar) -> tuple[Fraction, ...]:
         """Rendered coefficients that ``value ** n`` raises to exactly the
-        |n|-th power: the leading coefficients of numerator and denominator,
-        or, when the denominator is a constant c, the leading coefficient
-        of the numerator over c, which is how :meth:`render` shows it."""
+        |n|-th power: the coefficients of the leading and of the least term
+        (in the ring's monomial order) of numerator and denominator, since
+        the least term of p^n is the n-th power of the least term of p; or,
+        when the denominator is a constant c, the numerator's two over c,
+        which is how :meth:`render` shows them."""
         num, den = value.raw.numer, value.raw.denom
+        if not num:
+            return (Fraction(0),)
+        ends = (Fraction(int(num.LC)), Fraction(int(num.terms()[-1][1])))
         if den.is_ground:
-            return (Fraction(int(num.LC), int(den.LC)),)
-        return (Fraction(int(num.LC)), Fraction(int(den.LC)))
+            return tuple(c / int(den.LC) for c in ends)
+        return ends + (Fraction(int(den.LC)), Fraction(int(den.terms()[-1][1])))
 
     # -- specialization -----------------------------------------------------
 
@@ -366,31 +371,10 @@ class RatFuncField(_Field):
     # -- root extraction ----------------------------------------------------
 
     def sqrt(self, value: Scalar) -> Optional[Scalar]:
-        """Exact square root in the field, or None."""
-        from sympy import factor_list
-
-        raw = value.raw
-        if not raw:
-            return self.zero
-        num, den = raw.numer, raw.denom
-        # num/den = (num*den)/den^2, so it suffices to take a square root
-        # of the polynomial num*den.
-        prod = (num * den).as_expr()
-        coeff, factors = factor_list(prod)
-        root_coeff = _fraction_sqrt(Fraction(coeff.p, coeff.q))
-        if root_coeff is None:
-            return None
-        root_expr = root_coeff
-        for base, exp in factors:
-            if exp % 2:
-                return None
-            root_expr *= base ** (exp // 2)
-        try:
-            candidate_num = self._field.from_expr(root_expr)
-        except ValueError:
-            return None
-        candidate = Scalar(self, candidate_num / self._field.new(den, self._ring.one))
-        return candidate if candidate * candidate == value else None
+        """A square root in the field (a root of x^2 - value), or None; its
+        sign is whichever the factorization gives."""
+        roots, _ = self.poly_roots([-value, self.zero, self.one])
+        return roots[0] if roots else None
 
     def poly_roots(self, coeffs: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], bool]:
         """Roots in the field of sum(coeffs[i] x^i), with multiplicity."""

@@ -1,9 +1,14 @@
+import hashlib
+import json
 import sys
+from dataclasses import replace
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from tdq import engine, leonard, linalg, qcalc
-from tdq.battery import BATTERY_FILTER_ENV, battery_ids, verify_battery
+from tdq.battery import battery_ids, verify_battery
 from tdq.linalg import Matrix
 from tdq.params import QRacahParams
 from tdq.scalars import rational_field, ratfunc_field
@@ -90,11 +95,13 @@ class TestFilters:
         with pytest.raises(ValueError):
             verify_battery(suite, only=["nope"])
 
-    def test_env_filter_overrides(self, monkeypatch):
+    def test_environment_is_not_read(self, monkeypatch):
+        # the filter variable belongs to `tdq verify`; the library ignores it
         suite, _ = rational_suite()
-        monkeypatch.setenv(BATTERY_FILTER_ENV, "kb_quadratic , m_psi_commutation")
-        report = verify_battery(suite, only=["m_definition"])
-        assert [e.id for e in report.entries] == ["kb_quadratic", "m_psi_commutation"]
+        monkeypatch.setenv("TDQ_BATTERY_FILTER", "kb_quadratic , m_psi_commutation")
+        report = verify_battery(suite)
+        assert [e.id for e in report.entries] == battery_ids()
+        assert len(report.entries) == 48
 
     def test_report_document_counts_match(self):
         suite, _ = rational_suite()
@@ -181,3 +188,118 @@ class TestCallCounts:
         assert calls["_running_sums"] == 7
         assert calls["subspace_sum"] <= 99
         assert calls["power_series"] <= 11
+
+
+# ---------------------------------------------------------------------------
+# pinned reports: one failing suite for each item with a per-index check loop
+# ---------------------------------------------------------------------------
+
+
+def _bumped(m, r, c):
+    """m with 7/11 added at entry (r, c)."""
+    entries = list(m.entries)
+    entries[r * m.cols + c] = entries[r * m.cols + c] + QF.coerce(Fraction(7, 11))
+    return Matrix(QF, m.rows, m.cols, entries)
+
+
+def _swapped(spaces, i, j):
+    out = list(spaces)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def _d2_suite(**overrides):
+    p = make_params(QF, d=2)
+    ls = leonard.leonard_suite(p, "u")
+    claimed = {name: _bumped(getattr(ls, name), *at) for name, at in overrides.items()}
+    return engine.derive_suite(ls.A, K=ls.K, params=p, overrides=claimed)
+
+
+def _d1_dual_suite(**overrides):
+    p = make_params(QF, d=1)
+    A = Matrix.from_rows(QF, [[p.theta(0), 0], [1, p.theta(1)]])
+    Astar = Matrix.from_rows(QF, [[p.theta_star(0), 1], [0, p.theta_star(1)]])
+    suite = engine.derive_suite(A, Astar=Astar)
+    claimed = {name: _bumped(getattr(suite, name), *at) for name, at in overrides.items()}
+    return replace(suite, **claimed)
+
+
+def _swapped_splits():
+    s = _d2_suite()
+    return replace(s, U=_swapped(s.U, 0, 1), Udd=_swapped(s.Udd, 0, 1))
+
+
+def _swapped_udd():
+    s = _d2_suite()
+    return replace(s, Udd=_swapped(s.Udd, 0, 1))
+
+
+def _swapped_w():
+    s = _d2_suite()
+    return replace(s, W=_swapped(s.W, 0, 1))
+
+
+def _swapped_dual_eigenspaces():
+    s = _d1_dual_suite()
+    return replace(s, EstarV=_swapped(s.EstarV, 0, 1))
+
+
+# Each two-check item fails both checks at one index among its first three
+# witnesses, so the order of the checks is pinned too.
+_PINNED_SUITES = {
+    "swapped U and Udd": _swapped_splits,
+    "swapped Udd": _swapped_udd,
+    "swapped W": _swapped_w,
+    "claimed A": lambda: _d2_suite(A=(2, 0)),
+    "claimed M": lambda: _d2_suite(M=(1, 1)),
+    "claimed Minv": lambda: _d2_suite(Minv=(1, 1)),
+    "claimed Astar": lambda: _d1_dual_suite(Astar=(1, 0)),
+    "swapped E*V": _swapped_dual_eigenspaces,
+}
+
+_PINNED_ITEMS = {
+    "eigenflag_tails": "swapped U and Udd",
+    "split_flags_match": "swapped Udd",
+    "dual_eigenflags": "swapped E*V",
+    "a_action_splits": "claimed A",
+    "astar_action_splits": "claimed Astar",
+    "kb_eigenspaces": "swapped U and Udd",
+    "kb_triangular_on_splits": "swapped U and Udd",
+    "w_flag_sums": "swapped W",
+    "kb_action_w": "swapped W",
+    "a_action_w": "claimed A",
+    "astar_action_w": "claimed Astar",
+    "m_action_splits": "claimed M",
+    "minv_action_splits": "claimed Minv",
+    "minv_action_ev": "claimed Minv",
+    "m_action_dual_ev": "swapped E*V",
+    "u_w_exp_maps": "swapped W",
+}
+
+# SHA-256 of json.dumps(report.to_dict(), sort_keys=True)
+_PINNED_DIGESTS = {
+    "swapped U and Udd": "0092a359409815f144e45f8b2f6bdf9dc1b87fe1be9ffe2c6236f8de79058c64",
+    "swapped Udd": "9ba3e188c548d18c247d5260b562370e8a8b6d0047038b0a069de3dd56652f1b",
+    "swapped W": "6a46042d18affdaded5fc66287d2b927cf3cc9b1b4b32b543b305ec9b5622a59",
+    "claimed A": "1fa77d1b4e81be7743384af184f965d2d12d262004b2b8cb208c706058e2ade1",
+    "claimed M": "26c5279eb1e56d9c4a9ca5a58843e6b78997b1b63c801ac453f541f00ab4228b",
+    "claimed Minv": "184662ff050f67271125ffd7c3034a5d65902bef1cb136cd2459db197a22030f",
+    "claimed Astar": "b9247d1700953b8927520817a5e9da340f703f80f10efa84b74a5221d82ea3a4",
+    "swapped E*V": "4771674603d3850d33a269641de4c4bd1616c6b304e958327e3929172b35e734",
+}
+
+
+@lru_cache(maxsize=None)
+def _pinned_report(name):
+    return verify_battery(_PINNED_SUITES[name]()).to_dict()
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("item", sorted(_PINNED_ITEMS))
+    def test_item_fails_with_pinned_report(self, item):
+        name = _PINNED_ITEMS[item]
+        doc = _pinned_report(name)
+        status = {e["id"]: e["status"] for e in doc["entries"]}
+        assert status[item] == "fail"
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == _PINNED_DIGESTS[name]

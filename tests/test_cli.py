@@ -111,6 +111,14 @@ def test_verify_battery_filter_flag_and_env(tmp_path):
     assert proc.returncode == 0
     assert "total: 1" in proc.stdout and "kb_quadratic" in proc.stdout
 
+    # ids are stripped of the spaces around them
+    env = dict(os.environ, TDQ_BATTERY_FILTER=" kb_quadratic , m_psi_commutation")
+    proc = run_cli("verify", str(fix), "--battery", "m_definition", env=env)
+    assert proc.returncode == 0
+    assert "total: 2" in proc.stdout
+    assert "kb_quadratic" in proc.stdout and "m_psi_commutation" in proc.stdout
+    assert "m_definition" not in proc.stdout
+
     proc = run_cli("verify", str(fix), "--battery", "bogus_id")
     assert proc.returncode == 2
 
@@ -178,16 +186,18 @@ def test_oversized_scalar_exit_2(tmp_path, literal):
 TOO_LONG_TO_WRITE = "*".join(["2^1000"] * 15)
 
 
-@pytest.mark.parametrize("literal,message", [
-    ("2^99999999", "exponent larger than 1000"),
-    ("2^20000", "exponent larger than 1000"),
-    (f"({'9' * 4300})^1000", "power with a number of more than 4300 digits"),
-    (TOO_LONG_TO_WRITE, "more than 4300 digits"),
-], ids=["huge-exponent", "long-power", "huge-power", "long-product"])
-def test_oversized_generate_exit_2(tmp_path, literal, message):
+@pytest.mark.parametrize("args,message", [
+    (["--q", "2^99999999", "--a", "3"], "exponent larger than 1000"),
+    (["--q", "2^20000", "--a", "3"], "exponent larger than 1000"),
+    (["--q", f"({'9' * 4300})^1000", "--a", "3"], "power with a number of more than 4300 digits"),
+    (["--q", TOO_LONG_TO_WRITE, "--a", "3"], "more than 4300 digits"),
+    (["--backend", "ratfunc", "--q", "(q + 10^50)^1000", "--a", "a"],
+     "power with a number of more than 4300 digits"),
+], ids=["huge-exponent", "long-power", "huge-power", "long-product", "huge-least-term-power"])
+def test_oversized_generate_exit_2(tmp_path, args, message):
     out = tmp_path / "x.json"
     started = time.perf_counter()
-    proc = run_cli("generate", "--d", "1", "--q", literal, "--a", "3", "--out", str(out))
+    proc = run_cli("generate", "--d", "1", *args, "--out", str(out))
     assert time.perf_counter() - started < 30
     assert proc.returncode == 2
     assert message in proc.stderr and len(proc.stderr.strip().splitlines()) == 1

@@ -1,7 +1,9 @@
+import ast
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 from test_cli import SRC
 
@@ -29,3 +31,53 @@ def test_rational_path_never_loads_sympy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path / "fix.json")],
                           capture_output=True, text=True, check=False, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+PACKAGE = Path(SRC) / "tdq"
+TRACER_ALLOWANCE = "# noqa: F401"
+
+
+def _unused_imports(path):
+    """(unused bindings, excepted bindings) of a module's top-level imports.
+
+    A binding counts as used when its name occurs anywhere in the module or
+    in its ``__all__``; a line marked ``# noqa: F401`` that names
+    perfbench/tracer.py excepts the bindings on it."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused, excepted = [], []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name in used:
+                continue
+            line = lines[alias.lineno - 1]
+            if TRACER_ALLOWANCE in line and "perfbench/tracer.py" in line:
+                excepted.append(name)
+            else:
+                unused.append(name)
+    return unused, excepted
+
+
+def test_no_unused_imports():
+    from conftest import load_perfbench
+
+    required = set(load_perfbench("tracer").REQUIRED_BINDINGS)
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    for path in modules:
+        unused, excepted = _unused_imports(path)
+        assert not unused, f"{path.name}: unused imports {unused}"
+        module = f"tdq.{path.stem}"
+        stale = [name for name in excepted if (module, name) not in required]
+        assert not stale, f"{path.name}: {stale} are not bindings perfbench/tracer.py requires"

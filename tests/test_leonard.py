@@ -19,13 +19,13 @@ def frac_rows(m):
 
 class TestEigenvalues:
     def test_d1_values(self, QF):
-        seq = leonard.eigenvalue_seq(make_params(QF, d=1))
-        assert [str(t) for t in seq.theta] == ["37/6", "13/6"]
-        assert [str(t) for t in seq.theta_star] == ["101/10", "29/10"]
+        p = make_params(QF, d=1)
+        assert [str(p.theta(i)) for i in range(2)] == ["37/6", "13/6"]
+        assert [str(p.theta_star(i)) for i in range(2)] == ["101/10", "29/10"]
 
     def test_d2_values(self, QF):
-        seq = leonard.eigenvalue_seq(make_params(QF, d=2))
-        assert [str(t) for t in seq.theta] == ["145/12", "10/3", "25/12"]
+        p = make_params(QF, d=2)
+        assert [str(p.theta(i)) for i in range(3)] == ["145/12", "10/3", "25/12"]
 
     def test_inversion_symmetry(self, QF):
         # theta_i(q, a) = theta_i(1/q, 1/a)
@@ -35,7 +35,8 @@ class TestEigenvalues:
 
     def test_missing_b(self, QF):
         p = QRacahParams(2, QF.coerce(2), QF.coerce(3))
-        assert leonard.eigenvalue_seq(p).theta_star is None
+        with pytest.raises(ValueError, match="need the parameter b"):
+            p.theta_star(0)
 
 
 class TestPsiHat:

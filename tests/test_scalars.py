@@ -59,7 +59,9 @@ class TestParser:
         (QF, f"({'9' * 4300})^1"),
         (RF, "(10^4*q + 1)^1000"),
         (RF, "(100*q + 1/1000)^1000"),  # renders as (100 q + 10^-3)^1000: 3,001 digits
-    ], ids=["rational", "rational-negative", "nines-once", "ratfunc", "ratfunc-constant-den"])
+        (RF, "(q + 10^4)^1000"),        # least term 10^4000
+    ], ids=["rational", "rational-negative", "nines-once", "ratfunc", "ratfunc-constant-den",
+            "ratfunc-least-term"])
     def test_power_inside_digit_bound_parses(self, field, text):
         assert parse_scalar(text, field).render()
 
@@ -69,7 +71,12 @@ class TestParser:
         (QF, f"({'9' * 4300})^2"),
         (RF, "(10^5*q + 1)^1000"),      # leading coefficient 10^5000
         (RF, "(q/(10^5*q + 1))^-1000"),
-    ], ids=["rational", "rational-negative", "nines-twice", "ratfunc", "ratfunc-negative"])
+        (RF, "(q + 10^5)^1000"),        # least term 10^5000, leading coefficient 1
+        (RF, "(1/(q + 10^5))^1000"),
+        (RF, "((q + 10^5)/3)^1000"),    # renders with least coefficient 10^5000/3^1000
+    ], ids=["rational", "rational-negative", "nines-twice", "ratfunc", "ratfunc-negative",
+            "ratfunc-least-term", "ratfunc-least-term-denominator",
+            "ratfunc-least-term-constant-den"])
     def test_power_beyond_digit_bound_rejected(self, field, text):
         with pytest.raises(ParseError, match="more than 4300 digits"):
             parse_scalar(text, field)
