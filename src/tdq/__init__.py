@@ -30,7 +30,6 @@ from .engine import (
     EngineError,
     NotQRacahError,
     OperatorSuite,
-    build_KB,
     derive_suite,
     detect_qracah,
     downarrow,
@@ -54,7 +53,6 @@ __all__ = [
     "EngineError",
     "NotQRacahError",
     "OperatorSuite",
-    "build_KB",
     "derive_suite",
     "detect_qracah",
     "downarrow",

@@ -25,7 +25,7 @@ from .fixtures import (
     write_json,
 )
 from .leonard import BASES, leonard_suite
-from .params import QRacahParams, validate_params
+from .params import ParamValidationError, QRacahParams
 from .parser import MAX_DIAMETER, ParseError, parse_scalar
 from .reports import build_report_document, exit_code_for, text_table
 from .scalars import RenderError, get_field
@@ -36,14 +36,19 @@ BATTERY_FILTER_ENV = "TDQ_BATTERY_FILTER"
 
 
 class _Commands(click.Group):
-    """Runs a command; a value too long to render is an input error."""
+    """Runs a command; the one place where errors become exit codes.  Bad
+    input (a malformed fixture, a path that cannot be read or written, a
+    value too long to render) exits 2, a failed reconstruction exits 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except RenderError as exc:
+        except (FixtureFormatError, RenderError) as exc:
             click.echo(f"error: {exc}", err=True)
             ctx.exit(USAGE_ERROR)
+        except EngineError as exc:
+            click.echo(f"mathematical failure: {exc}", err=True)
+            ctx.exit(MATH_FAILURE)
 
 
 @click.group(cls=_Commands)
@@ -81,12 +86,15 @@ def generate(ctx, d, q_text, a_text, b_text, basis, backend, out_path):
     q = _parse_scalar_flag(ctx, q_text, field, "--q")
     a = _parse_scalar_flag(ctx, a_text, field, "--a")
     b = _parse_scalar_flag(ctx, b_text, field, "--b") if b_text is not None else None
-    violations = validate_params(d, q, a, b)
-    if violations:
-        for v in violations:
+    try:
+        params = QRacahParams(d, q, a, b)
+    except ParamValidationError as exc:
+        for v in exc.violations:
             click.echo(f"parameter violation: {v}", err=True)
         ctx.exit(USAGE_ERROR)
-    params = QRacahParams(d, q, a, b)
+    except ValueError as exc:  # a zero parameter
+        click.echo(f"error: {exc}", err=True)
+        ctx.exit(USAGE_ERROR)
     suite = leonard_suite(params, basis)
     write_fixture(out_path, fixture_from_leonard(suite))
     click.echo(f"wrote {out_path}")
@@ -137,15 +145,7 @@ def _suite_from_fixture(fixture: Fixture):
 def verify(ctx, fixture_path, battery, report_path):
     """Derive a suite from a fixture and run the identity battery."""
     only = _battery_filter(ctx, battery)
-    try:
-        fixture = read_fixture(fixture_path)
-        suite = _suite_from_fixture(fixture)
-    except FixtureFormatError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(USAGE_ERROR)
-    except EngineError as exc:
-        click.echo(f"mathematical failure: {exc}", err=True)
-        ctx.exit(MATH_FAILURE)
+    suite = _suite_from_fixture(read_fixture(fixture_path))
     report = verify_battery(suite, only=only)
     instance = {
         "source": fixture_path,
@@ -167,22 +167,14 @@ def verify(ctx, fixture_path, battery, report_path):
 @main.command()
 @click.argument("fixture_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.pass_context
-def engine(ctx, fixture_path, out_path):
+def engine(fixture_path, out_path):
     """Derive the full suite from (A, K) or (A, A*) and emit it as a fixture."""
-    try:
-        fixture = read_fixture(fixture_path)
-        matrices = fixture.matrices
-        if "A" not in matrices or ("K" not in matrices and "Astar" not in matrices):
-            raise FixtureFormatError("fixture must provide A plus K or Astar")
-        suite = derive_suite(matrices["A"], K=matrices.get("K"),
-                             Astar=matrices.get("Astar"), params=fixture.params)
-    except FixtureFormatError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(USAGE_ERROR)
-    except EngineError as exc:
-        click.echo(f"mathematical failure: {exc}", err=True)
-        ctx.exit(MATH_FAILURE)
+    fixture = read_fixture(fixture_path)
+    matrices = fixture.matrices
+    if "A" not in matrices or ("K" not in matrices and "Astar" not in matrices):
+        raise FixtureFormatError("fixture must provide A plus K or Astar")
+    suite = derive_suite(matrices["A"], K=matrices.get("K"),
+                         Astar=matrices.get("Astar"), params=fixture.params)
     write_fixture(out_path, fixture_from_suite(suite))
     click.echo(f"wrote {out_path}")
 

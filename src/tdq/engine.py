@@ -1,11 +1,17 @@
 """Reconstruction of the operator suite from raw matrices.
 
-Starting from (A, K) or (A, A*), this module recovers the split
+Starting from (A, K), (A, A*) or (A, K, A*), this module recovers the split
 decompositions, the lowering operator psi, the averaged operator M with its
 eigenspace decomposition {W_i}, and the transition operator Delta computed
 along three independent routes that must agree exactly.  Everything downstream
 of the input matrices follows the defining formulas, not closed forms, so the
 derived suite is fit material for the identity battery.
+
+Each input finds {U_i} its own way (the K-eigenspaces, or the dual eigenflags
+cut by the tails of the eigenspace decomposition of A); from there one tail,
+``_split``, builds U_i-dd = F_i n (E_0 V + ... + E_(d-i) V) from the flag F_i
+(U_0 + ... + U_i, or the dual eigenflag that must equal it) and runs the
+split checks.  B is built from {U_i-dd}, and K from {U_i} unless it was given.
 
 Every change to coordinates adapted to a decomposition reads the basis and
 its inverse from the :class:`~tdq.linalg.Decomposition`, so each is inverted
@@ -46,7 +52,6 @@ __all__ = [
     "SplitData",
     "split_from_pair",
     "split_from_AK",
-    "build_KB",
     "psi_from_KB",
     "delta_series_coefficients",
     "delta_from_characterization",
@@ -253,7 +258,7 @@ def _eigendata(m: Matrix) -> tuple[list[Scalar], Decomposition]:
     return values, Decomposition(eigenspace(m, lam) for lam in values)
 
 
-def _block_eigenvalues(A: Matrix, spaces: Decomposition) -> Optional[list[Scalar]]:
+def _block_eigenvalues(A: Matrix, spaces: Decomposition) -> Optional[tuple[Scalar, ...]]:
     """If A is block lower bidiagonal with scalar diagonal blocks in the
     coordinates adapted to the ordered subspaces, return those scalars."""
     T, blocks = spaces.coordinates * A * spaces.basis, spaces.blocks
@@ -267,7 +272,7 @@ def _block_eigenvalues(A: Matrix, spaces: Decomposition) -> Optional[list[Scalar
         for br, rows in enumerate(blocks):
             if br not in (bc, bc + 1) and any(T[r, c] for r in rows for c in cols):
                 return None
-    return values
+    return tuple(values)
 
 
 def _path_ordering(spaces: Decomposition, cross: Matrix) -> Optional[list[int]]:
@@ -323,20 +328,16 @@ def split_from_pair(A: Matrix, Astar: Matrix,
         raise EngineError("no-standard-ordering",
                           "the dual operator does not act tridiagonally on any "
                           "ordering of the eigenspaces")
-    theta = [avals[i] for i in order]
+    theta = tuple(avals[i] for i in order)
 
     if params is not None:
         # orient the path so it matches the supplied parameters
         q, a = params.q, params.a
-        expected = [params.theta(i) for i in range(d + 1)]
-        if theta == expected:
-            pass
-        elif theta[::-1] == expected:
-            order = order[::-1]
-            theta = theta[::-1]
-        else:
-            raise NotQRacahError("parameter-mismatch",
-                                 "supplied parameters do not match the eigenvalues")
+        if theta != params.thetas:
+            if theta[::-1] != params.thetas:
+                raise NotQRacahError("parameter-mismatch",
+                                     "supplied parameters do not match the eigenvalues")
+            order, theta = order[::-1], theta[::-1]
     else:
         # the representative solves the sequence in this exact order
         q, a = detect_qracah(theta).representative
@@ -357,15 +358,8 @@ def split_from_pair(A: Matrix, Astar: Matrix,
     if sorder_flip:
         sorder = sorder[::-1]
     EstarV = Decomposition(sspaces[i] for i in sorder)
-
-    new_params = QRacahParams(d, q, a, b)
-    # the defining flag intersections of the two split decompositions
     U = Decomposition(subspace_intersect(EstarV.flags[i], EV.tails[i]) for i in range(d + 1))
-    Udd = Decomposition(subspace_intersect(EstarV.flags[i], EV.flags[d - i])
-                        for i in range(d + 1))
-    _check_split_consistency(U, Udd, EV, EstarV, d)
-    rho = tuple(s.dim for s in U)
-    return SplitData(new_params, tuple(theta), tuple(theta_star), U, Udd, EV, EstarV, rho)
+    return _split(QRacahParams(d, q, a, b), theta, U, EV, EstarV.flags, theta_star, EstarV)
 
 
 def _orient_dual(theta_star, q, d, b=None):
@@ -380,9 +374,15 @@ def _orient_dual(theta_star, q, d, b=None):
     return min(options, key=lambda item: item[2].render(), default=None)
 
 
-def _check_split_consistency(U: Decomposition, Udd: Decomposition, EV: Decomposition,
-                             EstarV: Optional[Decomposition], d: int):
-    """Directness, common multiplicities and the flag sum identities."""
+def _split(params: QRacahParams, theta: tuple[Scalar, ...], U: Decomposition,
+           EV: Decomposition, flags: Sequence[Subspace],
+           theta_star: Optional[tuple[Scalar, ...]] = None,
+           EstarV: Optional[Decomposition] = None) -> SplitData:
+    """The split data once U is known: U_i-dd = flags[i] n (E_0 V + ... +
+    E_(d-i) V), then directness, common multiplicities and the flag sum
+    identities are checked."""
+    d = params.d
+    Udd = Decomposition(subspace_intersect(flags[i], EV.flags[d - i]) for i in range(d + 1))
     if not is_direct_decomposition(U):
         raise EngineError("split-failure", "the first split sequence is not a decomposition")
     if not is_direct_decomposition(Udd):
@@ -403,6 +403,7 @@ def _check_split_consistency(U: Decomposition, Udd: Decomposition, EV: Decomposi
             raise EngineError("split-failure", f"flag mismatch at index {i}")
         if EstarV is not None and EstarV.flags[i] != U.flags[i]:
             raise EngineError("split-failure", f"dual flag mismatch at index {i}")
+    return SplitData(params, theta, theta_star, U, Udd, EV, EstarV, tuple(s.dim for s in U))
 
 
 def split_from_AK(A: Matrix, K: Matrix,
@@ -438,8 +439,7 @@ def split_from_AK(A: Matrix, K: Matrix,
                                             "raising operator on the K-eigenspace ordering")))
             continue
         if params is not None:
-            expected = [params.theta(i) for i in range(d + 1)]
-            if theta != expected:
+            if theta != params.thetas:
                 failures.append((2, NotQRacahError("parameter-mismatch",
                                                    "extracted eigenvalues do not match the "
                                                    "supplied parameters")))
@@ -471,11 +471,7 @@ def split_from_AK(A: Matrix, K: Matrix,
             failures.append((3, EngineError("not-diagonalizable",
                                             "A is not diagonalizable over the working field")))
             continue
-        Udd = Decomposition(subspace_intersect(U.flags[i], EV.flags[d - i])
-                            for i in range(d + 1))
-        _check_split_consistency(U, Udd, EV, None, d)
-        rho = tuple(s.dim for s in U)
-        return SplitData(new_params, tuple(theta), None, U, Udd, EV, None, rho)
+        return _split(new_params, theta, U, EV, U.flags)
     if failures:
         # max keeps the first of equal stages: the earliest candidate's failure
         raise max(failures, key=lambda f: f[0])[1]
@@ -521,12 +517,6 @@ def _k_spectrum_candidates(K: Matrix) -> list[tuple[Scalar, int]]:
 # ---------------------------------------------------------------------------
 # operators from the splits
 # ---------------------------------------------------------------------------
-
-
-def build_KB(U: Decomposition, Udd: Decomposition,
-             q: Scalar, d: int) -> tuple[Matrix, Matrix]:
-    """The unique operators with eigenvalue q^(d-2i) on U_i (resp. U_i-dd)."""
-    return _semisimple_from_decomposition(U, q, d), _semisimple_from_decomposition(Udd, q, d)
 
 
 def _semisimple_from_decomposition(spaces: Decomposition, q: Scalar, d: int) -> Matrix:
@@ -756,16 +746,15 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
         sd = split_from_AK(A, K, params)
         if Astar is not None:
             sd = _attach_astar(sd, Astar)
-        K_op = K
-        B_op = _semisimple_from_decomposition(sd.Udd, sd.params.q, sd.params.d)
     else:
         sd = split_from_pair(A, Astar, params)
-        K_op, B_op = build_KB(sd.U, sd.Udd, sd.params.q, sd.params.d)
 
     prms = sd.params
     q, a, d = prms.q, prms.a, prms.d
     field = q.field
     n = A.rows
+    K_op = K if K is not None else _semisimple_from_decomposition(sd.U, q, d)
+    B_op = _semisimple_from_decomposition(sd.Udd, q, d)
 
     psi = psi_from_KB(K_op, B_op, q, a)
     series = PsiSeries(psi, q, a, d)

@@ -40,7 +40,8 @@ OPERATOR_NAMES = ("A", "Astar", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv
 
 
 class FixtureFormatError(ValueError):
-    """Malformed fixture input (bad JSON, schema, or unparsable scalars)."""
+    """Malformed fixture input (bad JSON, schema, or unparsable scalars), or
+    a path that cannot be read or written."""
 
 
 @dataclass
@@ -195,18 +196,21 @@ def read_fixture(path: str) -> Fixture:
 
 
 def write_json(path: str, doc: dict) -> None:
-    """Deterministic, atomic JSON emission."""
+    """Deterministic, atomic JSON emission; a path that cannot be written is
+    a FixtureFormatError, and no temporary file is left behind."""
     payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tdq-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tdq-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise FixtureFormatError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_fixture(path: str, fixture: Fixture) -> None:

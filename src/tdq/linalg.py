@@ -159,20 +159,6 @@ class Matrix:
 
     __rmul__ = __mul__  # only reached with a scalar on the left
 
-    def __pow__(self, exponent: int) -> "Matrix":
-        self._require_square()
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Matrix.identity(self.field, self.rows)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def mul_vector(self, v: Sequence[Scalar]) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
@@ -191,13 +177,6 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows,
                       [self.entries[j * self.cols + i]
                        for i in range(self.cols) for j in range(self.rows)])
-
-    def trace(self) -> Scalar:
-        self._require_square()
-        acc = self.field.zero
-        for i in range(self.rows):
-            acc = acc + self[i, i]
-        return acc
 
     def is_zero(self) -> bool:
         return all(not x for x in self.entries)
@@ -322,11 +301,6 @@ class Subspace:
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
         return cls(field, ambient, ())
-
-    @classmethod
-    def full(cls, field, ambient: int) -> "Subspace":
-        eye = Matrix.identity(field, ambient)
-        return cls(field, ambient, tuple(eye.row(i) for i in range(ambient)))
 
     @property
     def dim(self) -> int:

@@ -68,6 +68,11 @@ class QRacahParams:
     def field(self):
         return self.q.field
 
+    @property
+    def thetas(self) -> tuple[Scalar, ...]:
+        """theta_0, ..., theta_d."""
+        return self._sequence("theta", self.a)
+
     def theta(self, i: int) -> Scalar:
         return self._eigenvalue("theta", self.a, i)
 
@@ -79,7 +84,10 @@ class QRacahParams:
     def _eigenvalue(self, key: str, x: Scalar, i: int) -> Scalar:
         if not 0 <= i <= self.d:
             raise IndexError(f"eigenvalue index {i} is outside 0..{self.d}")
-        return self._cached(key, lambda: theta_sequence(x, self.q, self.d))[i]
+        return self._sequence(key, x)[i]
+
+    def _sequence(self, key: str, x: Scalar) -> tuple[Scalar, ...]:
+        return self._cached(key, lambda: theta_sequence(x, self.q, self.d))
 
     def with_b(self, b: Scalar) -> "QRacahParams":
         return QRacahParams(self.d, self.q, self.a, b)

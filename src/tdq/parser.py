@@ -66,9 +66,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # what int() reads; isdigit() also takes superscripts
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", i)

@@ -57,6 +57,31 @@ def test_generate_invalid_params_exit_2(tmp_path):
     assert "q^4 = 1" in proc.stderr
 
 
+@pytest.mark.parametrize("name", ["q", "a", "b"])
+def test_generate_zero_parameter_exit_2(tmp_path, name):
+    values = {"q": "2", "a": "3", "b": "5", name: "0"}
+    out = tmp_path / "x.json"
+    proc = run_cli("generate", "--d", "2", *(f"--{k}={v}" for k, v in values.items()),
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: parameter {name} must be nonzero\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "verify", "engine"])
+def test_unwritable_output_exit_2(tmp_path, command):
+    fix = tmp_path / "fix.json"
+    run_cli("generate", "--d", "1", "--q", "2", "--a", "3", "--out", str(fix))
+    target = tmp_path / "missing" / "out.json"
+    args = {"generate": ["generate", "--d", "1", "--q", "2", "--a", "3", "--out"],
+            "verify": ["verify", str(fix), "--report"],
+            "engine": ["engine", str(fix), "--out"]}[command]
+    proc = run_cli(*args, str(target))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["fix.json"]
+
+
 def test_verify_mutated_fixture_exit_1(tmp_path):
     fix = tmp_path / "fix.json"
     run_cli("generate", "--d", "1", "--q", "2", "--a", "3", "--b", "5",

@@ -1,5 +1,6 @@
-"""Fuzz `tdq verify` and `tdq engine` in process: every input must end in exit
-code 0, 1 or 2, and nothing but SystemExit may escape the command."""
+"""Fuzz `tdq verify`, `tdq engine` and `tdq generate` in process: every input
+must end in exit code 0, 1 or 2, and nothing but SystemExit may escape the
+command."""
 
 import copy
 import json
@@ -30,20 +31,22 @@ def workdir():
         yield path
 
 
+def run_command(args, what):
+    """Run one command; its exit code, which must be 0, 1 or 2."""
+    result = CliRunner().invoke(main, args, env={"TDQ_BATTERY_FILTER": None})
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise AssertionError(f"{args[0]} raised on {what!r}") from result.exception
+    assert result.exit_code in (0, 1, 2), (args[0], what, result.output)
+    return result.exit_code
+
+
 def run_both(workdir, doc):
     """Write the document, then run verify and engine on it."""
     fix = os.path.join(workdir, "fix.json")
     with open(fix, "w", encoding="utf-8") as handle:
         handle.write(doc if isinstance(doc, str) else json.dumps(doc))
-    runner = CliRunner()
-    codes = []
-    for args in (["verify", fix], ["engine", fix, "--out", os.path.join(workdir, "out.json")]):
-        result = runner.invoke(main, args, env={"TDQ_BATTERY_FILTER": None})
-        if result.exception is not None and not isinstance(result.exception, SystemExit):
-            raise AssertionError(f"{args[0]} raised on {doc!r}") from result.exception
-        assert result.exit_code in (0, 1, 2), (args[0], doc, result.output)
-        codes.append(result.exit_code)
-    return codes
+    return [run_command(args, doc) for args in (
+        ["verify", fix], ["engine", fix, "--out", os.path.join(workdir, "out.json")])]
 
 
 FUZZ = settings(max_examples=350, deadline=None,
@@ -142,6 +145,21 @@ def test_fixtures_with_junk_scalars(workdir, doc):
 @given(mutated_fixtures())
 def test_mutated_valid_fixture(workdir, doc):
     run_both(workdir, doc)
+
+
+# at most five characters, so a symbolic power stays small enough to expand
+literals = mostly(st.sampled_from(["0", "1", "-1", "2", "3", "1/2", "-2/3", "q", "a", "q^2",
+                                   "a/q", "q+1"]),
+                  st.text(alphabet="0123456789qab+-*/^() .", max_size=5) | st.text(max_size=5))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(d=st.integers(1, 3), backend=st.sampled_from(["rational", "ratfunc"]), q=literals,
+       a=literals, b=st.none() | literals)
+def test_generate_arbitrary_parameters(workdir, d, backend, q, a, b):
+    args = ["generate", "--d", str(d), "--backend", backend, "--q", q, "--a", a,
+            "--out", os.path.join(workdir, "gen.json")] + (["--b", b] if b is not None else [])
+    run_command(args, args)
 
 
 @pytest.mark.parametrize("doc", [VALID, DERIVED], ids=["generated", "derived"])

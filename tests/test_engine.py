@@ -145,10 +145,8 @@ class TestBuildKB:
     def test_b_matches_closed_form(self):
         p = make_params(QF, d=1)
         ls = leonard.leonard_suite(p, "u")
-        sd = engine.split_from_AK(ls.A, ls.K)
-        K, B = engine.build_KB(sd.U, sd.Udd, p.q, p.d)
-        assert K == ls.K
-        assert B == Matrix.from_rows(QF, [[2, -6], [0, Fraction(1, 2)]])
+        suite = engine.derive_suite(ls.A, K=ls.K)
+        assert suite.B == Matrix.from_rows(QF, [[2, -6], [0, Fraction(1, 2)]])
 
 
 class TestPsiFromKB:

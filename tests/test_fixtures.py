@@ -10,6 +10,7 @@ from tdq.fixtures import (
     parse_fixture,
     read_fixture,
     write_fixture,
+    write_json,
 )
 from tdq.scalars import rational_field
 
@@ -103,3 +104,12 @@ def test_scalars_serialized_as_grammar_strings():
         for entry in row:
             assert isinstance(entry, str)
     assert "3/4" in payload
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    # the temporary file is written, then cannot replace a directory
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(FixtureFormatError, match=f"cannot write {target}: "):
+        write_json(str(target), {"x": 1})
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]

@@ -29,6 +29,13 @@ class TestParser:
         with pytest.raises(ParseError, match="unknown identifier"):
             parse_scalar("x + 1", RF)
 
+    @pytest.mark.parametrize("text", ["¹", "2²", "1/¹", "q^²"],
+                             ids=["alone", "after-digit", "denominator", "exponent"])
+    def test_superscript_digit_rejected(self, text):
+        # str.isdigit() takes superscripts, which int() cannot read
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_scalar(text, RF)
+
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as err:
             parse_scalar("3 + * 4", QF)
