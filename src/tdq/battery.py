@@ -102,8 +102,7 @@ def _exps(s: OperatorSuite) -> tuple[Matrix, Matrix, Matrix, Matrix]:
 
 
 def _maps_into(mat: Matrix, source: Subspace, target: Subspace) -> bool:
-    image = source.image(mat)
-    return image.is_zero() or target.contains(image)
+    return target.spans(mat.mul_vector(v) for v in source.basis)
 
 
 def _each(s: OperatorSuite, checks: Callable[[int], Iterable[tuple[str, bool]]]) -> list[dict]:

@@ -63,6 +63,9 @@ __all__ = [
     "AxiomReport",
 ]
 
+# the suite's operators: the matrices a fixture may carry and derive_suite override
+OPERATOR_NAMES = ("A", "Astar", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv")
+
 
 class EngineError(ValueError):
     """A mathematical failure of the reconstruction pipeline."""
@@ -489,7 +492,7 @@ def _k_spectrum_candidates(K: Matrix) -> list[tuple[Scalar, int]]:
     value_set = set(values)
     for top in values:
         for second in values:
-            if second == top:
+            if second == top or not top or not second:  # no q^(d-2i) is 0
                 continue
             ratio = second / top
             chain = [top]
@@ -733,7 +736,7 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
     if K is None and Astar is None:
         raise ValueError("need K or Astar alongside A")
     overrides = dict(overrides or {})
-    unknown = set(overrides) - {"A", "Astar", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv"}
+    unknown = set(overrides) - set(OPERATOR_NAMES)
     if unknown:
         raise ValueError(f"cannot override {sorted(unknown)}")
     for name, m in overrides.items():

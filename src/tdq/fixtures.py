@@ -14,8 +14,8 @@ import tempfile
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .engine import OperatorSuite
-from .leonard import BASES, LeonardSuite
+from .engine import OPERATOR_NAMES, OperatorSuite
+from .leonard import BASES, KINDS, LeonardSuite
 from .linalg import Matrix, Subspace
 from .params import QRacahParams
 from .parser import ParseError, parse_scalar
@@ -34,9 +34,6 @@ __all__ = [
 ]
 
 FORMAT_TAG = "tdq-fixture/1"
-
-# matrix names with operator meaning to the verifier
-OPERATOR_NAMES = ("A", "Astar", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv")
 
 
 class FixtureFormatError(ValueError):
@@ -74,11 +71,7 @@ class Fixture:
 
 
 def fixture_from_leonard(suite: LeonardSuite) -> Fixture:
-    matrices = {
-        "A": suite.A, "K": suite.K, "B": suite.B, "psi": suite.psi,
-        "M": suite.M, "Minv": suite.Minv, "Delta": suite.Delta,
-        "Deltainv": suite.Deltainv, "A_udd": suite.A_udd,
-    }
+    matrices = {kind: getattr(suite, kind) for kind in KINDS + ("A_udd",)}
     for (f, t), m in suite.transitions.items():
         if f != t:
             matrices[f"trans_{f}_{t}"] = m
@@ -87,13 +80,8 @@ def fixture_from_leonard(suite: LeonardSuite) -> Fixture:
 
 
 def fixture_from_suite(suite: OperatorSuite) -> Fixture:
-    matrices = {
-        "A": suite.A, "K": suite.K, "B": suite.B, "psi": suite.psi,
-        "M": suite.M, "Minv": suite.Minv, "Delta": suite.Delta,
-        "Deltainv": suite.Deltainv,
-    }
-    if suite.Astar is not None:
-        matrices["Astar"] = suite.Astar
+    matrices = {name: getattr(suite, name) for name in KINDS + ("Astar",)
+                if getattr(suite, name) is not None}
     subspaces: dict[str, Subspace] = {}
     for name, spaces in (("U", suite.U), ("Udd", suite.Udd), ("W", suite.W)):
         for i, space in enumerate(spaces):

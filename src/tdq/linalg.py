@@ -6,8 +6,11 @@ subspace equality a plain data comparison.  Everything is immutable and
 backend-agnostic: entries are :class:`~tdq.scalars.Scalar` values from one
 field.
 
-``_rref_rows`` is the one Gaussian elimination: rref, kernel, inverse, the
-minimal polynomial, subspace sums and intersections all reduce through it.
+The kernels work on raw field values (``Fraction`` or sympy ``FracElement``,
+both with ``+ - * /``, ``bool`` and ``==``): ``_products`` is the one product
+kernel, ``_rref_rows`` the one elimination.  ``Subspace.spans`` reduces
+vectors against the basis; that relies on the RREF invariant, which holds as
+only ``Subspace.from_vectors`` and ``Subspace.zero`` build a subspace.
 
 A :class:`Decomposition` owns its adapted coordinates, built once on first
 use; every change to adapted coordinates reads them.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .scalars import Scalar
 
@@ -140,38 +143,18 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows or self.field != other.field:
                 raise ValueError("matrix shape or backend mismatch")
-            n, m, k = self.rows, other.cols, self.cols
-            a, b = self.entries, other.entries
-            zero = self.field.zero
-            out = []
-            for i in range(n):
-                arow = a[i * k : (i + 1) * k]
-                for j in range(m):
-                    acc = zero
-                    for t in range(k):
-                        x, y = arow[t], b[t * m + j]
-                        if x and y:
-                            acc = acc + x * y
-                    out.append(acc)
-            return Matrix(self.field, n, m, out)
+            m = other.cols
+            columns = _products(self, [other.entries[j::m] for j in range(m)])
+            return Matrix(self.field, self.rows, m, [x for row in zip(*columns) for x in row])
         scalar = self.field.coerce(other)
         return Matrix(self.field, self.rows, self.cols, [scalar * x for x in self.entries])
 
     __rmul__ = __mul__  # only reached with a scalar on the left
 
     def mul_vector(self, v: Sequence[Scalar]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        zero = self.field.zero
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            row = self.row(i)
-            for x, y in zip(row, v):
-                if x and y:
-                    acc = acc + x * y
-            out.append(acc)
-        return tuple(out)
+        if len(v) != self.cols or any(x.field != self.field for x in v):
+            raise ValueError("vector length or backend mismatch")
+        return next(_products(self, [v]))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.cols, self.rows,
@@ -245,37 +228,45 @@ class Matrix:
         return [-reduced[r, k] for r in range(k)] + [self.field.one]
 
 
+def _products(m: Matrix, columns: Iterable[Sequence[Scalar]]) -> Iterator[Vector]:
+    """m v for each column v.  m is unwrapped once, each v is kept as its
+    nonzero (index, raw value) pairs and zero entries of m are skipped, so no
+    product with a zero factor is formed; each output entry is wrapped once."""
+    field = m.field
+    rows = [[x.raw for x in m.row(i)] for i in range(m.rows)]
+    zero = field.zero.raw
+    for v in columns:
+        pairs = [(t, y) for t, y in enumerate(x.raw for x in v) if y]
+        yield tuple(Scalar(field, sum((row[t] * y for t, y in pairs if row[t]), zero))
+                    for row in rows)
+
+
 def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tuple[int, ...]]:
-    """Reduce the rows in place to reduced row-echelon form; return them and
-    the pivot columns.  Each pivot is the first nonzero entry at or below the
-    current row.  Zero entries are never multiplied: x * 0 and x - f * 0 are
-    known without the field's arithmetic."""
-    if not rows:
-        return rows, ()
-    ncols = len(rows[0])
+    """The reduced row-echelon form of the rows (zero rows kept; the rows
+    given are not changed) and its pivot columns, computed on raw values.
+    Each pivot is the first nonzero entry at or below the current row; its
+    row is scaled by 1 / pivot (sympy leaves pivot ** -1 non-canonical) unless
+    the pivot is 1.  Zero entries are never multiplied."""
+    rows = [[x.raw for x in row] for row in rows]
     nrows = len(rows)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c] ** -1
-        rows[r] = [x * inv if x else x for x in rows[r]]
+        if rows[r][c] != field.one.raw:
+            inv = 1 / rows[r][c]
+            rows[r] = [x * inv if x else x for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 factor = rows[i][c]
                 rows[i] = [x - factor * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, tuple(pivots)
+    return [[Scalar(field, x) for x in row] for row in rows], tuple(pivots)
 
 
 class Subspace:
@@ -324,15 +315,33 @@ class Subspace:
     def render(self) -> list[list[str]]:
         return [[x.render() for x in row] for row in self.basis]
 
+    def spans(self, vectors: Iterable[Sequence[Scalar]]) -> bool:
+        """True when every vector reduces to zero against the RREF basis; its
+        coefficient on a basis row is its entry at that row's pivot (a 1)."""
+        basis = [[x.raw for x in row] for row in self.basis]
+        pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+        for v in vectors:
+            if len(v) != self.ambient or any(x.field != self.field for x in v):
+                raise ValueError("vector length or backend mismatch")
+            v = [x.raw for x in v]
+            for p, row in zip(pivots, basis):
+                f = v[p]
+                if f:
+                    v = [x - f * y if y else x for x, y in zip(v, row)]
+            if any(v):
+                return False
+        return True
+
     def contains(self, other: "Subspace") -> bool:
-        return subspace_sum([self, other]) == self
+        if other.ambient != self.ambient or other.field != self.field:
+            raise ValueError("ambient dimension or backend mismatch")
+        return self.spans(other.basis)
 
     def image(self, m: Matrix) -> "Subspace":
         """The subspace {m v : v in self}."""
-        if m.cols != self.ambient:
-            raise ValueError("shape mismatch")
-        return Subspace.from_vectors(self.field, m.rows,
-                                     [m.mul_vector(row) for row in self.basis])
+        if m.cols != self.ambient or m.field != self.field:
+            raise ValueError("shape or backend mismatch")
+        return Subspace.from_vectors(self.field, m.rows, _products(m, self.basis))
 
 
 def subspace_sum(spaces: Sequence[Subspace]) -> Subspace:

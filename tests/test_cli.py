@@ -275,6 +275,25 @@ def test_repeated_block_eigenvalue_exit_1(tmp_path, command):
     assert "A has a repeated eigenvalue" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["verify", "engine"])
+@pytest.mark.parametrize("field, A, K", [
+    ({"backend": "rational"}, [["0", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]]),
+    ({"backend": "rational"}, [["1", "0"], ["1", "2"]], [["0", "0"], ["0", "1"]]),
+    ({"backend": "ratfunc", "variables": ["q", "a"]},
+     [["q", "0"], ["1", "a"]], [["0", "0"], ["0", "q"]]),
+], ids=["zero-A", "rational", "ratfunc"])
+def test_zero_k_eigenvalue_exit_1(tmp_path, command, field, A, K):
+    # no q^(d-2i) is 0, whether 0 comes first or second in the K spectrum
+    fix = tmp_path / "fix.json"
+    fix.write_text(json.dumps({"format": "tdq-fixture/1", "field": field,
+                               "matrices": {"A": A, "K": K}}))
+    args = [command, str(fix)] + (["--out", str(tmp_path / "o.json")] if command == "engine" else [])
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr == ("mathematical failure: the K spectrum is not a geometric chain "
+                           "q^d, ..., q^-d\n")
+
+
 def test_deeply_nested_json_exit_2(tmp_path):
     fix = tmp_path / "deep.json"
     fix.write_text("[" * 100_000 + "]" * 100_000)

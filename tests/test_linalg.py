@@ -248,6 +248,12 @@ def ref_kernel_basis(m):
     return tuple(tuple(row) for row in basis[: len(pivots)])
 
 
+def ref_contains(x, y):
+    """Y <= X when the RREF of X's rows plus Y's rows equals X's basis."""
+    rows, pivots = ref_rref(list(x.basis) + list(y.basis), x.field)
+    return tuple(tuple(row) for row in rows[: len(pivots)]) == x.basis
+
+
 @st.composite
 def nonzero_scalars(draw, field):
     num = draw(st.integers(-5, 5).filter(bool))
@@ -286,12 +292,40 @@ def sparse_shapes(draw):
     return draw(sparse_matrices(field, n, draw(st.integers(1, 5)) if draw(st.booleans()) else n))
 
 
+@st.composite
+def subspace_pairs(draw):
+    """(X, Y) with Y spanned by combinations of X's rows in half of the draws,
+    so that Y <= X holds by construction, and by sparse rows otherwise."""
+    field = draw(st.sampled_from([QF, RF]))
+    n = draw(st.integers(1, 4))
+    xs = draw(sparse_matrices(field, draw(st.integers(1, 3)), n))
+    if draw(st.booleans()):
+        ys = draw(sparse_matrices(field, draw(st.integers(1, 2)), xs.rows)) * xs
+    else:
+        ys = draw(sparse_matrices(field, draw(st.integers(1, 2)), n))
+    return tuple(Subspace.from_vectors(field, n, [m.row(i) for i in range(m.rows)])
+                 for m in (xs, ys))
+
+
 class TestSparseKernels:
     @settings(max_examples=60, deadline=None)
     @given(sparse_products())
     def test_product(self, pair):
         x, y = pair
         assert [list((x * y).row(i)) for i in range(x.rows)] == ref_product(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_products())
+    def test_mul_vector(self, pair):
+        x, y = pair
+        column = [y[t, 0] for t in range(y.rows)]
+        assert list(x.mul_vector(column)) == [row[0] for row in ref_product(x, y)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(subspace_pairs())
+    def test_contains(self, pair):
+        x, y = pair
+        assert x.contains(y) == ref_contains(x, y)
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_shapes())
@@ -314,34 +348,84 @@ class TestSparseKernels:
                     m.inverse()
 
 
+def _closed(op, counts=False):
+    """op with its result kept a CountedFraction; a product counts itself."""
+    def method(self, other):
+        if counts:
+            CountedFraction.products += 1
+        return CountedFraction(op(self, other))
+    return method
+
+
+class CountedFraction(Fraction):
+    """A Fraction that counts the products it forms.  Its arithmetic returns
+    CountedFraction again, so every product the raw-value kernels form from
+    these entries, or from values computed from them, is counted."""
+
+    products = 0
+    __mul__ = _closed(Fraction.__mul__, counts=True)
+    __rmul__ = _closed(Fraction.__rmul__, counts=True)
+    __add__ = _closed(Fraction.__add__)
+    __radd__ = _closed(Fraction.__radd__)
+    __sub__ = _closed(Fraction.__sub__)
+    __rsub__ = _closed(Fraction.__rsub__)
+    __truediv__ = _closed(Fraction.__truediv__)
+    __rtruediv__ = _closed(Fraction.__rtruediv__)
+
+
+def counted(rows):
+    return Matrix.from_rows(QF, [[Scalar(QF, CountedFraction(x)) for x in row] for row in rows])
+
+
 class TestZeroProductsSkipped:
-    """Counts of Scalar.__mul__ calls: a product with a zero factor is never
-    formed, in the product or in the elimination."""
+    """Counts of products formed on raw field values: a product with a zero
+    factor is never formed, in the product, the elimination or the membership
+    reduction."""
 
-    @pytest.fixture
-    def products(self, monkeypatch):
-        calls = []
-        original = Scalar.__mul__
+    @pytest.fixture(autouse=True)
+    def reset(self):
+        CountedFraction.products = 0
 
-        def counting(x, y):
-            calls.append(1)
-            return original(x, y)
+    N = 4
 
-        monkeypatch.setattr(Scalar, "__mul__", counting)
-        return calls
+    def dense_and_identity(self):
+        n = self.N
+        return (counted([[i * n + j + 1 for j in range(n)] for i in range(n)]),
+                counted([[int(i == j) for j in range(n)] for i in range(n)]))
 
-    def test_dense_times_identity(self, products):
-        n = 4
-        dense = Matrix(QF, n, n, [QF.coerce(k + 1) for k in range(n * n)])
-        assert dense * Matrix.identity(QF, n) == dense
-        assert len(products) == n * n
+    def test_dense_times_identity(self):
+        dense, eye = self.dense_and_identity()
+        assert dense * eye == dense
+        assert CountedFraction.products == self.N ** 2
 
-    def test_rref_scales_and_eliminates_nonzero_entries_only(self, products):
-        # the identity plus ones down column 0: each pivot row has one nonzero
-        # entry to scale, and each of the n - 1 eliminations one to subtract
-        n = 4
-        m = Matrix(QF, n, n, [QF.one if j == 0 or i == j else QF.zero
-                              for i in range(n) for j in range(n)])
+    def test_identity_times_dense(self):
+        dense, eye = self.dense_and_identity()
+        assert eye * dense == dense
+        assert CountedFraction.products == self.N ** 2
+
+    def ones_down_column_0(self, value):
+        """value times (the identity plus ones down column 0), reduced: each
+        of the n - 1 eliminations has one nonzero entry to subtract, and each
+        pivot row one to scale, unless its pivot is already 1."""
+        n = self.N
+        m = counted([[value if j == 0 or i == j else 0 for j in range(n)] for i in range(n)])
         reduced, pivots = m.rref()
         assert reduced == Matrix.identity(QF, n) and pivots == tuple(range(n))
-        assert len(products) == n + (n - 1)
+
+    def test_rref_scales_and_eliminates_nonzero_entries_only(self):
+        self.ones_down_column_0(2)
+        assert CountedFraction.products == self.N + (self.N - 1)
+
+    def test_rref_leaves_unit_pivots_unscaled(self):
+        self.ones_down_column_0(1)
+        assert CountedFraction.products == self.N - 1
+
+    def test_membership_reduces_nonzero_entries_only(self):
+        # 5 times basis row 1: row 0 is skipped (the vector is 0 at its
+        # pivot), and row 1 has two nonzero entries to subtract
+        basis = counted([[1, 0, 2, 0], [0, 1, 3, 0]])
+        plane = Subspace.from_vectors(QF, 4, [basis.row(0), basis.row(1)])
+        vector = counted([[0, 5, 15, 0]]).row(0)
+        CountedFraction.products = 0
+        assert plane.spans([vector])
+        assert CountedFraction.products == 2
