@@ -11,8 +11,8 @@ scalars are equal as field elements exactly when their representations
 compare equal.
 
 sympy is imported only where it is used: the first time a ratfunc field is
-built, and the first time roots of a polynomial are found (eigenvalues the
-engine must detect itself).  The rational backend never loads it otherwise.
+built.  The rational backend never loads it; it finds the rational roots of
+a polynomial (eigenvalues the engine must detect itself) in pure Python.
 
 Scalars are immutable and all operations are pure, so values may be shared
 freely between threads.
@@ -252,13 +252,21 @@ class RationalField(_Field):
         """Roots in the field of sum(coeffs[i] x^i), with multiplicity.
 
         Returns (roots, splits) where splits is True when the polynomial
-        factors completely into linear factors over the field.
+        factors completely into linear factors over the field.  Each root
+        p/r (r > 0, in lowest terms) is listed as often as its multiplicity
+        m, and the roots are sorted by (m, r, -p): the order in which
+        sympy's ``factor_list`` gives the primitive linear factors r x - p.
         """
-        from sympy import symbols
-
-        lam = symbols("_lam")
-        expr = sum((c.raw * lam ** i for i, c in enumerate(coeffs)), 0 * lam)
-        return _roots_from_factorization(expr, lam, self)
+        scale = math.lcm(*(c.raw.denominator for c in coeffs))
+        f = _primitive([c.raw.numerator * (scale // c.raw.denominator) for c in coeffs])
+        found = []
+        for x in _rational_roots(f):
+            m, linear = 0, [-x.numerator, x.denominator]
+            while (quotient := _exact_quotient(f, linear)) is not None:
+                f, m = quotient, m + 1
+            found.append((m, x.denominator, -x.numerator, x))
+        roots = tuple(Scalar(self, x) for m, *_, x in sorted(found) for _ in range(m))
+        return roots, len(f) == 1
 
 
 class RatFuncField(_Field):
@@ -377,8 +385,9 @@ class RatFuncField(_Field):
         return roots[0] if roots else None
 
     def poly_roots(self, coeffs: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], bool]:
-        """Roots in the field of sum(coeffs[i] x^i), with multiplicity."""
-        from sympy import symbols
+        """Roots in the field of sum(coeffs[i] x^i), with multiplicity, from
+        the linear factors of its factorization by sympy."""
+        from sympy import Poly, factor_list, symbols
 
         lam = symbols("_lam")
         denom = self._ring.one
@@ -386,9 +395,15 @@ class RatFuncField(_Field):
             denom = denom * c.raw.denom
         expr = 0 * lam
         for i, c in enumerate(coeffs):
-            cleared = c.raw.numer * denom.quo((c.raw.denom))
+            cleared = c.raw.numer * denom.quo(c.raw.denom)
             expr += cleared.as_expr() * lam ** i
-        return _roots_from_factorization(expr, lam, self)
+        roots: list[Scalar] = []
+        for base, exp in factor_list(expr, lam)[1]:
+            factor = Poly(base, lam)
+            if factor.degree() == 1:
+                c1, c0 = factor.all_coeffs()
+                roots.extend([Scalar(self, self._field.from_expr(-c0 / c1))] * exp)
+        return tuple(roots), len(roots) == Poly(expr, lam).degree()
 
 
 _RATIONAL = RationalField()
@@ -473,7 +488,7 @@ def _render_terms(terms, variables) -> str:
     return "".join(parts)
 
 
-# -- factorization helpers ----------------------------------------------------
+# -- square roots ---------------------------------------------------------------
 
 
 def _fraction_sqrt(value: Fraction) -> Optional[Fraction]:
@@ -485,30 +500,102 @@ def _fraction_sqrt(value: Fraction) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
-def _roots_from_factorization(expr, lam, target_field):
-    """Shared root extraction: factor over Q, keep factors linear in lam."""
-    from sympy import Poly, factor_list
-
-    total = Poly(expr, lam).degree()
-    _, factors = factor_list(expr, lam)
-    roots: list[Scalar] = []
-    linear_degree = 0
-    for base, exp in factors:
-        fpoly = Poly(base, lam)
-        if fpoly.degree() == 1:
-            c1, c0 = fpoly.all_coeffs()
-            root_expr = -c0 / c1
-            roots.extend([_expr_to_scalar(root_expr, target_field)] * exp)
-            linear_degree += exp
-        elif fpoly.degree() == 0:
-            continue
-    return tuple(roots), linear_degree == total
+# -- rational roots ------------------------------------------------------------
+#
+# Integer polynomials are lists of coefficients, constant term first, with no
+# trailing zeros; the zero polynomial is [].
 
 
-def _expr_to_scalar(expr, target_field) -> Scalar:
-    if isinstance(target_field, RationalField):
-        from sympy import Rational
+def _primitive(poly: list[int]) -> list[int]:
+    """poly without trailing zeros, divided by the gcd of its coefficients
+    (a positive number, so every sign stays)."""
+    poly = list(poly)
+    while poly and not poly[-1]:
+        poly.pop()
+    content = math.gcd(*poly)
+    return [x // content for x in poly] if content > 1 else poly
 
-        r = Rational(expr)
-        return target_field.from_fraction(Fraction(r.p, r.q))
-    return Scalar(target_field, target_field._field.from_expr(expr))
+
+def _exact_quotient(a: list[int], b: list[int]) -> Optional[list[int]]:
+    """a / b when the primitive polynomial b divides a, else None.  By Gauss's
+    lemma the quotient then has integer coefficients."""
+    a, quotient = list(a), [0] * (len(a) - len(b) + 1)
+    for i in reversed(range(len(quotient))):
+        top, rest = divmod(a[i + len(b) - 1], b[-1])
+        if rest:
+            return None
+        quotient[i] = top
+        for j, y in enumerate(b):
+            a[i + j] -= top * y
+    return quotient if not any(a) else None
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """A multiple of the remainder of a divided by b by a power of b's leading
+    coefficient (pseudo-division), without trailing zeros."""
+    a, lead, db = list(a), b[-1], len(b) - 1
+    while len(a) > db:
+        top = a.pop()
+        shift = len(a) - db
+        a = [x * lead for x in a]
+        for j in range(db):
+            a[shift + j] -= top * b[j]
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _gcd(a: list[int], b: list[int], p: Optional[int] = None) -> list[int]:
+    """gcd(a, b) up to a constant factor: over the integers, or modulo the
+    prime p when one is given."""
+    def normal(poly):
+        return _primitive(poly if p is None else [x % p for x in poly])
+
+    a, b = normal(a), normal(b)
+    while b:
+        a, b = b, normal(_remainder(a, b))
+    return a
+
+
+def _derivative(poly: list[int]) -> list[int]:
+    return [i * x for i, x in enumerate(poly)][1:]
+
+
+def _value(poly: list[int], y: int) -> int:
+    value = 0
+    for x in reversed(poly):
+        value = value * y + x
+    return value
+
+
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % k for k in range(2, math.isqrt(p) + 1))
+
+
+def _rational_roots(f: list[int]) -> list[Fraction]:
+    """The distinct rational roots of an integer polynomial f.
+
+    With s the square-free part of f and c its leading coefficient, every
+    rational root x of s makes y = c x an integer root of the monic integer
+    polynomial g(y) = c^(n-1) s(y / c), and |y| < B by Fujiwara's bound.  The
+    roots of g modulo the least prime p at which they are all simple are
+    lifted by Newton's iteration to roots modulo a power of p above 2B; each
+    lifted root whose residue nearest 0 is a root of g gives one x.  No
+    integer is factored, so the work is polynomial in the coefficient sizes.
+    """
+    if len(f) < 2:
+        return []
+    f = _exact_quotient(f, _gcd(f, _derivative(f)))
+    n, c = len(f) - 1, f[-1]
+    g = [x * c ** (n - 1 - i) for i, x in enumerate(f[:-1])] + [1]
+    dg = _derivative(g)
+    bound = 2 ** (1 + max(-(-abs(g[n - k]).bit_length() // k) for k in range(1, n + 1)))
+    p = 2
+    while not (_is_prime(p) and len(_gcd(g, dg, p)) == 1):
+        p += 1
+    roots, modulus = [r for r in range(p) if not _value(g, r) % p], p
+    while modulus <= 2 * bound:
+        modulus *= modulus
+        roots = [(r - _value(g, r) * pow(_value(dg, r), -1, modulus)) % modulus for r in roots]
+    nearest = (r - modulus if 2 * r > modulus else r for r in roots)
+    return [Fraction(y, c) for y in nearest if not _value(g, y)]

@@ -9,15 +9,31 @@ from test_cli import SRC
 
 # Runs in a fresh interpreter: this test process has long since imported sympy.
 CHILD = textwrap.dedent("""
-    import sys
+    import json, os, sys
     import tdq, tdq.cli
     from tdq.cli import main
 
-    out = sys.argv[1]
-    assert main(["generate", "--d", "2", "--q", "2", "--a", "3", "--b", "5",
-                 "--out", out], standalone_mode=False) in (None, 0)
-    assert main(["verify", out], standalone_mode=False) == 0
-    assert main(["detect", "--theta", "145/12,10/3,25/12"], standalone_mode=False) in (None, 0)
+    def run(*args):
+        assert main(list(args), standalone_mode=False) in (None, 0), args
+
+    def path(name):
+        return os.path.join(sys.argv[1], name)
+
+    run("generate", "--d", "2", "--q", "2", "--a", "3", "--b", "5", "--out", path("fix.json"))
+    run("verify", path("fix.json"))
+    run("detect", "--theta", "145/12,10/3,25/12")
+    with open(path("fix.json")) as handle:
+        generated = json.load(handle)["matrices"]
+    # fixtures without params, so the engine finds the eigenvalues itself
+    raw = {"ak": {"A": generated["A"], "K": generated["K"]},
+           "pair": {"A": [["37/6", "0"], ["1", "13/6"]],
+                    "Astar": [["101/10", "1"], ["0", "29/10"]]}}
+    for name, matrices in raw.items():
+        with open(path(f"{name}.json"), "w") as handle:
+            json.dump({"format": "tdq-fixture/1", "field": {"backend": "rational"},
+                       "basis": "abstract", "matrices": matrices}, handle)
+        run("engine", path(f"{name}.json"), "--out", path(f"{name}-derived.json"))
+        run("verify", path(f"{name}-derived.json"))
     assert "sympy" not in sys.modules, "the rational path loaded sympy"
 
     tdq.ratfunc_field(("q", "a"))
@@ -28,7 +44,7 @@ CHILD = textwrap.dedent("""
 def test_rational_path_never_loads_sympy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path / "fix.json")],
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)],
                           capture_output=True, text=True, check=False, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tdq.parser import ParseError, parse_scalar
 from tdq.scalars import rational_field, ratfunc_field
@@ -233,6 +233,105 @@ class TestRoots:
         coeffs = [RF.one, -(q + q ** -1), RF.one]
         roots, splits = RF.poly_roots(coeffs)
         assert splits and set(roots) == {q, q ** -1}
+
+
+def _times(poly, factor):
+    product = [Fraction(0)] * (len(poly) + len(factor) - 1)
+    for i, x in enumerate(poly):
+        for j, y in enumerate(factor):
+            product[i + j] += x * y
+    return product
+
+
+def _split(lead, roots):
+    """lead times (x - root)^m for each (root, m)."""
+    poly = [lead]
+    for root, m in roots:
+        for _ in range(m):
+            poly = _times(poly, [-root, Fraction(1)])
+    return poly
+
+
+def _poly_roots(coeffs):
+    roots, splits = QF.poly_roots([QF.from_fraction(c) for c in coeffs])
+    return tuple(r.raw for r in roots), splits
+
+
+def _sympy_roots(coeffs):
+    """The reference: the linear factors of sympy's factor_list, in its order."""
+    from sympy import Poly, Rational, factor_list, symbols
+
+    lam = symbols("lam")
+    expr = sum((Rational(c.numerator, c.denominator) * lam ** i for i, c in enumerate(coeffs)), 0)
+    roots = []
+    for factor, m in factor_list(expr, lam)[1]:
+        factor = Poly(factor, lam)
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            root = -c0 / c1
+            roots += [Fraction(int(root.p), int(root.q))] * m
+    return tuple(roots), len(roots) == Poly(expr, lam).degree()
+
+
+SIGNS = st.sampled_from([1, -1])
+NEAR_2_64 = st.integers(2 ** 64 - 2 ** 10, 2 ** 64 + 2 ** 10)
+SMALL_ROOTS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+BIG_ROOTS = st.builds(lambda s, p, r: Fraction(s * p, r), SIGNS, NEAR_2_64,
+                      st.one_of(st.integers(1, 12), NEAR_2_64))
+ROOTS = st.lists(st.tuples(st.one_of(st.just(Fraction(0)), SMALL_ROOTS, BIG_ROOTS),
+                           st.integers(1, 3)), max_size=4)
+LEADS = st.builds(lambda s, p, r: Fraction(s * p, r), SIGNS,
+                  st.one_of(st.integers(1, 9), NEAR_2_64), st.integers(1, 9))
+
+
+@st.composite
+def eisenstein(draw):
+    """x^k + p (c_(k-1) x^(k-1) + ... + c_0) with p a prime that does not
+    divide c_0: irreducible over Q by Eisenstein's criterion, degree 2-4."""
+    k, p = draw(st.integers(2, 4)), draw(st.sampled_from([2, 3, 5, 7]))
+    low = draw(st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k - 1))
+    const = draw(st.integers(-20, 20).filter(lambda c: c % p))
+    return [Fraction(p * c) for c in [const, *low]] + [Fraction(1)]
+
+
+@st.composite
+def factored(draw):
+    poly = _split(draw(LEADS), draw(ROOTS))
+    for factor in draw(st.lists(eisenstein(), max_size=2)):
+        poly = _times(poly, factor)
+    return poly
+
+
+DENSE_NEAR_2_64 = st.lists(st.builds(lambda s, p: Fraction(s * p), SIGNS, NEAR_2_64),
+                           min_size=1, max_size=6)
+
+
+class TestRationalRootsAgainstSympy:
+    """RationalField.poly_roots finds rational roots without sympy; it must
+    return what sympy's factor_list gives, order included: the engine takes
+    eigenvalues in this order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(factored(), DENSE_NEAR_2_64))
+    @example([Fraction(-7, 3)])
+    @example([Fraction(1, 2), Fraction(-3)])
+    @example([Fraction(0), Fraction(0), Fraction(0), Fraction(2)])
+    @example(_split(Fraction(-5, 2), [(Fraction(2), 2), (Fraction(-1, 2), 2), (Fraction(1, 3), 1)]))
+    def test_matches_sympy_factor_list(self, coeffs):
+        assert _poly_roots(coeffs) == _sympy_roots(coeffs)
+
+    def test_zero_polynomial_does_not_split(self):
+        assert _poly_roots([Fraction(0)]) == ((), False) == _sympy_roots([Fraction(0)])
+
+    @settings(max_examples=50, deadline=None)
+    @given(LEADS, ROOTS.filter(bool), st.data())
+    def test_perturbed_coefficient_changes_the_roots(self, lead, roots, data):
+        poly = _split(lead, roots)
+        i = data.draw(st.integers(0, len(poly) - 2))
+        delta = data.draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2 ** 64)]))
+        perturbed = poly[:i] + [poly[i] + delta] + poly[i + 1:]
+        assert _poly_roots(poly)[1]
+        assert _poly_roots(perturbed) != _poly_roots(poly)
 
 
 class TestIntegerCoefficients:
