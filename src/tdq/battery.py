@@ -77,18 +77,11 @@ class VerificationReport:
         }
 
 
-def _mat_witness(label: str, lhs: Matrix, rhs: Matrix, **extra) -> dict:
-    w = {"identity": label, "lhs": lhs.render(), "rhs": rhs.render()}
-    w.update(extra)
-    return w
-
-
 def _check_mats(pairs: Iterable[tuple[str, Matrix, Matrix]]) -> list[dict]:
-    out = []
-    for label, lhs, rhs in pairs:
-        if lhs != rhs:
-            out.append(_mat_witness(label, lhs, rhs))
-    return out
+    """A witness ``{"identity", "lhs", "rhs"}`` for every (label, lhs, rhs)
+    with lhs != rhs: the one place a matrix equality is checked and shown."""
+    return [{"identity": label, "lhs": lhs.render(), "rhs": rhs.render()}
+            for label, lhs, rhs in pairs if lhs != rhs]
 
 
 def _exps(s: OperatorSuite) -> tuple[Matrix, Matrix, Matrix, Matrix]:
@@ -221,9 +214,7 @@ def _kb_quadratic(s):
            - ((a ** -1 * q - a * q ** -1) / c) * (s.K * s.B)
            - ((a * q - a ** -1 * q ** -1) / c) * (s.B * s.K)
            + (a ** -1) * (s.B * s.B))
-    if not lhs.is_zero():
-        return [_mat_witness("quadratic K-B relation", lhs, Matrix.zero(s.field, s.n))]
-    return []
+    return _check_mats([("quadratic K-B relation", lhs, Matrix.zero(s.field, s.n))])
 
 
 @_item("kb_triangular_on_splits", "(B - q^(d-2i)I)U_i <= U_0 + ... + U_(i-1) and (K - q^(d-2i)I)U_i^dd <= U_0^dd + ... + U_(i-1)^dd")
@@ -242,9 +233,7 @@ def _psi_four(s):
         recomputed = psi_from_KB(s.K, s.B, s.q, s.a)
     except EngineError as exc:
         return [{"identity": "four expressions", "error": str(exc)}]
-    if recomputed != s.psi:
-        return [_mat_witness("common value vs stored psi", recomputed, s.psi)]
-    return []
+    return _check_mats([("common value vs stored psi", recomputed, s.psi)])
 
 
 @_item("psi_commutation", "K psi = q^2 psi K and B psi = q^2 psi B")
@@ -258,10 +247,7 @@ def _psi_commutation(s):
 
 @_item("psi_nilpotent", "psi^(d+1) = 0")
 def _psi_nilpotent(s):
-    top = s.psi_series.powers[s.d + 1]
-    if not top.is_zero():
-        return [_mat_witness("psi^(d+1)", top, Matrix.zero(s.field, s.n))]
-    return []
+    return _check_mats([("psi^(d+1)", s.psi_series.powers[s.d + 1], Matrix.zero(s.field, s.n))])
 
 
 @_item("psi_lowers_splits", "psi U_i <= U_(i-1) and psi U_i^dd <= U_(i-1)^dd")
@@ -276,13 +262,10 @@ def _psi_lowers_splits(s):
 @_item("psi_geometric_inverses", "(I - a^(+-1) q^(+-1) psi)^-1 = sum_i a^(+-i) q^(+-i) psi^i")
 def _psi_geometric(s):
     a, q = s.a, s.q
-    out = []
-    for label, x in [("aq", a * q), ("a^-1 q", a ** -1 * q),
-                     ("a q^-1", a * q ** -1), ("a^-1 q^-1", a ** -1 * q ** -1)]:
-        product = (s.I - x * s.psi) * s.psi_series.geometric(x)
-        if product != s.I:
-            out.append(_mat_witness(f"(I - {label} psi) * geometric sum", product, s.I))
-    return out
+    return _check_mats(
+        (f"(I - {label} psi) * geometric sum", (s.I - x * s.psi) * s.psi_series.geometric(x), s.I)
+        for label, x in [("aq", a * q), ("a^-1 q", a ** -1 * q),
+                         ("a q^-1", a * q ** -1), ("a^-1 q^-1", a ** -1 * q ** -1)])
 
 
 @_item("bk_rational_in_psi", "BK^-1 = (I - aq psi)(I - a^-1 q psi)^-1 and companions")

@@ -13,12 +13,17 @@ cut by the tails of the eigenspace decomposition of A); from there one tail,
 (U_0 + ... + U_i, or the dual eigenflag that must equal it) and runs the
 split checks.  B is built from {U_i-dd}, and K from {U_i} unless it was given.
 
+Unless supplied, each parameter comes from the operator that fixes it.  On
+(A, K) input the K spectrum q^d, ..., q^-d fixes q, and ``_fit`` then fixes
+a from the eigenvalues theta_i = a q^(d-2i) + a^-1 q^(2i-d) of A.  On (A, A*)
+input ``detect_qracah`` finds (q, a) from those eigenvalues alone.  Given A*,
+``_fit`` fixes b from its eigenvalues for that q.
+
 Every change to coordinates adapted to a decomposition reads the basis and
 its inverse from the :class:`~tdq.linalg.Decomposition`, so each is inverted
-once; every eigenvalue sequence is matched to its parameter by ``_fit``.
-The suite keeps what was derived on the way, for the battery to read: the
-flags of its decompositions and the power series and q-exponentials of psi
-(see :class:`OperatorSuite`).
+once.  The suite keeps what was derived on the way, for the battery to read:
+the flags of its decompositions and the power series and q-exponentials of
+psi (see :class:`OperatorSuite`).
 """
 
 from __future__ import annotations
@@ -109,7 +114,9 @@ class DetectionResult:
 
 
 def detect_qracah(thetas: Sequence[Scalar]) -> DetectionResult:
-    """Find every (q, a) with theta_i = a q^(d-2i) + a^-1 q^(2i-d).
+    """Find every (q, a) with theta_i = a q^(d-2i) + a^-1 q^(2i-d), from the
+    eigenvalues alone: for (A, A*) input without parameters, and ``tdq
+    detect``.  (On (A, K) input K fixes q, and ``_fit`` alone finds a.)
 
     Raises NotQRacahError when the sequence cannot be matched: the three-term
     recurrence theta_(i-1) + theta_(i+1) = (q^2 + q^-2) theta_i is
@@ -153,16 +160,6 @@ def _fit(seq: Sequence[Scalar], q: Scalar, d: int) -> Optional[Scalar]:
     return x
 
 
-def _quadratic_roots_unit_product(s: Scalar, field) -> Optional[tuple[Scalar, Scalar]]:
-    """Roots of x^2 - s x + 1 in the field, or None."""
-    disc = s * s - 4
-    root = field.sqrt(disc)
-    if root is None:
-        return None
-    half = field.one / 2
-    return ((s + root) * half, (s - root) * half)
-
-
 def _fits(thetas, qsq: Scalar, d: int) -> list[tuple[Scalar, Scalar]]:
     """Each (q, a) with q^2 = qsq, q in the field, and thetas =
     theta_sequence(a, q, d); qsq must be nonzero."""
@@ -176,9 +173,9 @@ def _detect_diameter_one(thetas, field):
     """d = 1: theta_0 = aq + (aq)^-1 and theta_1 = a/q + q/a, so the product
     p = aq and the ratio r = a/q each solve their own unit-product quadratic
     (so neither is zero), and q^2 = p/r."""
-    p_roots = _quadratic_roots_unit_product(thetas[0], field)
-    r_roots = _quadratic_roots_unit_product(thetas[1], field)
-    if p_roots is None or r_roots is None:
+    p_roots, _ = field.poly_roots([field.one, -thetas[0], field.one])
+    r_roots, _ = field.poly_roots([field.one, -thetas[1], field.one])
+    if not p_roots or not r_roots:
         raise NotQRacahError(
             "no-field-root", "the quadratic for aq or a/q has no root in the working field"
         )
@@ -209,8 +206,8 @@ def _detect_recurrence(thetas, field, d):
             )
     if (s - 2).is_zero() or (s + 2).is_zero():
         raise NotQRacahError("q4-forced", "q^4 = 1 forced (q^2 + q^-2 = +/-2)")
-    roots = _quadratic_roots_unit_product(s, field)
-    if roots is None:
+    roots, _ = field.poly_roots([field.one, -s, field.one])
+    if not roots:
         raise NotQRacahError(
             "no-field-root", "the quadratic for q^2 has no root in the working field"
         )
@@ -413,8 +410,12 @@ def split_from_AK(A: Matrix, K: Matrix,
                   params: Optional[QRacahParams] = None) -> SplitData:
     """Both split decompositions from (A, K), without the dual operator.
 
-    U_i is the K-eigenspace for q^(d-2i); the second split decomposition is
-    recovered from the flag identity U_0 + ... + U_i = E*-flag, giving
+    K fixes q and d: U_i is the K-eigenspace for q^(d-2i), tried for each q
+    (the supplied one, or each whose powers q^d, ..., q^-d are the K
+    spectrum).  A acts on U_i as theta_i plus a raising part, and ``_fit``
+    fixes a from theta for that q; b is left as supplied, since only A* can
+    fix it.  The second split decomposition is recovered from the flag
+    identity U_0 + ... + U_i = E*-flag, giving
     U_i-dd = (U_0 + ... + U_i) n (E_0 V + ... + E_(d-i) V).
     """
     if A.rows != K.rows or not A.is_square or not K.is_square:
@@ -441,34 +442,23 @@ def split_from_AK(A: Matrix, K: Matrix,
                                             "A does not act as a block lower bidiagonal "
                                             "raising operator on the K-eigenspace ordering")))
             continue
-        if params is not None:
-            if theta != params.thetas:
-                failures.append((2, NotQRacahError("parameter-mismatch",
-                                                   "extracted eigenvalues do not match the "
-                                                   "supplied parameters")))
-                continue
-            a = params.a
-            b = params.b
-        elif len(set(theta)) != len(theta):
+        a = _fit(theta, q, d)
+        if params is not None and a != params.a:
+            failures.append((2, NotQRacahError("parameter-mismatch",
+                                               "extracted eigenvalues do not match the "
+                                               "supplied parameters")))
+            continue
+        if len(set(theta)) != len(theta):
             failures.append((2, NotQRacahError(
                 "eigenvalues-not-distinct", "A has a repeated eigenvalue on the K-eigenspaces")))
             continue
-        else:
-            try:
-                detection = detect_qracah(theta)
-            except NotQRacahError as exc:
-                failures.append((2, exc))
-                continue
-            match = [(sq, sa) for sq, sa in detection.solutions if sq == q]
-            if not match:
-                failures.append((2, NotQRacahError("parameter-detection",
-                                                   "no detected (q, a) shares the q "
-                                                   "recovered from the K spectrum")))
-                continue
-            a = match[0][1]
-            b = None
+        if a is None:
+            failures.append((2, NotQRacahError(
+                "parameter-detection", "no a in the working field fits the eigenvalues "
+                                       "of A for the q of the K spectrum")))
+            continue
 
-        new_params = QRacahParams(d, q, a, b)
+        new_params = QRacahParams(d, q, a, params.b if params is not None else None)
         EV = Decomposition(eigenspace(A, t) for t in theta)
         if sum(s.dim for s in EV) != n:
             failures.append((3, EngineError("not-diagonalizable",

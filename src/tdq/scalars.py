@@ -13,6 +13,8 @@ compare equal.
 sympy is imported only where it is used: the first time a ratfunc field is
 built.  The rational backend never loads it; it finds the rational roots of
 a polynomial (eigenvalues the engine must detect itself) in pure Python.
+``sqrt`` is defined once, for both backends, as the first root of x^2 - v
+that ``poly_roots`` finds.
 
 Scalars are immutable and all operations are pure, so values may be shared
 freely between threads.
@@ -121,9 +123,6 @@ class Scalar:
     def __neg__(self):
         return Scalar(self.field, -self.raw)
 
-    def __pos__(self):
-        return self
-
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
@@ -175,8 +174,8 @@ class Scalar:
 
 class _Field:
     """What both backends share: equality by backend and variable names,
-    coercion, zero and one.  A backend supplies ``backend``, ``variables``,
-    ``from_int`` and ``from_fraction``."""
+    coercion, zero, one and square roots.  A backend supplies ``backend``,
+    ``variables``, ``from_int``, ``from_fraction`` and ``poly_roots``."""
 
     backend: str
     variables: tuple[str, ...] = ()
@@ -197,10 +196,6 @@ class _Field:
             return self.from_int(value)
         if isinstance(value, Fraction):
             return self.from_fraction(value)
-        if isinstance(value, str):
-            from .parser import parse_scalar
-
-            return parse_scalar(value, self)
         raise TypeError(f"cannot coerce {value!r} to a {self.backend} scalar")
 
     @cached_property
@@ -210,6 +205,13 @@ class _Field:
     @cached_property
     def one(self) -> Scalar:
         return self.from_int(1)
+
+    def sqrt(self, value: Scalar) -> Optional[Scalar]:
+        """A square root in the field, or None: the first root of x^2 - value
+        from ``poly_roots``.  A rational square root is the nonnegative one,
+        since a positive root sorts before its negation."""
+        roots, _ = self.poly_roots([-value, self.zero, self.one])
+        return roots[0] if roots else None
 
 
 class RationalField(_Field):
@@ -242,11 +244,6 @@ class RationalField(_Field):
         return (value.raw,)
 
     # -- root extraction ----------------------------------------------------
-
-    def sqrt(self, value: Scalar) -> Optional[Scalar]:
-        """Exact square root, or None when the value is not a square."""
-        root = _fraction_sqrt(value.raw)
-        return None if root is None else Scalar(self, root)
 
     def poly_roots(self, coeffs: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], bool]:
         """Roots in the field of sum(coeffs[i] x^i), with multiplicity.
@@ -378,12 +375,6 @@ class RatFuncField(_Field):
 
     # -- root extraction ----------------------------------------------------
 
-    def sqrt(self, value: Scalar) -> Optional[Scalar]:
-        """A square root in the field (a root of x^2 - value), or None; its
-        sign is whichever the factorization gives."""
-        roots, _ = self.poly_roots([-value, self.zero, self.one])
-        return roots[0] if roots else None
-
     def poly_roots(self, coeffs: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], bool]:
         """Roots in the field of sum(coeffs[i] x^i), with multiplicity, from
         the linear factors of its factorization by sympy."""
@@ -450,15 +441,14 @@ def _poly_terms(poly) -> list[tuple[tuple[int, ...], Fraction]]:
 
 
 def _normalize_fraction(num_terms, den_terms):
-    """Rescale so both parts have coprime integer coefficients and the
-    denominator's leading coefficient is positive."""
-    denominators = [c.denominator for _, c in num_terms] + [c.denominator for _, c in den_terms]
-    numerators = [c.numerator for _, c in num_terms] + [c.numerator for _, c in den_terms]
-    scale = Fraction(math.lcm(*denominators), math.gcd(*numerators))
-    if den_terms[0][1] * scale < 0:
-        scale = -scale
-    num_terms = [(m, c * scale) for m, c in num_terms]
-    den_terms = [(m, c * scale) for m, c in den_terms]
+    """Negate both parts when the denominator's leading term (in render
+    order) is negative.  A value is a fraction reduced over ZZ, so its
+    coefficients are already coprime integers; only the sign can differ from
+    the rendered form, because sympy makes the denominator lead positive in
+    its own monomial order, not in the render's graded one."""
+    if den_terms[0][1] < 0:
+        num_terms = [(m, -c) for m, c in num_terms]
+        den_terms = [(m, -c) for m, c in den_terms]
     return num_terms, den_terms
 
 
@@ -486,18 +476,6 @@ def _render_terms(terms, variables) -> str:
         else:
             parts.append(f" + {piece}" if coeff > 0 else f" - {piece}")
     return "".join(parts)
-
-
-# -- square roots ---------------------------------------------------------------
-
-
-def _fraction_sqrt(value: Fraction) -> Optional[Fraction]:
-    if value < 0:
-        return None
-    rn, rd = math.isqrt(value.numerator), math.isqrt(value.denominator)
-    if rn * rn != value.numerator or rd * rd != value.denominator:
-        return None
-    return Fraction(rn, rd)
 
 
 # -- rational roots ------------------------------------------------------------

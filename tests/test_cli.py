@@ -276,6 +276,24 @@ def test_repeated_block_eigenvalue_exit_1(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "engine"])
+def test_no_a_for_the_k_spectrum_exit_1(tmp_path, command):
+    # K fixes q = 2 or -2, and no a fits A's eigenvalues 1, 2, 3 for either
+    doc = {
+        "format": "tdq-fixture/1",
+        "field": {"backend": "rational"},
+        "matrices": {"A": [["1", "0", "0"], ["1", "2", "0"], ["0", "1", "3"]],
+                     "K": [["4", "0", "0"], ["0", "1", "0"], ["0", "0", "1/4"]]},
+    }
+    fix = tmp_path / "fix.json"
+    fix.write_text(json.dumps(doc))
+    args = [command, str(fix)] + (["--out", str(tmp_path / "o.json")] if command == "engine" else [])
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr == ("mathematical failure: no a in the working field fits the "
+                           "eigenvalues of A for the q of the K spectrum\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "engine"])
 @pytest.mark.parametrize("field, A, K", [
     ({"backend": "rational"}, [["0", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]]),
     ({"backend": "rational"}, [["1", "0"], ["1", "2"]], [["0", "0"], ["0", "1"]]),

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tdq import engine, leonard
 from tdq.engine import EngineError, NotQRacahError
 from tdq.linalg import Matrix, Subspace
+from tdq.params import QRacahParams, validate_params
 from tdq.scalars import rational_field, ratfunc_field
 
 from conftest import make_params
@@ -139,6 +141,37 @@ class TestSplits:
         A_bad = ls.A.transpose()  # raises along the wrong direction for this K
         with pytest.raises(EngineError):
             engine.split_from_AK(A_bad, ls.K, params=p)
+
+
+@st.composite
+def conjugated_ak(draw):
+    """(S A S^-1, S K S^-1) for a q-Racah (A, K) at a grid point, in any frame,
+    with S = L U for unit triangular L and U of small integer entries."""
+    d = draw(st.integers(1, 4))
+    q = scal(draw(st.sampled_from([2, -2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)])))
+    a = scal(draw(st.sampled_from([3, -3, 5, Fraction(1, 3), Fraction(-7, 2), Fraction(2, 5)])))
+    assume(not validate_params(d, q, a))
+    ls = leonard.leonard_suite(QRacahParams(d, q, a), draw(st.sampled_from(leonard.BASES)))
+    n = d + 1
+    entry = st.integers(-2, 2)
+    L = Matrix.from_rows(QF, [[draw(entry) if c < r else int(c == r) for c in range(n)]
+                              for r in range(n)])
+    U = Matrix.from_rows(QF, [[draw(entry) if c > r else int(c == r) for c in range(n)]
+                              for r in range(n)])
+    S = L * U
+    Sinv = S.inverse()
+    return S * ls.A * Sinv, S * ls.K * Sinv
+
+
+class TestParametersFromK:
+    """On (A, K) input K fixes q and one fit of theta fixes a; detection from
+    theta alone, which the (A, K) route does not run, must list that pair."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(conjugated_ak())
+    def test_fitted_pair_is_a_detected_solution(self, case):
+        sd = engine.split_from_AK(*case)
+        assert (sd.params.q, sd.params.a) in engine.detect_qracah(sd.theta).solutions
 
 
 class TestBuildKB:

@@ -97,3 +97,35 @@ def test_no_unused_imports():
         module = f"tdq.{path.stem}"
         stale = [name for name in excepted if (module, name) not in required]
         assert not stale, f"{path.name}: {stale} are not bindings perfbench/tracer.py requires"
+
+
+def _unnamed_private_definitions(package):
+    """``module: name`` for each module-level private function or class of the
+    package whose name occurs nowhere in it, as a name, an attribute or an
+    import, and which no decorator registers."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and not node.decorator_list and node.name not in named]
+
+
+def test_no_unnamed_private_definitions():
+    assert not _unnamed_private_definitions(PACKAGE)
+
+
+def test_an_unnamed_private_helper_is_caught(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "scalars.py", "a") as handle:
+        handle.write("\n\ndef _leftover(value):\n    return value\n")
+    assert _unnamed_private_definitions(tmp_path) == ["scalars.py: _leftover"]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,20 @@ class TestRoots:
         assert QF.sqrt(QF.coerce(2)) is None
         assert QF.sqrt(QF.coerce(-4)) is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(Fraction, st.integers(-2 ** 500, 2 ** 500), st.integers(1, 2 ** 500)))
+    @example(Fraction(0))
+    def test_rational_sqrt_of_square_is_its_absolute_value(self, x):
+        assert QF.sqrt(QF.coerce(x * x)) == abs(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(Fraction, st.integers(-2 ** 500, 2 ** 500).filter(bool),
+                     st.integers(1, 2 ** 500)),
+           st.integers(2, 10 ** 6).filter(lambda k: math.isqrt(k) ** 2 != k))
+    def test_rational_sqrt_of_negative_or_non_square_is_none(self, x, k):
+        assert QF.sqrt(QF.coerce(-x * x)) is None
+        assert QF.sqrt(QF.coerce(k * x * x)) is None
+
     def test_ratfunc_sqrt(self):
         s = parse_scalar("(q^2-q^-2)^2", RF)
         root = RF.sqrt(s)
@@ -346,6 +361,11 @@ class TestIntegerCoefficients:
         ("(1/2)/(q - 1/3)", "(3)/(6*q - 2)", Fraction(3, 16)),
         ("(q^2 - 1/4)/(q + 1/2)", "q - 1/2", Fraction(5, 2)),
         ("q^-1/6", "(1)/(6*q)", Fraction(1, 18)),
+        # sympy leads a denominator with q, the render with its highest
+        # degree term; when that term is negative both parts change sign
+        ("1/(q - a^2)", "(-1)/(a^2 - q)", Fraction(49, 122)),
+        ("(q + 1)/(q - a^2)", "(-q - 1)/(a^2 - q)", Fraction(98, 61)),
+        ("(2*q)/(3*q - 6*a^2)", "(-2*q)/(6*a^2 - 3*q)", Fraction(98, 97)),
     ])
     def test_render_and_specialize(self, text, rendered, at_point):
         value = parse_scalar(text, self.F)
