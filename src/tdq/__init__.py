@@ -15,7 +15,7 @@ from .linalg import (
     nilpotency_index,
     generated_algebra_dim,
 )
-from .qcalc import q_int, q_fact, q_binom, q_exp
+from .qcalc import q_int, q_fact, q_exp
 from .leonard import (
     LeonardSuite,
     leonard_suite,
@@ -89,6 +89,5 @@ __all__ = [
     "generated_algebra_dim",
     "q_int",
     "q_fact",
-    "q_binom",
     "q_exp",
 ]

@@ -13,8 +13,7 @@ q-exponentials.  A family over the indices 0 <= i <= d runs through
 ``_each``, which returns one ``{"identity", "i"}`` witness per failed check.
 
 :func:`verify_battery` is a function of the suite and the requested ids
-alone; it reads no environment variable (``tdq verify`` reads
-``TDQ_BATTERY_FILTER`` itself).
+alone.
 """
 
 from __future__ import annotations
@@ -82,16 +81,6 @@ def _check_mats(pairs: Iterable[tuple[str, Matrix, Matrix]]) -> list[dict]:
     with lhs != rhs: the one place a matrix equality is checked and shown."""
     return [{"identity": label, "lhs": lhs.render(), "rhs": rhs.render()}
             for label, lhs, rhs in pairs if lhs != rhs]
-
-
-def _exps(s: OperatorSuite) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """E+ = exp_q(a/(q-q^-1) psi), E- = exp_q(a^-1/(q-q^-1) psi) and the
-    q^-1 variants at minus the same arguments."""
-    c = s.q - s.q ** -1
-    plus, minus = s.a / c, s.a ** -1 / c
-    series = s.psi_series
-    return (series.exp(plus), series.exp(minus),
-            series.exp(-plus, "q_inverse"), series.exp(-minus, "q_inverse"))
 
 
 def _maps_into(mat: Matrix, source: Subspace, target: Subspace) -> bool:
@@ -439,7 +428,7 @@ def _m_a_quadratic(s):
 
 @_item("exp_intertwine", "K exp_q(a^-1/(q - q^-1) psi) = exp_q(a^-1/(q - q^-1) psi) M and B exp_q(a/(q - q^-1) psi) = exp_q(a/(q - q^-1) psi) M")
 def _exp_intertwine(s):
-    E_plus, E_minus, _, _ = _exps(s)
+    E_plus, E_minus, _, _ = s.psi_series.exps
     return _check_mats([
         ("K E- = E- M", s.K * E_minus, E_minus * s.M),
         ("B E+ = E+ M", s.B * E_plus, E_plus * s.M),
@@ -507,7 +496,7 @@ def _w_dims(s):
 
 @_item("u_w_exp_maps", "U_i = exp_q(a^-1/(q-q^-1) psi) W_i, U_i^dd = exp_q(a/(q-q^-1) psi) W_i, and the inverse maps")
 def _u_w_exp_maps(s):
-    E_plus, E_minus, Einv_plus, Einv_minus = _exps(s)
+    E_plus, E_minus, Einv_plus, Einv_minus = s.psi_series.exps
     return _each(s, lambda i: [
         ("E- W_i = U_i", s.W[i].image(E_minus) == s.U[i]),
         ("E+ W_i = U_i^dd", s.W[i].image(E_plus) == s.Udd[i]),

@@ -8,16 +8,14 @@ usage error.
 from __future__ import annotations
 
 import json
-import os
 
 import click
 
-from .battery import battery_ids, verify_battery
-from .engine import EngineError, NotQRacahError, derive_suite, detect_qracah
+from .battery import VerificationReport, battery_ids, verify_battery
+from .engine import OPERATOR_NAMES, EngineError, NotQRacahError, derive_suite, detect_qracah
 from .fixtures import (
     Fixture,
     FixtureFormatError,
-    OPERATOR_NAMES,
     fixture_from_leonard,
     fixture_from_suite,
     read_fixture,
@@ -27,12 +25,10 @@ from .fixtures import (
 from .leonard import BASES, leonard_suite
 from .params import ParamValidationError, QRacahParams
 from .parser import MAX_DIAMETER, ParseError, parse_scalar
-from .reports import build_report_document, exit_code_for, text_table
 from .scalars import RenderError, get_field
 
 MATH_FAILURE = 1
 USAGE_ERROR = 2
-BATTERY_FILTER_ENV = "TDQ_BATTERY_FILTER"
 
 
 class _Commands(click.Group):
@@ -101,13 +97,11 @@ def generate(ctx, d, q_text, a_text, b_text, basis, backend, out_path):
 
 
 def _battery_filter(ctx, battery: str):
-    """The ids to run, or None for all of them.  ``TDQ_BATTERY_FILTER``
-    (comma-separated ids) overrides ``--battery``; this is the only place it
-    is read, and an unknown id in whichever one applies is a usage error."""
-    env_filter = os.environ.get(BATTERY_FILTER_ENV)
-    if not env_filter and battery == "all":
+    """The ids ``--battery`` names, or None for all of them; an unknown id is
+    a usage error."""
+    if battery == "all":
         return None
-    ids = [x.strip() for x in (env_filter or battery).split(",") if x.strip()]
+    ids = [x.strip() for x in battery.split(",") if x.strip()]
     unknown = set(ids) - set(battery_ids())
     if unknown:
         click.echo(f"error: unknown battery ids: {sorted(unknown)}", err=True)
@@ -115,24 +109,42 @@ def _battery_filter(ctx, battery: str):
     return ids
 
 
-def _suite_from_fixture(fixture: Fixture):
+def _suite_from_fixture(fixture: Fixture, claims=()):
+    """The suite derived from the fixture's A with its K or A*; the operators
+    named in ``claims`` that the fixture carries replace the derived ones."""
     matrices = fixture.matrices
     if "A" not in matrices:
         raise FixtureFormatError("fixture must provide the matrix A")
     if "K" not in matrices and "Astar" not in matrices:
         raise FixtureFormatError("fixture must provide K or Astar alongside A")
-    overrides = {
-        name: matrices[name]
-        for name in OPERATOR_NAMES
-        if name in matrices and name not in ("A", "K", "Astar")
-    }
     return derive_suite(
         matrices["A"],
         K=matrices.get("K"),
         Astar=matrices.get("Astar"),
         params=fixture.params,
-        overrides=overrides,
+        overrides={name: matrices[name] for name in claims if name in matrices},
     )
+
+
+def _text_table(report: VerificationReport) -> str:
+    """What ``verify`` prints; the JSON report is the contract."""
+    width = max((len(e.id) for e in report.entries), default=2) + 2
+    lines = []
+    for e in report.entries:
+        marker = {"pass": "ok", "fail": "FAIL", "skipped-needs-Astar": "skip"}[e.status]
+        lines.append(f"{e.id:<{width}} {marker:<5} {e.anchor}")
+        if e.status == "fail" and e.witness:
+            count = e.witness.get("violation_count")
+            if count:
+                lines.append(f"{'':<{width}} {'':<5} {count} violation(s); first witness kept in the JSON report")
+            if "error" in e.witness:
+                lines.append(f"{'':<{width}} {'':<5} error: {e.witness['error']}")
+    counts = report.counts
+    lines.append(
+        f"total: {len(report.entries)}  pass: {counts['pass']}  "
+        f"fail: {counts['fail']}  skipped: {counts['skipped-needs-Astar']}"
+    )
+    return "\n".join(lines)
 
 
 @main.command()
@@ -145,8 +157,10 @@ def _suite_from_fixture(fixture: Fixture):
 def verify(ctx, fixture_path, battery, report_path):
     """Derive a suite from a fixture and run the identity battery."""
     only = _battery_filter(ctx, battery)
-    suite = _suite_from_fixture(read_fixture(fixture_path))
+    suite = _suite_from_fixture(read_fixture(fixture_path), claims=[
+        name for name in OPERATOR_NAMES if name not in ("A", "K", "Astar")])
     report = verify_battery(suite, only=only)
+    code = 0 if report.passed else MATH_FAILURE
     instance = {
         "source": fixture_path,
         "n": suite.n,
@@ -157,11 +171,10 @@ def verify(ctx, fixture_path, battery, report_path):
     }
     if suite.params.b is not None:
         instance["b"] = suite.params.b.render()
-    doc = build_report_document(report, instance)
     if report_path:
-        write_json(report_path, doc)
-    click.echo(text_table(report))
-    ctx.exit(exit_code_for(report))
+        write_json(report_path, {**report.to_dict(), "instance": instance, "exit_code": code})
+    click.echo(_text_table(report))
+    ctx.exit(code)
 
 
 @main.command()
@@ -169,12 +182,7 @@ def verify(ctx, fixture_path, battery, report_path):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def engine(fixture_path, out_path):
     """Derive the full suite from (A, K) or (A, A*) and emit it as a fixture."""
-    fixture = read_fixture(fixture_path)
-    matrices = fixture.matrices
-    if "A" not in matrices or ("K" not in matrices and "Astar" not in matrices):
-        raise FixtureFormatError("fixture must provide A plus K or Astar")
-    suite = derive_suite(matrices["A"], K=matrices.get("K"),
-                         Astar=matrices.get("Astar"), params=fixture.params)
+    suite = _suite_from_fixture(read_fixture(fixture_path))
     write_fixture(out_path, fixture_from_suite(suite))
     click.echo(f"wrote {out_path}")
 
@@ -193,9 +201,6 @@ def detect(ctx, theta_text, backend):
                   for piece in theta_text.split(",") if piece.strip()]
     except (ParseError, ZeroDivisionError) as exc:
         click.echo(f"error: bad --theta: {exc}", err=True)
-        ctx.exit(USAGE_ERROR)
-    if len(thetas) < 2:
-        click.echo("error: need at least two eigenvalues", err=True)
         ctx.exit(USAGE_ERROR)
     try:
         result = detect_qracah(thetas)

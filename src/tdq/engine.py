@@ -569,8 +569,9 @@ def delta_series_coefficients(d: int, q: Scalar, a: Scalar) -> list[Scalar]:
 class PsiSeries:
     """Series in one lowering operator psi, each built on first use, once:
     the powers I, ..., psi^(d+1), the geometric series sum x^n psi^n, the
-    Delta (or Delta^-1) power series, the q-exponential of x psi, and the
-    product exp_q(a/(q-q^-1) psi) exp_(q^-1)(-a^-1/(q-q^-1) psi) (a and a^-1
+    Delta (or Delta^-1) power series, the q-exponential of x psi, the four
+    q-exponentials the identities name, and the product
+    exp_q(a/(q-q^-1) psi) exp_(q^-1)(-a^-1/(q-q^-1) psi) (a and a^-1
     exchanged for the inverse)."""
 
     def __init__(self, psi: Matrix, q: Scalar, a: Scalar, d: int):
@@ -598,7 +599,19 @@ class PsiSeries:
     def exp(self, x: Scalar, variant: QExpVariant = "q") -> Matrix:
         return self._cached(("exp", x, variant), lambda: q_exp(x * self.psi, self.q, variant))
 
+    @cached_property
+    def exps(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+        """(E+, E-, E+', E-'): E+ = exp_q(a/(q-q^-1) psi), E- =
+        exp_q(a^-1/(q-q^-1) psi), and E+', E-' the q^-1 variants at minus
+        the same arguments."""
+        c = self.q - self.q ** -1
+        plus, minus = self.a / c, self.a ** -1 / c
+        return (self.exp(plus), self.exp(minus),
+                self.exp(-plus, "q_inverse"), self.exp(-minus, "q_inverse"))
+
     def exp_product(self, inverse: bool = False) -> Matrix:
+        # E+ E-' (E- E+' for the inverse), built alone: derive_suite needs
+        # only these two of the four exps
         def build():
             c = self.q - self.q ** -1
             s, t = (self.a ** -1, self.a) if inverse else (self.a, self.a ** -1)
@@ -873,7 +886,6 @@ class AxiomReport:
     theta: Optional[tuple[Scalar, ...]] = None
     theta_star: Optional[tuple[Scalar, ...]] = None
     algebra_dim: Optional[int] = None
-    ordering_note: str = ""
 
 
 def validate_axioms(A: Matrix, Astar: Matrix) -> AxiomReport:
@@ -947,5 +959,4 @@ def validate_axioms(A: Matrix, Astar: Matrix) -> AxiomReport:
         theta=tuple(theta) if theta else None,
         theta_star=tuple(theta_star) if theta_star else None,
         algebra_dim=algebra_dim,
-        ordering_note="the reversed ordering is the only other standard ordering",
     )

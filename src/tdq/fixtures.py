@@ -30,7 +30,6 @@ __all__ = [
     "parse_fixture",
     "read_fixture",
     "write_fixture",
-    "OPERATOR_NAMES",
 ]
 
 FORMAT_TAG = "tdq-fixture/1"

@@ -1,5 +1,4 @@
-"""q-integers, q-factorials, q-binomials, and q-exponentials of nilpotent
-matrices.
+"""q-integers, q-factorials and q-exponentials of nilpotent matrices.
 
 The symmetric q-integer [n] = (q^n - q^-n)/(q - q^-1) is computed as the
 geometric sum q^(n-1) + q^(n-3) + ... + q^(1-n), which needs no division and
@@ -14,7 +13,7 @@ from typing import Literal
 from .linalg import Matrix, nilpotent_powers, power_series
 from .scalars import Scalar
 
-__all__ = ["q_int", "q_fact", "q_binom", "q_exp"]
+__all__ = ["q_int", "q_fact", "q_exp"]
 
 QExpVariant = Literal["q", "q_inverse"]
 
@@ -37,17 +36,6 @@ def q_fact(n: int, q: Scalar) -> Scalar:
     for i in range(1, n + 1):
         result = result * q_int(i, q)
     return result
-
-
-def q_binom(n: int, k: int, q: Scalar) -> Scalar:
-    """[n]! / ([k]! [n-k]!); zero outside 0 <= k <= n.
-
-    Raises ZeroDivisionError when a required q-integer vanishes (q a root of
-    unity of low order), which cannot happen under validated parameters.
-    """
-    if k < 0 or k > n:
-        return q.field.zero
-    return q_fact(n, q) / (q_fact(k, q) * q_fact(n - k, q))
 
 
 def q_exp(t: Matrix, q: Scalar, variant: QExpVariant = "q") -> Matrix:

@@ -315,13 +315,12 @@ class RatFuncField(_Field):
         num, den = raw.numer, raw.denom
         if not num:
             return "0"
-        den_terms = _poly_terms(den)
-        if len(den_terms) == 1 and den_terms[0][0] == _ZERO_MONOMIAL(len(self.variables)):
+        if den.is_ground:
             # constant denominator: fold it into the coefficients
-            const = den_terms[0][1]
+            const = int(den.LC)
             terms = [(mon, coeff / const) for mon, coeff in _poly_terms(num)]
             return _render_terms(terms, self.variables)
-        num_terms, den_terms = _normalize_fraction(_poly_terms(num), den_terms)
+        num_terms, den_terms = _normalize_fraction(_poly_terms(num), _poly_terms(den))
         return "({})/({})".format(
             _render_terms(num_terms, self.variables),
             _render_terms(den_terms, self.variables),
@@ -422,10 +421,6 @@ def get_field(backend: str, variables: Optional[Sequence[str]] = None):
 
 
 # -- rendering helpers -------------------------------------------------------
-
-
-def _ZERO_MONOMIAL(nvars: int) -> tuple[int, ...]:
-    return (0,) * nvars
 
 
 def _poly_terms(poly) -> list[tuple[tuple[int, ...], Fraction]]:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tdq.linalg import Matrix
 from tdq.params import QRacahParams
 from tdq.scalars import rational_field, ratfunc_field
 
@@ -34,6 +35,28 @@ def params_d1(QF):
 @pytest.fixture
 def params_d2(QF):
     return make_params(QF, d=2)
+
+
+def dual_operator(params, c):
+    """A* of the q-Racah Leonard pair in the u frame, where A is lower
+    bidiagonal: upper bidiagonal, with theta*_0, ..., theta*_d on the
+    diagonal and the split sequence phi_1, ..., phi_d above it, where
+    phi_i = ab q^(d+1) (q^i - q^-i)(q^(i-d-1) - q^(d-i+1))
+            (q^-i - c q^(i-d-1)/(ab))(q^-i - q^(i-d-1)/(abc)).
+    This is Terwilliger's q-Racah parameter array (Des. Codes Cryptogr. 34,
+    2005) with a and b inverted, since theta_i here is his with a and a^-1
+    exchanged."""
+    d, q, a, b = params.d, params.q, params.a, params.b
+    field = params.field
+
+    def phi(i):
+        return (a * b * q ** (d + 1) * (q ** i - q ** -i) * (q ** (i - d - 1) - q ** (d - i + 1))
+                * (q ** -i - c * q ** (i - d - 1) / (a * b))
+                * (q ** -i - q ** (i - d - 1) / (a * b * c)))
+
+    return Matrix.from_rows(field, [
+        [params.theta_star(r) if col == r else phi(col) if col == r + 1 else field.zero
+         for col in range(d + 1)] for r in range(d + 1)])
 
 
 def load_perfbench(name):

@@ -95,14 +95,6 @@ class TestFilters:
         with pytest.raises(ValueError):
             verify_battery(suite, only=["nope"])
 
-    def test_environment_is_not_read(self, monkeypatch):
-        # the filter variable belongs to `tdq verify`; the library ignores it
-        suite, _ = rational_suite()
-        monkeypatch.setenv("TDQ_BATTERY_FILTER", "kb_quadratic , m_psi_commutation")
-        report = verify_battery(suite)
-        assert [e.id for e in report.entries] == battery_ids()
-        assert len(report.entries) == 48
-
     def test_report_document_counts_match(self):
         suite, _ = rational_suite()
         report = verify_battery(suite)

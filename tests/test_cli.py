@@ -131,14 +131,8 @@ def test_verify_battery_filter_flag_and_env(tmp_path):
     assert proc.returncode == 0
     assert "total: 2" in proc.stdout
 
-    env = dict(os.environ, TDQ_BATTERY_FILTER="kb_quadratic")
-    proc = run_cli("verify", str(fix), "--battery", "m_definition", env=env)
-    assert proc.returncode == 0
-    assert "total: 1" in proc.stdout and "kb_quadratic" in proc.stdout
-
     # ids are stripped of the spaces around them
-    env = dict(os.environ, TDQ_BATTERY_FILTER=" kb_quadratic , m_psi_commutation")
-    proc = run_cli("verify", str(fix), "--battery", "m_definition", env=env)
+    proc = run_cli("verify", str(fix), "--battery", " kb_quadratic , m_psi_commutation")
     assert proc.returncode == 0
     assert "total: 2" in proc.stdout
     assert "kb_quadratic" in proc.stdout and "m_psi_commutation" in proc.stdout
@@ -146,17 +140,34 @@ def test_verify_battery_filter_flag_and_env(tmp_path):
 
     proc = run_cli("verify", str(fix), "--battery", "bogus_id")
     assert proc.returncode == 2
+    assert "bogus_id" in proc.stderr
 
 
-def test_verify_unknown_env_filter_exit_2(tmp_path):
-    # the environment filter overrides --battery, so it is the one validated
+def test_verify_reads_no_filter_variable(tmp_path):
+    # only --battery selects items; the environment does not
     fix = tmp_path / "fix.json"
     run_cli("generate", "--d", "1", "--q", "2", "--a", "3", "--b", "5",
             "--out", str(fix))
-    env = dict(os.environ, TDQ_BATTERY_FILTER="nope")
-    proc = run_cli("verify", str(fix), env=env)
+    report = tmp_path / "rep.json"
+    proc = run_cli("verify", str(fix), "--report", str(report),
+                   env=dict(os.environ, TDQ_BATTERY_FILTER="kb_quadratic"))
+    assert proc.returncode == 0
+    assert len(json.loads(report.read_text())["entries"]) == 48
+
+
+@pytest.mark.parametrize("matrices, message", [
+    ({"K": [["2", "0"], ["0", "1/2"]]}, "fixture must provide the matrix A"),
+    ({"A": [["1", "0"], ["1", "2"]]}, "fixture must provide K or Astar alongside A"),
+], ids=["no-A", "A-alone"])
+@pytest.mark.parametrize("command", ["verify", "engine"])
+def test_missing_input_operator_exit_2(tmp_path, command, matrices, message):
+    fix = tmp_path / "fix.json"
+    fix.write_text(json.dumps({"format": "tdq-fixture/1", "field": {"backend": "rational"},
+                               "matrices": matrices}))
+    args = [command, str(fix)] + (["--out", str(tmp_path / "o.json")] if command == "engine" else [])
+    proc = run_cli(*args)
     assert proc.returncode == 2
-    assert "nope" in proc.stderr
+    assert proc.stderr == f"error: {message}\n"
 
 
 def _d2_fixture_doc(tmp_path):

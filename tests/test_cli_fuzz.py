@@ -12,8 +12,8 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tdq.cli import main
-from tdq.engine import derive_suite
-from tdq.fixtures import OPERATOR_NAMES, fixture_from_leonard, fixture_from_suite
+from tdq.engine import OPERATOR_NAMES, derive_suite
+from tdq.fixtures import fixture_from_leonard, fixture_from_suite
 from tdq.leonard import leonard_suite
 from tdq.params import QRacahParams
 from tdq.scalars import rational_field
@@ -33,7 +33,7 @@ def workdir():
 
 def run_command(args, what):
     """Run one command; its exit code, which must be 0, 1 or 2."""
-    result = CliRunner().invoke(main, args, env={"TDQ_BATTERY_FILTER": None})
+    result = CliRunner().invoke(main, args)
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise AssertionError(f"{args[0]} raised on {what!r}") from result.exception
     assert result.exit_code in (0, 1, 2), (args[0], what, result.output)

@@ -24,8 +24,7 @@ def _id(workload, entry):
     return f"{workload}-{'-'.join(map(str, entry))}"
 
 
-def _check_commands(workload, entry, work, monkeypatch):
-    monkeypatch.delenv("TDQ_BATTERY_FILTER", raising=False)
+def _check_commands(workload, entry, work):
     for cmd in workloads.instance(workload, entry, work).commands:
         code, output = workloads.run_in_process(cmd)
         assert workloads.check(cmd, code, DIGESTS) is None, (cmd.key, output)
@@ -33,8 +32,8 @@ def _check_commands(workload, entry, work, monkeypatch):
 
 @pytest.mark.parametrize("workload,entry", ENTRIES,
                          ids=[_id(w, e) for w, e in ENTRIES])
-def test_outputs_match_stored_digests(workload, entry, tmp_path, monkeypatch):
-    _check_commands(workload, entry, str(tmp_path), monkeypatch)
+def test_outputs_match_stored_digests(workload, entry, tmp_path):
+    _check_commands(workload, entry, str(tmp_path))
 
 
 @pytest.fixture(scope="module")
@@ -46,5 +45,5 @@ def raw_dense_work(tmp_path_factory):
 
 
 @pytest.mark.parametrize("entry", RAW_DENSE, ids=[_id("raw-dense", e) for e in RAW_DENSE])
-def test_engine_outputs_match_stored_digests(entry, raw_dense_work, monkeypatch):
-    _check_commands("raw-dense", entry, raw_dense_work, monkeypatch)
+def test_engine_outputs_match_stored_digests(entry, raw_dense_work):
+    _check_commands("raw-dense", entry, raw_dense_work)

@@ -4,8 +4,7 @@ exists, and one generate -> verify reaches every span it expects."""
 from conftest import load_perfbench
 
 
-def test_tracer_wraps_and_covers_a_generate_verify_run(tmp_path, monkeypatch):
-    monkeypatch.delenv("TDQ_BATTERY_FILTER", raising=False)
+def test_tracer_wraps_and_covers_a_generate_verify_run(tmp_path):
     workloads = load_perfbench("workloads")
     spans = load_perfbench("tracer")
     tracer = spans.Tracer()
