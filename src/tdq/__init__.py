@@ -26,7 +26,6 @@ from .leonard import (
 from .engine import (
     AxiomReport,
     CrossRouteError,
-    DetectionResult,
     EngineError,
     NotQRacahError,
     OperatorSuite,
@@ -49,7 +48,6 @@ __all__ = [
     "transition_matrix",
     "AxiomReport",
     "CrossRouteError",
-    "DetectionResult",
     "EngineError",
     "NotQRacahError",
     "OperatorSuite",

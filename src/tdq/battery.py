@@ -131,9 +131,9 @@ def _splits_direct(s):
     if not is_direct_decomposition(s.Udd):
         out.append({"identity": "Udd direct", "dims": [x.dim for x in s.Udd]})
     for i in range(s.d + 1):
-        if not (s.U[i].dim == s.Udd[i].dim == s.rho[i]):
+        if s.U[i].dim != s.Udd[i].dim:
             out.append({"identity": "common multiplicity", "i": i,
-                        "dims": [s.U[i].dim, s.Udd[i].dim, s.rho[i]]})
+                        "dims": [s.U[i].dim, s.Udd[i].dim]})
     return out
 
 
@@ -157,16 +157,16 @@ def _dual_eigenflags(s):
 def _a_action_splits(s):
     def checks(i):
         yield ("(A - theta_i)U_i <= U_(i+1)",
-               _maps_into(s.A.shift(s.theta[i]), s.U[i], s.U.at(i + 1)))
+               _maps_into(s.A.shift(s.params.theta(i)), s.U[i], s.U.at(i + 1)))
         yield ("(A - theta_(d-i))U_i^dd <= U_(i+1)^dd",
-               _maps_into(s.A.shift(s.theta[s.d - i]), s.Udd[i], s.Udd.at(i + 1)))
+               _maps_into(s.A.shift(s.params.theta(s.d - i)), s.Udd[i], s.Udd.at(i + 1)))
     return _each(s, checks)
 
 
 @_item("astar_action_splits", "(A* - theta*_i I)U_i <= U_(i-1) and (A* - theta*_i I)U_i^dd <= U_(i-1)^dd", needs_astar=True)
 def _astar_action_splits(s):
     def checks(i):
-        shift = s.Astar.shift(s.theta_star[i])
+        shift = s.Astar.shift(s.params.theta_star(i))
         yield "(A* - theta*_i)U_i <= U_(i-1)", _maps_into(shift, s.U[i], s.U.at(i - 1))
         yield "(A* - theta*_i)U_i^dd <= U_(i-1)^dd", _maps_into(shift, s.Udd[i], s.Udd.at(i - 1))
     return _each(s, checks)
@@ -490,8 +490,8 @@ def _m_spectrum(s):
 
 @_item("w_dims", "dim W_i = rho_i")
 def _w_dims(s):
-    return [{"identity": "dim W_i = rho_i", "i": i, "dim": s.W[i].dim, "rho": s.rho[i]}
-            for i in range(s.d + 1) if s.W[i].dim != s.rho[i]]
+    return [{"identity": "dim W_i = rho_i", "i": i, "dim": s.W[i].dim, "rho": s.U[i].dim}
+            for i in range(s.d + 1) if s.W[i].dim != s.U[i].dim]
 
 
 @_item("u_w_exp_maps", "U_i = exp_q(a^-1/(q-q^-1) psi) W_i, U_i^dd = exp_q(a/(q-q^-1) psi) W_i, and the inverse maps")
@@ -547,7 +547,7 @@ def _a_action_w(s):
 @_item("astar_action_w", "(A* - theta*_i I)W_i <= W_0 + ... + W_(i-1)", needs_astar=True)
 def _astar_action_w(s):
     return _each(s, lambda i: [("(A* - theta*_i)W_i <= W-flag", _maps_into(
-        s.Astar.shift(s.theta_star[i]), s.W[i], s.W.flag(i - 1)))])
+        s.Astar.shift(s.params.theta_star(i)), s.W[i], s.W.flag(i - 1)))])
 
 
 @_item("m_action_splits", "(M - q^(d-2i)I)U_i <= U_0 + ... + U_(i-1), and the same on the second split")

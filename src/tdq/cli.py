@@ -203,7 +203,7 @@ def detect(ctx, theta_text, backend):
         click.echo(f"error: bad --theta: {exc}", err=True)
         ctx.exit(USAGE_ERROR)
     try:
-        result = detect_qracah(thetas)
+        solutions = detect_qracah(thetas)
     except NotQRacahError as exc:
         click.echo(json.dumps({"status": "not-q-racah", "reason": exc.reason,
                                "message": str(exc)}, indent=2, sort_keys=True))
@@ -213,9 +213,8 @@ def detect(ctx, theta_text, backend):
         ctx.exit(USAGE_ERROR)
     doc = {
         "status": "ok",
-        "solutions": [[q.render(), a.render()] for q, a in result.solutions],
-        "representative": [result.representative[0].render(),
-                           result.representative[1].render()],
+        "solutions": [[q.render(), a.render()] for q, a in solutions],
+        "representative": [x.render() for x in solutions[0]],
         "note": "the solution set is closed under (q, a) -> (1/q, 1/a)",
     }
     click.echo(json.dumps(doc, indent=2, sort_keys=True))

@@ -52,7 +52,6 @@ __all__ = [
     "EngineError",
     "NotQRacahError",
     "CrossRouteError",
-    "DetectionResult",
     "detect_qracah",
     "SplitData",
     "split_from_pair",
@@ -98,25 +97,13 @@ class CrossRouteError(EngineError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    """All (q, a) solutions in the working field, sorted canonically.
-
-    The solution set is closed under (q, a) -> (1/q, 1/a); the first entry is
-    the deterministic representative (lexicographically smallest rendering).
-    """
-
-    solutions: tuple[tuple[Scalar, Scalar], ...]
-
-    @property
-    def representative(self) -> tuple[Scalar, Scalar]:
-        return self.solutions[0]
-
-
-def detect_qracah(thetas: Sequence[Scalar]) -> DetectionResult:
-    """Find every (q, a) with theta_i = a q^(d-2i) + a^-1 q^(2i-d), from the
+def detect_qracah(thetas: Sequence[Scalar]) -> tuple[tuple[Scalar, Scalar], ...]:
+    """Every (q, a) with theta_i = a q^(d-2i) + a^-1 q^(2i-d), from the
     eigenvalues alone: for (A, A*) input without parameters, and ``tdq
     detect``.  (On (A, K) input K fixes q, and ``_fit`` alone finds a.)
+
+    The pairs are sorted by rendering, so the first is the deterministic
+    representative; the set is closed under (q, a) -> (1/q, 1/a).
 
     Raises NotQRacahError when the sequence cannot be matched: the three-term
     recurrence theta_(i-1) + theta_(i+1) = (q^2 + q^-2) theta_i is
@@ -141,8 +128,7 @@ def detect_qracah(thetas: Sequence[Scalar]) -> DetectionResult:
             "a-system-inconsistent",
             "no (q, a) pair in the working field reproduces the eigenvalue sequence",
         )
-    ordered = tuple(verified[key] for key in sorted(verified))
-    return DetectionResult(ordered)
+    return tuple(verified[key] for key in sorted(verified))
 
 
 def _fit(seq: Sequence[Scalar], q: Scalar, d: int) -> Optional[Scalar]:
@@ -226,14 +212,14 @@ def _detect_recurrence(thetas, field, d):
 
 @dataclass(frozen=True)
 class SplitData:
+    """The split decompositions with the parameters that fix theta_i (and
+    theta*_i when b is known); rho_i is dim U_i."""
+
     params: QRacahParams
-    theta: tuple[Scalar, ...]
-    theta_star: Optional[tuple[Scalar, ...]]
     U: Decomposition
     Udd: Decomposition
     EV: Decomposition
-    EstarV: Optional[Decomposition]
-    rho: tuple[int, ...]
+    EstarV: Optional[Decomposition] = None
 
 
 def _eigenvalues(m: Matrix) -> list[Scalar]:
@@ -340,7 +326,7 @@ def split_from_pair(A: Matrix, Astar: Matrix,
             order, theta = order[::-1], theta[::-1]
     else:
         # the representative solves the sequence in this exact order
-        q, a = detect_qracah(theta).representative
+        q, a = detect_qracah(theta)[0]
     EV = Decomposition(aspaces[i] for i in order)
 
     sorder = _path_ordering(sspaces, A)
@@ -348,36 +334,33 @@ def split_from_pair(A: Matrix, Astar: Matrix,
         raise EngineError("no-standard-ordering",
                           "the first operator does not act tridiagonally on any "
                           "ordering of the dual eigenspaces")
-    theta_star = [svals[i] for i in sorder]
-    b = params.b if params is not None else None
-    oriented = _orient_dual(theta_star, q, d, b)
+    oriented = _orient_dual([svals[i] for i in sorder], q, d,
+                            params.b if params is not None else None)
     if oriented is None:
         raise NotQRacahError("dual-parameter-failure",
                              "no b in the working field matches the dual eigenvalues")
-    theta_star, sorder_flip, b = oriented
-    if sorder_flip:
+    flip, b = oriented
+    if flip:
         sorder = sorder[::-1]
     EstarV = Decomposition(sspaces[i] for i in sorder)
     U = Decomposition(subspace_intersect(EstarV.flags[i], EV.tails[i]) for i in range(d + 1))
-    return _split(QRacahParams(d, q, a, b), theta, U, EV, EstarV.flags, theta_star, EstarV)
+    return _split(QRacahParams(d, q, a, b), U, EV, EstarV.flags, EstarV)
 
 
 def _orient_dual(theta_star, q, d, b=None):
-    """Pick the orientation of the dual eigenvalue sequence compatible with q
-    (reversal swaps b and 1/b), preferring the given b when supplied."""
+    """(flip, b) for the orientation of the dual eigenvalue sequence
+    compatible with q (reversal swaps b and 1/b), preferring the given b when
+    supplied; None if neither fits."""
     options = []
     for flip in (False, True):
-        seq = theta_star[::-1] if flip else theta_star
-        bval = _fit(seq, q, d)
+        bval = _fit(theta_star[::-1] if flip else theta_star, q, d)
         if bval is not None and (b is None or bval == b):
-            options.append((tuple(seq), flip, bval))
-    return min(options, key=lambda item: item[2].render(), default=None)
+            options.append((flip, bval))
+    return min(options, key=lambda item: item[1].render(), default=None)
 
 
-def _split(params: QRacahParams, theta: tuple[Scalar, ...], U: Decomposition,
-           EV: Decomposition, flags: Sequence[Subspace],
-           theta_star: Optional[tuple[Scalar, ...]] = None,
-           EstarV: Optional[Decomposition] = None) -> SplitData:
+def _split(params: QRacahParams, U: Decomposition, EV: Decomposition,
+           flags: Sequence[Subspace], EstarV: Optional[Decomposition] = None) -> SplitData:
     """The split data once U is known: U_i-dd = flags[i] n (E_0 V + ... +
     E_(d-i) V), then directness, common multiplicities and the flag sum
     identities are checked."""
@@ -403,7 +386,7 @@ def _split(params: QRacahParams, theta: tuple[Scalar, ...], U: Decomposition,
             raise EngineError("split-failure", f"flag mismatch at index {i}")
         if EstarV is not None and EstarV.flags[i] != U.flags[i]:
             raise EngineError("split-failure", f"dual flag mismatch at index {i}")
-    return SplitData(params, theta, theta_star, U, Udd, EV, EstarV, tuple(s.dim for s in U))
+    return SplitData(params, U, Udd, EV, EstarV)
 
 
 def split_from_AK(A: Matrix, K: Matrix,
@@ -464,42 +447,30 @@ def split_from_AK(A: Matrix, K: Matrix,
             failures.append((3, EngineError("not-diagonalizable",
                                             "A is not diagonalizable over the working field")))
             continue
-        return _split(new_params, theta, U, EV, U.flags)
-    if failures:
-        # max keeps the first of equal stages: the earliest candidate's failure
-        raise max(failures, key=lambda f: f[0])[1]
-    raise EngineError("spectrum-mismatch", "no admissible (q, d) fits the K spectrum")
+        return _split(new_params, U, EV, U.flags)
+    # every candidate failed (there is at least one); max keeps the first of
+    # equal stages: the earliest candidate's failure
+    raise max(failures, key=lambda f: f[0])[1]
 
 
 def _k_spectrum_candidates(K: Matrix) -> list[tuple[Scalar, int]]:
-    """Candidate q values such that the K spectrum is {q^(d-2i)}."""
+    """Each (x, d) whose powers x^d, x^(d-2), ..., x^-d are the K spectrum.
+
+    For odd d, q itself is an eigenvalue, so x ranges over the eigenvalues;
+    for even d, q^2 is one, so x ranges over the square roots of each.
+    """
     values = _eigenvalues(K)
     d = len(values) - 1
     if d < 1:
         raise EngineError("diameter-zero", "K must have at least two eigenvalues")
-    field = K.field
-    found: dict[str, Scalar] = {}
-    value_set = set(values)
-    for top in values:
-        for second in values:
-            if second == top or not top or not second:  # no q^(d-2i) is 0
-                continue
-            ratio = second / top
-            chain = [top]
-            for _ in range(d):
-                chain.append(chain[-1] * ratio)
-            if set(chain) != value_set or len(set(chain)) != d + 1:
-                continue
-            qsq = ratio ** -1
-            if d % 2:
-                qc = chain[(d - 1) // 2]
-                if (qc * qc - qsq).is_zero():
-                    found.setdefault(qc.render(), qc)
-            else:
-                root = field.sqrt(qsq)
-                if root is not None:
-                    for q in (root, -root):
-                        found.setdefault(q.render(), q)
+    if d % 2:
+        xs = values
+    else:
+        roots = (K.field.sqrt(v) for v in values)
+        xs = [x for root in roots if root is not None for x in (root, -root)]
+    spectrum = set(values)
+    found = {x.render(): x for x in xs
+             if x and {x ** (d - 2 * i) for i in range(d + 1)} == spectrum}
     if not found:
         raise EngineError("spectrum-mismatch",
                           "the K spectrum is not a geometric chain q^d, ..., q^-d")
@@ -619,8 +590,7 @@ class PsiSeries:
         return self._cached(("exp_product", inverse), build)
 
 
-def delta_from_characterization(U: Sequence[Subspace], Udd: Sequence[Subspace],
-                                 field) -> Matrix:
+def delta_from_characterization(U: Sequence[Subspace], Udd: Sequence[Subspace]) -> Matrix:
     """The unique operator with Delta U_i <= U_i-dd and
     (Delta - I) U_i <= U_0 + ... + U_(i-1).
 
@@ -635,7 +605,7 @@ def delta_from_characterization(U: Sequence[Subspace], Udd: Sequence[Subspace],
             and U.flags == Udd.flags):
         raise EngineError("delta-characterization",
                           "the split sequences are not direct decompositions with equal flags")
-    n = U[0].ambient
+    field, n = U[0].field, U[0].ambient
     C = Udd.coordinates * U.basis
     block = [i for i, rows in enumerate(U.blocks) for _ in rows]
     C = Matrix(field, n, n, [C[r, c] if block[r] == block[c] else field.zero
@@ -656,7 +626,8 @@ class OperatorSuite:
     converted).  ``psi_series`` is replaced by a fresh one unless it was built
     for a psi, q, a and d equal to this suite's, so a claimed psi never sees
     a stale series.  The identity, K^-1 and B^-1 are built on first use, per
-    instance.
+    instance.  theta_i and theta*_i are read from ``params``, rho_i is
+    ``U[i].dim``.
     """
 
     params: QRacahParams
@@ -669,14 +640,11 @@ class OperatorSuite:
     Minv: Matrix
     Delta: Matrix
     Deltainv: Matrix
-    theta: tuple[Scalar, ...]
     U: Decomposition
     Udd: Decomposition
     W: Decomposition
     EV: Decomposition
-    rho: tuple[int, ...]
     Astar: Optional[Matrix] = None
-    theta_star: Optional[tuple[Scalar, ...]] = None
     EstarV: Optional[Decomposition] = None
     psi_series: Optional[PsiSeries] = dataclass_field(default=None, compare=False, repr=False)
 
@@ -771,7 +739,7 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
 
     Delta_series = series.delta()
     Delta_exp = series.exp_product()
-    Delta_tri = delta_from_characterization(sd.U, sd.Udd, field)
+    Delta_tri = delta_from_characterization(sd.U, sd.Udd)
     if Delta_series != Delta_exp:
         raise CrossRouteError("power series and exponential product for Delta disagree",
                               Delta_series, Delta_exp)
@@ -791,9 +759,8 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
 
     suite = OperatorSuite(
         params=prms, n=n, A=A, K=K_op, B=B_op, psi=psi, M=M, Minv=Minv,
-        Delta=Delta_series, Deltainv=Deltainv, theta=sd.theta,
-        U=sd.U, Udd=sd.Udd, W=W, EV=sd.EV, rho=sd.rho,
-        Astar=Astar, theta_star=sd.theta_star, EstarV=sd.EstarV, psi_series=series,
+        Delta=Delta_series, Deltainv=Deltainv, U=sd.U, Udd=sd.Udd, W=W, EV=sd.EV,
+        Astar=Astar, EstarV=sd.EstarV, psi_series=series,
     )
     if overrides:
         suite = replace(suite, **overrides)
@@ -822,8 +789,7 @@ def _attach_astar(sd: SplitData, Astar: Matrix) -> SplitData:
                               "the dual eigenspaces do not refine the split flags")
         order.append(inside[0])
         remaining.remove(inside[0])
-    theta_star = [svals[i] for i in order]
-    b = _fit(theta_star, q, d)
+    b = _fit([svals[i] for i in order], q, d)
     if b is None:
         raise NotQRacahError("dual-parameter-failure",
                              "no b in the working field matches the dual eigenvalues")
@@ -831,8 +797,7 @@ def _attach_astar(sd: SplitData, Astar: Matrix) -> SplitData:
         raise NotQRacahError("dual-parameter-failure",
                              "supplied b does not match the dual eigenvalues")
     EstarV = Decomposition(sspaces[i] for i in order)
-    return replace(sd, params=sd.params.with_b(b), theta_star=tuple(theta_star),
-                   EstarV=EstarV)
+    return replace(sd, params=sd.params.with_b(b), EstarV=EstarV)
 
 
 def downarrow(suite: OperatorSuite) -> OperatorSuite:
@@ -858,8 +823,6 @@ def downarrow(suite: OperatorSuite) -> OperatorSuite:
         raise EngineError("downarrow-mismatch", "the halfway decomposition moved")
     if flipped.U != suite.Udd or flipped.Udd != suite.U:
         raise EngineError("downarrow-mismatch", "the split decompositions did not swap")
-    if flipped.theta != tuple(reversed(suite.theta)):
-        raise EngineError("downarrow-mismatch", "eigenvalue sequence did not reverse")
     return flipped
 
 

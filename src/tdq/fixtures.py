@@ -79,7 +79,7 @@ def fixture_from_leonard(suite: LeonardSuite) -> Fixture:
 
 
 def fixture_from_suite(suite: OperatorSuite) -> Fixture:
-    matrices = {name: getattr(suite, name) for name in KINDS + ("Astar",)
+    matrices = {name: getattr(suite, name) for name in OPERATOR_NAMES
                 if getattr(suite, name) is not None}
     subspaces: dict[str, Subspace] = {}
     for name, spaces in (("U", suite.U), ("Udd", suite.Udd), ("W", suite.W)):

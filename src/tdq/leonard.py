@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .engine import CrossRouteError, PsiSeries, psi_from_KB
+from .engine import OPERATOR_NAMES, CrossRouteError, PsiSeries, psi_from_KB
 from .linalg import Matrix
 from .params import QRacahParams
 from .qcalc import q_exp, q_fact
@@ -52,7 +52,7 @@ __all__ = [
     "leonard_suite",
 ]
 
-KINDS = ("A", "K", "B", "M", "Minv", "Delta", "Deltainv", "psi")
+KINDS = tuple(name for name in OPERATOR_NAMES if name != "Astar")
 BASES = ("u", "udd", "w")
 
 

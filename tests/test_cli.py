@@ -305,6 +305,26 @@ def test_no_a_for_the_k_spectrum_exit_1(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "engine"])
+def test_uncentred_k_spectrum_exit_1(tmp_path, command):
+    # 2, 1/2, 1/8 is geometric with ratio 1/4, but its middle value is not
+    # q^0 = 1, so no q has the powers q^2, 1, q^-2
+    doc = {
+        "format": "tdq-fixture/1",
+        "field": {"backend": "rational"},
+        "matrices": {"A": [["1", "0", "0"], ["1", "2", "0"], ["0", "1", "3"]],
+                     "K": [["2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1/8"]]},
+    }
+    fix = tmp_path / "fix.json"
+    fix.write_text(json.dumps(doc))
+    args = [command, str(fix)] + (["--out", str(tmp_path / "o.json")] if command == "engine" else [])
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("mathematical failure: the K spectrum is not a geometric chain "
+                           "q^d, ..., q^-d\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "engine"])
 @pytest.mark.parametrize("field, A, K", [
     ({"backend": "rational"}, [["0", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]]),
     ({"backend": "rational"}, [["1", "0"], ["1", "2"]], [["0", "0"], ["0", "1"]]),

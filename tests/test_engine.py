@@ -31,27 +31,26 @@ def d1_full_fixture():
 class TestDetect:
     def test_d2_forward_inverse_pair(self):
         thetas = [scal(Fraction(145, 12)), scal(Fraction(10, 3)), scal(Fraction(25, 12))]
-        result = engine.detect_qracah(thetas)
-        pairs = {(str(q), str(a)) for q, a in result.solutions}
+        pairs = {(str(q), str(a)) for q, a in engine.detect_qracah(thetas)}
         assert ("2", "3") in pairs and ("1/2", "1/3") in pairs
         # consistency value of the recurrence
         assert (thetas[0] + thetas[2]) / thetas[1] == Fraction(17, 4)
 
     def test_d1_admits_a_q_swap(self):
         thetas = [scal(Fraction(37, 6)), scal(Fraction(13, 6))]
-        pairs = {(str(q), str(a)) for q, a in engine.detect_qracah(thetas).solutions}
+        pairs = {(str(q), str(a)) for q, a in engine.detect_qracah(thetas)}
         assert ("2", "3") in pairs and ("3", "2") in pairs
 
     def test_d1_odd_negation_closure(self):
         thetas = [scal(Fraction(37, 6)), scal(Fraction(13, 6))]
-        pairs = {(str(q), str(a)) for q, a in engine.detect_qracah(thetas).solutions}
+        pairs = {(str(q), str(a)) for q, a in engine.detect_qracah(thetas)}
         assert ("-2", "-3") in pairs
 
     def test_inverse_closure(self):
         thetas = [make_params(QF, d=3).theta(i) for i in range(4)]
         result = engine.detect_qracah(thetas)
-        pairs = {(str(q), str(a)) for q, a in result.solutions}
-        assert all((str(q ** -1), str(a ** -1)) in pairs for q, a in result.solutions)
+        pairs = {(str(q), str(a)) for q, a in result}
+        assert all((str(q ** -1), str(a ** -1)) in pairs for q, a in result)
 
     def test_arithmetic_progression_rejected(self):
         with pytest.raises(NotQRacahError) as err:
@@ -80,8 +79,7 @@ class TestDetect:
         thetas = [make_params(QF, d=2).theta(i) for i in range(3)]
         r1 = engine.detect_qracah(thetas)
         r2 = engine.detect_qracah(list(thetas))
-        assert [(str(q), str(a)) for q, a in r1.solutions] == \
-            [(str(q), str(a)) for q, a in r2.solutions]
+        assert [(str(q), str(a)) for q, a in r1] == [(str(q), str(a)) for q, a in r2]
 
 
 class TestSplits:
@@ -100,7 +98,7 @@ class TestSplits:
             p = make_params(QF, d=d)
             ls = leonard.leonard_suite(p, "u")
             sd = engine.split_from_AK(ls.A, ls.K)
-            assert sum(sd.rho) == d + 1
+            assert sum(s.dim for s in sd.U) == d + 1
 
     def test_split_from_pair_degenerate_ends(self):
         p, A, Astar = d1_full_fixture()
@@ -171,7 +169,95 @@ class TestParametersFromK:
     @given(conjugated_ak())
     def test_fitted_pair_is_a_detected_solution(self, case):
         sd = engine.split_from_AK(*case)
-        assert (sd.params.q, sd.params.a) in engine.detect_qracah(sd.theta).solutions
+        assert (sd.params.q, sd.params.a) in engine.detect_qracah(sd.params.thetas)
+
+
+def _chain_search(K):
+    """Reference for ``engine._k_spectrum_candidates``: each ordered pair of
+    eigenvalues starts a geometric chain, which must cover the spectrum; q
+    is the middle link (odd d) or a root of the inverse ratio (even d).
+    Returns [] where the engine raises."""
+    values = engine._eigenvalues(K)
+    d = len(values) - 1
+    found = {}
+    for top in values:
+        for second in values:
+            if second == top or not top or not second:
+                continue
+            ratio = second / top
+            chain = [top]
+            for _ in range(d):
+                chain.append(chain[-1] * ratio)
+            if set(chain) != set(values) or len(set(chain)) != d + 1:
+                continue
+            qsq = ratio ** -1
+            if d % 2:
+                qc = chain[(d - 1) // 2]
+                if (qc * qc - qsq).is_zero():
+                    found.setdefault(qc.render(), qc)
+            else:
+                root = K.field.sqrt(qsq)
+                if root is not None:
+                    for q in (root, -root):
+                        found.setdefault(q.render(), q)
+    return [(found[key].render(), d) for key in sorted(found, key=lambda k: (len(k), k))]
+
+
+def _spectra(rng, field, count):
+    """(kind, d, spectrum) for centred chains q^(d-2i), uncentred chains
+    c q^(d-2i), squared chains q^(2(d-2i)) and random sets, d = 1..5."""
+    small = [Fraction(n, m) for n in range(-5, 6) for m in (1, 2, 3) if n]
+    for _ in range(count):
+        d = rng.randint(1, 5)
+        q = field.coerce(rng.choice([x for x in small if abs(x) != 1]))
+        chain = [q ** (d - 2 * i) for i in range(d + 1)]
+        kind = rng.choice(["centred", "uncentred", "squared", "random"])
+        if kind == "uncentred":
+            c = field.coerce(rng.choice([x for x in small if x != 1]))
+            chain = [c * x for x in chain]
+        elif kind == "squared":
+            chain = [x * x for x in chain]
+        elif kind == "random":
+            chain = [field.coerce(rng.choice(small + [0])) for _ in range(d + 1)]
+        yield kind, d, chain
+
+
+class TestKSpectrumCandidates:
+    """The powers test of ``_k_spectrum_candidates`` against the chain search it
+    replaced: equal lists, except that an uncentred chain at even d, which the
+    search accepted and ``split_from_AK`` then rejected, is rejected at once."""
+
+    @staticmethod
+    def _compare(kind, d, spectrum):
+        K = Matrix.diagonal(spectrum[0].field, spectrum)
+        expected = _chain_search(K)
+        try:
+            got = [(q.render(), e) for q, e in engine._k_spectrum_candidates(K)]
+        except EngineError as exc:
+            if exc.reason == "diameter-zero":
+                assert len(set(spectrum)) == 1
+                return "diameter-zero"
+            assert exc.reason == "spectrum-mismatch"
+            assert expected == [] or (kind == "uncentred" and d % 2 == 0), (kind, spectrum)
+            return "rejected" if expected == [] else "uncentred-even"
+        assert got == expected, (kind, spectrum)
+        return "equal"
+
+    def test_rational_spectra(self):
+        rng = random.Random(16)
+        outcomes = [self._compare(*case) for case in _spectra(rng, QF, 300)]
+        assert {"equal", "rejected", "uncentred-even"} <= set(outcomes)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_ratfunc_chains(self, d):
+        RF = ratfunc_field(("q", "a"))
+        q, a = RF.generator("q"), RF.generator("a")
+        chain = [q ** (d - 2 * i) for i in range(d + 1)]
+        cases = [("centred", chain), ("uncentred", [a * x for x in chain]),
+                 ("squared", [x * x for x in chain]), ("random", [q, a, q + a, q * a, a - 1][:d + 1])]
+        outcomes = {kind: self._compare(kind, d, spectrum) for kind, spectrum in cases}
+        assert outcomes["centred"] == "equal"
+        assert outcomes["uncentred"] == ("uncentred-even" if d % 2 == 0 else "rejected")
 
 
 class TestBuildKB:
@@ -271,7 +357,7 @@ class TestDeltaCharacterization:
     def test_plain_sequences_give_the_suite_delta(self):
         ls = leonard.leonard_suite(make_params(QF, d=3), "u")
         suite = engine.derive_suite(ls.A, K=ls.K)
-        delta = engine.delta_from_characterization(tuple(suite.U), tuple(suite.Udd), QF)
+        delta = engine.delta_from_characterization(tuple(suite.U), tuple(suite.Udd))
         assert delta == suite.Delta
 
     def test_swapped_udd_spaces_rejected(self):
@@ -280,7 +366,7 @@ class TestDeltaCharacterization:
         Udd = list(suite.Udd)
         Udd[0], Udd[1] = Udd[1], Udd[0]
         with pytest.raises(EngineError) as exc:
-            engine.delta_from_characterization(suite.U, Udd, QF)
+            engine.delta_from_characterization(suite.U, Udd)
         assert exc.value.reason == "delta-characterization"
 
 
@@ -307,8 +393,7 @@ class TestSuiteDerivedData:
         ls = leonard.leonard_suite(p, "u")
         s = engine.derive_suite(ls.A, K=ls.K)
         fields = {name: getattr(s, name) for name in (
-            "params", "n", "A", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv",
-            "theta", "rho")}
+            "params", "n", "A", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv")}
         fields.update({name: tuple(getattr(s, name)) for name in ("U", "Udd", "W", "EV")})
         built = engine.OperatorSuite(**fields)
         assert isinstance(built.U, Decomposition) and built.U == s.U
@@ -326,7 +411,7 @@ class TestDownarrow:
         assert dd.M == s.M and dd.psi == s.psi
         assert dd.Delta == s.Deltainv
         assert dd.W == s.W
-        assert dd.theta == tuple(reversed(s.theta))
+        assert dd.params.thetas == tuple(reversed(s.params.thetas))
 
     def test_involution(self):
         p = make_params(QF, d=1)
@@ -340,7 +425,7 @@ class TestDownarrow:
         s = engine.derive_suite(A, Astar=Astar)
         dd = engine.downarrow(s)
         assert dd.EstarV == s.EstarV
-        assert dd.theta_star == s.theta_star
+        assert dd.params.b == s.params.b
 
 
 class TestValidateAxioms:

@@ -129,3 +129,31 @@ def test_an_unnamed_private_helper_is_caught(tmp_path):
     with open(tmp_path / "scalars.py", "a") as handle:
         handle.write("\n\ndef _leftover(value):\n    return value\n")
     assert _unnamed_private_definitions(tmp_path) == ["scalars.py: _leftover"]
+
+
+def _bad_exports(module):
+    """Names in the module's ``__all__`` that it does not bind, or lists twice."""
+    names = list(getattr(module, "__all__", ()))
+    missing = [name for name in names if not hasattr(module, name)]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    return missing + repeated
+
+
+def test_all_lists_each_bound_name_once():
+    import importlib
+
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    for path in modules:
+        name = "tdq" if path.name == "__init__.py" else f"tdq.{path.stem}"
+        module = importlib.import_module(name)
+        assert not _bad_exports(module), f"{name}: bad __all__ entries {_bad_exports(module)}"
+
+
+def test_a_stale_export_is_caught():
+    import types
+
+    module = types.ModuleType("stale")
+    module.present = object()
+    module.__all__ = ["present", "DetectionResult", "present"]
+    assert _bad_exports(module) == ["DetectionResult", "present"]

@@ -41,7 +41,7 @@ def test_doubled_d2_suite(frame, with_params):
     S, Sinv = _unipotent(6)
     suite = engine.derive_suite(_doubled(ls.A, S, Sinv), K=_doubled(ls.K, S, Sinv),
                                 params=p if with_params else None)
-    assert suite.rho == (2, 2, 2)
+    assert tuple(s.dim for s in suite.U) == (2, 2, 2)
     assert suite.U.blocks == (range(0, 2), range(2, 4), range(4, 6))
     assert suite.U.coordinates * suite.U.basis == suite.I
     assert _counts(suite) == (43, 0, 5)
@@ -59,7 +59,7 @@ def _doubled_d1(S, Sinv):
 def test_doubled_d1_suite_with_dual(with_k):
     A, K, Astar = _doubled_d1(*_unipotent(4))
     suite = engine.derive_suite(A, K=K if with_k else None, Astar=Astar)
-    assert suite.rho == (2, 2)
+    assert tuple(s.dim for s in suite.U) == (2, 2)
     assert _counts(suite) == (48, 0, 0)
 
 
