@@ -614,7 +614,7 @@ def verify_battery(suite: OperatorSuite,
     for item_id, anchor, needs_astar, fn in _REGISTRY:
         if selected is not None and item_id not in selected:
             continue
-        if needs_astar and not suite.has_astar:
+        if needs_astar and suite.Astar is None:
             entries.append(BatteryEntry(item_id, anchor, "skipped-needs-Astar"))
             continue
         try:

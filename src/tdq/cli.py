@@ -8,6 +8,7 @@ usage error.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import click
 
@@ -109,21 +110,15 @@ def _battery_filter(ctx, battery: str):
     return ids
 
 
-def _suite_from_fixture(fixture: Fixture, claims=()):
-    """The suite derived from the fixture's A with its K or A*; the operators
-    named in ``claims`` that the fixture carries replace the derived ones."""
+def _suite_from_fixture(fixture: Fixture):
+    """The suite derived from the fixture's A with its K or A*."""
     matrices = fixture.matrices
     if "A" not in matrices:
         raise FixtureFormatError("fixture must provide the matrix A")
     if "K" not in matrices and "Astar" not in matrices:
         raise FixtureFormatError("fixture must provide K or Astar alongside A")
-    return derive_suite(
-        matrices["A"],
-        K=matrices.get("K"),
-        Astar=matrices.get("Astar"),
-        params=fixture.params,
-        overrides={name: matrices[name] for name in claims if name in matrices},
-    )
+    return derive_suite(matrices["A"], K=matrices.get("K"), Astar=matrices.get("Astar"),
+                        params=fixture.params)
 
 
 def _text_table(report: VerificationReport) -> str:
@@ -157,20 +152,15 @@ def _text_table(report: VerificationReport) -> str:
 def verify(ctx, fixture_path, battery, report_path):
     """Derive a suite from a fixture and run the identity battery."""
     only = _battery_filter(ctx, battery)
-    suite = _suite_from_fixture(read_fixture(fixture_path), claims=[
-        name for name in OPERATOR_NAMES if name not in ("A", "K", "Astar")])
+    fixture = read_fixture(fixture_path)
+    # the fixture's other operators are claims for the battery to check
+    suite = replace(_suite_from_fixture(fixture), **{
+        name: m for name, m in fixture.matrices.items()
+        if name in OPERATOR_NAMES and name not in ("A", "K", "Astar")})
     report = verify_battery(suite, only=only)
     code = 0 if report.passed else MATH_FAILURE
-    instance = {
-        "source": fixture_path,
-        "n": suite.n,
-        "d": suite.d,
-        "backend": suite.field.backend,
-        "q": suite.q.render(),
-        "a": suite.a.render(),
-    }
-    if suite.params.b is not None:
-        instance["b"] = suite.params.b.render()
+    instance = {"source": fixture_path, "n": suite.n, "backend": suite.field.backend,
+                **suite.params.render()}
     if report_path:
         write_json(report_path, {**report.to_dict(), "instance": instance, "exit_code": code})
     click.echo(_text_table(report))

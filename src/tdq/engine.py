@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .linalg import (
     Decomposition,
@@ -67,7 +67,7 @@ __all__ = [
     "AxiomReport",
 ]
 
-# the suite's operators: the matrices a fixture may carry and derive_suite override
+# the suite's operators: the matrices a fixture may carry and a suite checks
 OPERATOR_NAMES = ("A", "Astar", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv")
 
 
@@ -113,15 +113,14 @@ def detect_qracah(thetas: Sequence[Scalar]) -> tuple[tuple[Scalar, Scalar], ...]
     thetas = [t for t in thetas]
     if len(thetas) < 2:
         raise ValueError("need at least two eigenvalues")
-    field = thetas[0].field
     if len(set(thetas)) != len(thetas):
         raise ValueError("eigenvalues must be mutually distinct")
     d = len(thetas) - 1
 
     if d == 1:
-        candidates = _detect_diameter_one(thetas, field)
+        candidates = _detect_diameter_one(thetas)
     else:
-        candidates = _detect_recurrence(thetas, field, d)
+        candidates = _detect_recurrence(thetas, d)
     verified = {(q.render(), a.render()): (q, a) for q, a in candidates}
     if not verified:
         raise NotQRacahError(
@@ -155,10 +154,11 @@ def _fits(thetas, qsq: Scalar, d: int) -> list[tuple[Scalar, Scalar]]:
     return [(q, a) for q in (root, -root) if (a := _fit(thetas, q, d)) is not None]
 
 
-def _detect_diameter_one(thetas, field):
+def _detect_diameter_one(thetas):
     """d = 1: theta_0 = aq + (aq)^-1 and theta_1 = a/q + q/a, so the product
     p = aq and the ratio r = a/q each solve their own unit-product quadratic
     (so neither is zero), and q^2 = p/r."""
+    field = thetas[0].field
     p_roots, _ = field.poly_roots([field.one, -thetas[0], field.one])
     r_roots, _ = field.poly_roots([field.one, -thetas[1], field.one])
     if not p_roots or not r_roots:
@@ -168,10 +168,11 @@ def _detect_diameter_one(thetas, field):
     return [pair for p in p_roots for r in r_roots for pair in _fits(thetas, p / r, 1)]
 
 
-def _detect_recurrence(thetas, field, d):
+def _detect_recurrence(thetas, d):
     """d >= 2: recover s = q^2 + q^-2 from the three-term recurrence, check
     consistency, solve for q^2 (a unit-product root, so nonzero), then fit a
     to each square root q."""
+    field = thetas[0].field
     s = None
     for i in range(1, d):
         if not thetas[i].is_zero():
@@ -622,6 +623,12 @@ def delta_from_characterization(U: Sequence[Subspace], Udd: Sequence[Subspace]) 
 class OperatorSuite:
     """A coherent bundle of operators and decompositions on one space.
 
+    Every construction, ``dataclasses.replace`` included, checks two things
+    and raises ``ValueError`` otherwise: each operator of ``OPERATOR_NAMES``
+    that is present is an n x n :class:`~tdq.linalg.Matrix` over
+    ``params.field`` (the error names it), and ``Astar`` comes with
+    ``EstarV`` (both present or both absent).
+
     Decompositions are :class:`~tdq.linalg.Decomposition`s (plain tuples are
     converted).  ``psi_series`` is replaced by a fresh one unless it was built
     for a psi, q, a and d equal to this suite's, so a claimed psi never sees
@@ -649,6 +656,14 @@ class OperatorSuite:
     psi_series: Optional[PsiSeries] = dataclass_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        for name in OPERATOR_NAMES:
+            m = getattr(self, name)
+            if m is not None and not (isinstance(m, Matrix) and m.is_square
+                                      and m.rows == self.n and m.field == self.field):
+                raise ValueError(f"operator {name!r} must be a {self.n}x{self.n} matrix "
+                                 "over the field of the parameters")
+        if (self.Astar is None) != (self.EstarV is None):
+            raise ValueError("Astar and EstarV must be both present or both absent")
         for name in ("U", "Udd", "W", "EV", "EstarV"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, Decomposition):
@@ -674,10 +689,6 @@ class OperatorSuite:
     def field(self):
         return self.params.field
 
-    @property
-    def has_astar(self) -> bool:
-        return self.Astar is not None
-
     @cached_property
     def I(self) -> Matrix:
         return Matrix.identity(self.field, self.n)
@@ -693,28 +704,17 @@ class OperatorSuite:
 
 def derive_suite(A: Matrix, K: Optional[Matrix] = None,
                  Astar: Optional[Matrix] = None,
-                 params: Optional[QRacahParams] = None,
-                 overrides: Optional[Mapping[str, Matrix]] = None) -> OperatorSuite:
+                 params: Optional[QRacahParams] = None) -> OperatorSuite:
     """Reconstruct the full operator suite from (A, K) or (A, A*).
 
     Every derived object follows its defining formula; Delta is computed
     three independent ways (power series, q-exponential product, triangular
-    characterization) which must coincide exactly.  ``overrides`` replaces
-    named operator matrices in the returned suite, so a downstream battery
-    run can vet externally supplied data; each must be a square matrix the
-    size of A over A's field, or ``ValueError`` names it.
+    characterization) which must coincide exactly.  To vet externally
+    supplied operators, put them into the returned suite with
+    ``dataclasses.replace``, which checks them, and run the battery on it.
     """
     if K is None and Astar is None:
         raise ValueError("need K or Astar alongside A")
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - set(OPERATOR_NAMES)
-    if unknown:
-        raise ValueError(f"cannot override {sorted(unknown)}")
-    for name, m in overrides.items():
-        if not (isinstance(m, Matrix) and m.is_square and m.rows == A.rows
-                and m.field == A.field):
-            raise ValueError(f"override {name!r} must be a {A.rows}x{A.rows} matrix "
-                             "over the field of A")
 
     if K is not None:
         sd = split_from_AK(A, K, params)
@@ -757,14 +757,11 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
         raise EngineError("halfway-spectrum",
                           "M is not diagonalizable with eigenvalues q^(d-2i)")
 
-    suite = OperatorSuite(
+    return OperatorSuite(
         params=prms, n=n, A=A, K=K_op, B=B_op, psi=psi, M=M, Minv=Minv,
         Delta=Delta_series, Deltainv=Deltainv, U=sd.U, Udd=sd.Udd, W=W, EV=sd.EV,
         Astar=Astar, EstarV=sd.EstarV, psi_series=series,
     )
-    if overrides:
-        suite = replace(suite, **overrides)
-    return suite
 
 
 def _attach_astar(sd: SplitData, Astar: Matrix) -> SplitData:

@@ -55,14 +55,7 @@ class Fixture:
             field_spec["variables"] = list(self.field.variables)
         doc["field"] = field_spec
         if self.params is not None:
-            params: dict = {
-                "d": self.params.d,
-                "q": self.params.q.render(),
-                "a": self.params.a.render(),
-            }
-            if self.params.b is not None:
-                params["b"] = self.params.b.render()
-            doc["params"] = params
+            doc["params"] = self.params.render()
         doc["matrices"] = {name: m.render() for name, m in self.matrices.items()}
         if self.subspaces:
             doc["subspaces"] = {name: s.render() for name, s in self.subspaces.items()}

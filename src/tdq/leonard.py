@@ -6,13 +6,15 @@ halfway eigenbasis), along with the transition matrices between the frames.
 Every matrix is computed twice: once from its closed-form entries and once
 constructively from the lowering matrix and the frame's defining diagonal.
 The two must agree exactly, which turns each closed form into a mechanically
-checked statement.  The q-exponentials of psi-hat are likewise checked
-against their series, and Delta and Delta^-1 against the product of two
-q-exponentials.
+checked statement.  The q-exponentials of psi-hat and the two products of
+them that give Delta and Delta^-1 come from psi-hat's
+:class:`~tdq.engine.PsiSeries`, the same series code the engine uses; each
+closed-form q-exponential is checked against its series, and the closed
+forms of Delta and Delta^-1 against the products.
 
-Everything derived from a parameter tuple (psi-hat and its power series, the
+Everything derived from a parameter tuple (psi-hat's series, the
 q-factorial table, the diagonal D = diag(q^(d-2i)) and its inverse, the four
-q-exponentials, Delta and Delta^-1, and each checked operator matrix) is
+checked q-exponentials, and each checked operator matrix) is
 kept in the private memo of that :class:`~tdq.params.QRacahParams` instance.
 So each cross-check runs once per instance and distinct matrix, however many
 frames, transitions and basis changes reuse the result, and the memo goes
@@ -36,7 +38,7 @@ from math import comb
 from .engine import OPERATOR_NAMES, CrossRouteError, PsiSeries, psi_from_KB
 from .linalg import Matrix
 from .params import QRacahParams
-from .qcalc import q_exp, q_fact
+from .qcalc import q_exp, q_fact  # noqa: F401  (perfbench/tracer.py wraps q_exp by name)
 from .scalars import Scalar
 
 __all__ = [
@@ -135,10 +137,6 @@ def delta_matrix(params: QRacahParams, inverse: bool = False) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _hat(params: QRacahParams) -> Matrix:
-    return params._cached("psi_hat", lambda: psi_hat(params.d, params.q))
-
-
 def _fact(params: QRacahParams) -> list[Scalar]:
     """[0]!, ..., [d]!."""
     return params._cached("q_fact", lambda: [q_fact(n, params.q) for n in range(params.d + 1)])
@@ -152,32 +150,26 @@ def _shift_diag(params: QRacahParams, sign: int = 1) -> Matrix:
 
 
 def _hat_series(params: QRacahParams) -> PsiSeries:
+    """psi-hat (``.psi``) with its power series and q-exponentials."""
     return params._cached("psi_hat_series", lambda: PsiSeries(
-        _hat(params), params.q, params.a, params.d))
+        psi_hat(params.d, params.q), params.q, params.a, params.d))
 
 
-def _exp(params: QRacahParams, inverse_a: bool, variant: str) -> Matrix:
-    """exp_q(s/(q-q^-1) psihat) for the q variant and
-    exp_(q^-1)(-s/(q-q^-1) psihat) for q_inverse, where s is a, or a^-1 when
-    ``inverse_a``; the closed form is checked against the series once."""
+def _exps(params: QRacahParams) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """psi-hat's (E+, E-, E+', E-') of :attr:`PsiSeries.exps`, each checked
+    once against its closed form."""
     def build():
-        q, a = params.q, params.a
-        x = (a ** -1 if inverse_a else a) / (q - q ** -1)
-        if variant != "q":
-            x = -x
-        formula = exp_psi_matrix(params, x, variant)
-        series = q_exp(x * _hat(params), q, variant)  # type: ignore[arg-type]
-        if formula != series:
-            raise CrossRouteError("closed-form q-exponential entries disagree with "
-                                  "the series", formula, series)
-        return formula
-    return params._cached(("exp", inverse_a, variant), build)
-
-
-def _exp_product(params: QRacahParams, inverse: bool) -> Matrix:
-    """Delta (Delta^-1 when ``inverse``) as a product of two q-exponentials."""
-    return params._cached(("exp_product", inverse), lambda: (
-        _exp(params, inverse, "q") * _exp(params, not inverse, "q_inverse")))
+        series = _hat_series(params)
+        c = params.q - params.q ** -1
+        plus, minus = params.a / c, params.a ** -1 / c
+        for exp, x, variant in zip(series.exps, (plus, minus, -plus, -minus),
+                                   ("q", "q", "q_inverse", "q_inverse")):
+            formula = exp_psi_matrix(params, x, variant)
+            if formula != exp:
+                raise CrossRouteError("closed-form q-exponential entries disagree with "
+                                      "the series", formula, exp)
+        return series.exps
+    return params._cached("exps", build)
 
 
 def operator_matrix(kind: str, basis: str, params: QRacahParams) -> Matrix:
@@ -228,7 +220,7 @@ def _build_formula(kind: str, basis: str, params: QRacahParams) -> Matrix:
         return field.one
 
     if kind == "psi":
-        return _hat(params)
+        return _hat_series(params).psi
     if kind == "Delta":
         return delta_matrix(params)
     if kind == "Deltainv":
@@ -283,7 +275,8 @@ def _build_formula(kind: str, basis: str, params: QRacahParams) -> Matrix:
 def _constructive_matrix(kind: str, basis: str, params: QRacahParams) -> Matrix:
     d, q, a = params.d, params.q, params.a
     ainv = a ** -1
-    hat = _hat(params)
+    series = _hat_series(params)
+    hat = series.psi
     D = _shift_diag(params)
     I = Matrix.identity(params.field, d + 1)
 
@@ -302,20 +295,20 @@ def _constructive_matrix(kind: str, basis: str, params: QRacahParams) -> Matrix:
     if kind == "K":
         if basis == "w":
             return (I - ainv * q * hat) * D
-        factor = ainv * ainv * I + (1 - ainv * ainv) * _hat_series(params).geometric(a * q)
+        factor = ainv * ainv * I + (1 - ainv * ainv) * series.geometric(a * q)
         return factor * (_formula_matrix("B", "u", params) if basis == "u" else D)
 
     if kind == "B":
         if basis == "w":
             return (I - a * q * hat) * D
-        factor = a * a * I + (1 - a * a) * _hat_series(params).geometric(ainv * q)
+        factor = a * a * I + (1 - a * a) * series.geometric(ainv * q)
         return factor * (_formula_matrix("K", "udd", params) if basis == "udd" else D)
 
     if kind == "M":
         if basis == "u":
-            return D * _hat_series(params).geometric(ainv * q ** -1)
+            return D * series.geometric(ainv * q ** -1)
         if basis == "udd":
-            return D * _hat_series(params).geometric(a * q ** -1)
+            return D * series.geometric(a * q ** -1)
         num = a * _formula_matrix("K", "w", params) - ainv * _formula_matrix("B", "w", params)
         return num * (a - ainv).inv()
 
@@ -325,12 +318,10 @@ def _constructive_matrix(kind: str, basis: str, params: QRacahParams) -> Matrix:
             return (I - ainv * q ** -1 * hat) * Dinv
         if basis == "udd":
             return (I - a * q ** -1 * hat) * Dinv
-        return _constructive_matrix("M", "w", params).inverse()
+        return operator_matrix("M", "w", params).inverse()
 
-    if kind == "Delta":
-        return _exp_product(params, inverse=False)
-    if kind == "Deltainv":
-        return _exp_product(params, inverse=True)
+    if kind in ("Delta", "Deltainv"):
+        return series.exp_product(inverse=kind == "Deltainv")
 
     raise AssertionError(kind)
 
@@ -342,11 +333,11 @@ def transition_matrix(frm: str, to: str, params: QRacahParams) -> Matrix:
         raise ValueError("bases must be among " + ", ".join(BASES))
     if frm == to:
         return Matrix.identity(params.field, params.d + 1)
-    table = {
-        ("u", "w"): lambda: _exp(params, True, "q_inverse"),
-        ("w", "u"): lambda: _exp(params, True, "q"),
-        ("udd", "w"): lambda: _exp(params, False, "q_inverse"),
-        ("w", "udd"): lambda: _exp(params, False, "q"),
+    table = {  # _exps is (E+, E-, E+', E-')
+        ("u", "w"): lambda: _exps(params)[3],
+        ("w", "u"): lambda: _exps(params)[1],
+        ("udd", "w"): lambda: _exps(params)[2],
+        ("w", "udd"): lambda: _exps(params)[0],
         ("u", "udd"): lambda: operator_matrix("Delta", "u", params),
         ("udd", "u"): lambda: operator_matrix("Deltainv", "u", params),
     }

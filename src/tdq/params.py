@@ -89,6 +89,14 @@ class QRacahParams:
     def _sequence(self, key: str, x: Scalar) -> tuple[Scalar, ...]:
         return self._cached(key, lambda: theta_sequence(x, self.q, self.d))
 
+    def render(self) -> dict:
+        """{"d", "q", "a"} and "b" when known, scalars rendered: the params
+        block of a fixture and the parameter fields of a report."""
+        out = {"d": self.d, "q": self.q.render(), "a": self.a.render()}
+        if self.b is not None:
+            out["b"] = self.b.render()
+        return out
+
     def with_b(self, b: Scalar) -> "QRacahParams":
         return QRacahParams(self.d, self.q, self.a, b)
 

@@ -7,6 +7,7 @@ tolerances apply anywhere.
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -234,7 +235,7 @@ def test_criterion_8_mutation_sensitivity():
         entries = list(original.entries)
         entries[1] = entries[1] + 1
         mutated = Matrix(QF, original.rows, original.cols, entries)
-        suite = derive_suite(ls.A, K=ls.K, overrides={name: mutated})
+        suite = replace(derive_suite(ls.A, K=ls.K), **{name: mutated})
         report = verify_battery(suite)
         failures = report.failures()
         assert failures, f"perturbing {name} went unnoticed"

@@ -67,7 +67,7 @@ class TestMutationSensitivity:
         entries = list(original.entries)
         entries[1] = entries[1] + 1
         mutated = Matrix(QF, original.rows, original.cols, entries)
-        suite = engine.derive_suite(ls.A, K=ls.K, overrides={name: mutated})
+        suite = replace(engine.derive_suite(ls.A, K=ls.K), **{name: mutated})
         report = verify_battery(suite)
         assert not report.passed
         assert all(e.witness for e in report.failures())
@@ -78,7 +78,7 @@ class TestMutationSensitivity:
         entries = list(ls.Delta.entries)
         entries[1] = entries[1] + 1
         mutated = Matrix(QF, 2, 2, entries)
-        suite = engine.derive_suite(ls.A, K=ls.K, overrides={"Delta": mutated})
+        suite = replace(engine.derive_suite(ls.A, K=ls.K), Delta=mutated)
         failing = {e.id for e in verify_battery(suite).failures()}
         assert "delta_power_series" in failing
 
@@ -113,7 +113,7 @@ class TestSeriesFollowsClaimedPsi:
         # it, while the identities that involve only psi still hold
         p = make_params(QF, d=2)
         ls = leonard.leonard_suite(p, "u")
-        suite = engine.derive_suite(ls.A, K=ls.K, overrides={"psi": 2 * ls.psi})
+        suite = replace(engine.derive_suite(ls.A, K=ls.K), psi=2 * ls.psi)
         assert suite.psi_series.psi is suite.psi
         status = _statuses(suite)
         for item in ("delta_power_series", "delta_exp_factorization"):
@@ -135,7 +135,7 @@ class TestExpShiftRelations:
         entries = list(ls.M.entries)
         entries[1] = entries[1] + 1
         M_bad = Matrix(QF, 3, 3, entries)
-        suite = engine.derive_suite(ls.A, K=ls.K, overrides={"M": M_bad})
+        suite = replace(engine.derive_suite(ls.A, K=ls.K), M=M_bad)
         entry = _statuses(suite, self.ITEM)["exp_shift_relations"]
         assert entry.status == "fail"
         assert entry.witness == {
@@ -147,7 +147,7 @@ class TestExpShiftRelations:
     def test_zero_psi_passes(self):
         p = make_params(QF, d=2)
         ls = leonard.leonard_suite(p, "u")
-        suite = engine.derive_suite(ls.A, K=ls.K, overrides={"psi": Matrix.zero(QF, 3)})
+        suite = replace(engine.derive_suite(ls.A, K=ls.K), psi=Matrix.zero(QF, 3))
         assert _statuses(suite, self.ITEM)["exp_shift_relations"].status == "pass"
 
 
@@ -200,19 +200,19 @@ def _swapped(spaces, i, j):
     return tuple(out)
 
 
-def _d2_suite(**overrides):
+def _d2_suite(**claims):
     p = make_params(QF, d=2)
     ls = leonard.leonard_suite(p, "u")
-    claimed = {name: _bumped(getattr(ls, name), *at) for name, at in overrides.items()}
-    return engine.derive_suite(ls.A, K=ls.K, params=p, overrides=claimed)
+    claimed = {name: _bumped(getattr(ls, name), *at) for name, at in claims.items()}
+    return replace(engine.derive_suite(ls.A, K=ls.K, params=p), **claimed)
 
 
-def _d1_dual_suite(**overrides):
+def _d1_dual_suite(**claims):
     p = make_params(QF, d=1)
     A = Matrix.from_rows(QF, [[p.theta(0), 0], [1, p.theta(1)]])
     Astar = Matrix.from_rows(QF, [[p.theta_star(0), 1], [0, p.theta_star(1)]])
     suite = engine.derive_suite(A, Astar=Astar)
-    claimed = {name: _bumped(getattr(suite, name), *at) for name, at in overrides.items()}
+    claimed = {name: _bumped(getattr(suite, name), *at) for name, at in claims.items()}
     return replace(suite, **claimed)
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields as dataclass_fields, replace
 from fractions import Fraction
 
 import pytest
@@ -339,18 +340,45 @@ class TestDeriveSuite:
     def test_override_unknown_name_rejected(self):
         p = make_params(QF, d=1)
         ls = leonard.leonard_suite(p, "u")
-        with pytest.raises(ValueError):
-            engine.derive_suite(ls.A, K=ls.K, overrides={"Zeta": ls.M})
+        suite = engine.derive_suite(ls.A, K=ls.K)
+        with pytest.raises(TypeError):
+            replace(suite, Zeta=ls.M)
 
-    @pytest.mark.parametrize("name, matrix", [
+    # the suite checks its operators however it is built: by derive_suite, by
+    # dataclasses.replace, or by hand
+    WRONG_OPERATORS = [
         ("Delta", Matrix.identity(QF, 2)),
         ("psi", Matrix.zero(QF, 3, 2)),
         ("M", Matrix.identity(ratfunc_field(("q",)), 3)),
-    ])
-    def test_override_of_wrong_shape_or_field_rejected(self, name, matrix):
+        ("Astar", Matrix.identity(QF, 4)),
+    ]
+
+    @staticmethod
+    def _d2_suite():
         ls = leonard.leonard_suite(make_params(QF, d=2), "u")
-        with pytest.raises(ValueError, match=name):
-            engine.derive_suite(ls.A, K=ls.K, overrides={name: matrix})
+        return engine.derive_suite(ls.A, K=ls.K)
+
+    @pytest.mark.parametrize("name, matrix", WRONG_OPERATORS)
+    def test_override_of_wrong_shape_or_field_rejected(self, name, matrix):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            replace(self._d2_suite(), **{name: matrix})
+
+    @pytest.mark.parametrize("name, matrix", WRONG_OPERATORS)
+    def test_construction_of_wrong_shape_or_field_rejected(self, name, matrix):
+        s = self._d2_suite()
+        fields = {f.name: getattr(s, f.name) for f in dataclass_fields(s)}
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            engine.OperatorSuite(**{**fields, name: matrix})
+
+    def test_astar_without_dual_eigenspaces_rejected(self):
+        # a well-formed A* on a suite derived without one has no E*V to go with it
+        s = self._d2_suite()
+        fields = {f.name: getattr(s, f.name) for f in dataclass_fields(s)}
+        for build in (lambda: replace(s, Astar=s.A.transpose()),
+                      lambda: replace(s, EstarV=s.EV),
+                      lambda: engine.OperatorSuite(**{**fields, "Astar": s.A.transpose()})):
+            with pytest.raises(ValueError, match="Astar and EstarV"):
+                build()
 
 
 class TestDeltaCharacterization:
@@ -372,8 +400,6 @@ class TestDeltaCharacterization:
 
 class TestSuiteDerivedData:
     def test_replaced_psi_gets_its_own_series(self):
-        from dataclasses import replace
-
         p = make_params(QF, d=2)
         ls = leonard.leonard_suite(p, "u")
         s = engine.derive_suite(ls.A, K=ls.K)
@@ -381,7 +407,7 @@ class TestSuiteDerivedData:
         other = replace(s, psi=2 * s.psi)
         assert other.psi_series is not s.psi_series
         assert other.psi_series.powers[1] == 2 * s.psi
-        # an override that leaves psi alone, or claims an equal one, keeps it
+        # a replace that leaves psi alone, or claims an equal one, keeps it
         assert replace(s, M=s.M).psi_series is s.psi_series
         equal = Matrix(QF, 3, 3, list(s.psi.entries))
         assert replace(s, psi=equal).psi_series is s.psi_series

@@ -1,13 +1,15 @@
 """The inventory of what a user can set: the options of each ``tdq`` command,
-and no environment variable.  A change that adds a knob edits this inventory
-in the same diff."""
+the parameters of the library entry points, and no environment variable.  A
+change that adds a knob edits this inventory in the same diff."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import click
 
 from test_cli import SRC
+from tdq import derive_suite, leonard_suite, verify_battery
 from tdq.cli import main
 
 OPTIONS = {
@@ -15,6 +17,11 @@ OPTIONS = {
     "engine": ["--out"],
     "generate": ["--a", "--b", "--backend", "--basis", "--d", "--out", "--q"],
     "verify": ["--battery", "--report"],
+}
+PARAMETERS = {
+    derive_suite: ["A", "K", "Astar", "params"],
+    verify_battery: ["suite", "only"],
+    leonard_suite: ["params", "basis"],
 }
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
 
@@ -26,6 +33,11 @@ def test_command_options():
              for name, command in main.commands.items()}
     assert found == OPTIONS
     assert all(p.envvar is None for command in main.commands.values() for p in command.params)
+
+
+def test_library_parameters():
+    found = {fn: list(inspect.signature(fn).parameters) for fn in PARAMETERS}
+    assert found == PARAMETERS
 
 
 def _environment_reads(package):

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from tdq import leonard
+from tdq import engine, leonard
 from tdq.linalg import Matrix
 from tdq.params import QRacahParams
 from tdq.scalars import rational_field
@@ -187,14 +187,14 @@ def _perturbed(m):
     return Matrix(m.field, m.rows, m.cols, entries)
 
 
-def _perturb_result(name, kind=None, basis=None):
-    """A replacement for leonard.<name> whose result has one perturbed entry.
+def _perturb_result(owner, name, kind=None, basis=None):
+    """A replacement for owner.<name> whose result has one perturbed entry.
 
     With ``kind`` given, only the result for that operator kind in ``basis``
     is perturbed (in any basis for the frame-free Delta kinds), so exactly one
     side of one cross-route changes.
     """
-    original = getattr(leonard, name)
+    original = getattr(owner, name)
 
     def hit(args):
         if kind is None:
@@ -207,13 +207,15 @@ def _perturb_result(name, kind=None, basis=None):
     return replacement
 
 
-# (side of a cross-route, leonard attribute perturbed, operator kind or None)
+# (side of a cross-route, owner and attribute perturbed, operator kind or
+# None); psi-hat's q-exponentials and their products are computed by its
+# PsiSeries, whose q_exp is the engine's binding
 CROSS_ROUTE_SIDES = [
-    ("exp formula", "exp_psi_matrix", None),
-    ("exp series", "q_exp", None),
-    ("Delta formula", "delta_matrix", None),
-    ("Delta exp product", "_exp_product", None),
-] + [(f"{kind} {side}", f"_{side}_matrix", kind)
+    ("exp formula", leonard, "exp_psi_matrix", None),
+    ("exp series", engine, "q_exp", None),
+    ("Delta formula", leonard, "delta_matrix", None),
+    ("Delta exp product", engine.PsiSeries, "exp_product", None),
+] + [(f"{kind} {side}", leonard, f"_{side}_matrix", kind)
      for kind in leonard.KINDS for side in ("formula", "constructive")]
 
 
@@ -222,30 +224,31 @@ class TestCrossRouteMutation:
     though each route now runs once per parameter instance."""
 
     @pytest.mark.parametrize("basis", leonard.BASES)
-    @pytest.mark.parametrize("label,name,kind", CROSS_ROUTE_SIDES,
+    @pytest.mark.parametrize("label,owner,name,kind", CROSS_ROUTE_SIDES,
                              ids=[c[0] for c in CROSS_ROUTE_SIDES])
-    def test_perturbed_side_raises(self, QF, monkeypatch, label, name, kind, basis):
-        from tdq.engine import CrossRouteError
-
-        monkeypatch.setattr(leonard, name, _perturb_result(name, kind, basis))
-        with pytest.raises(CrossRouteError):
+    def test_perturbed_side_raises(self, QF, monkeypatch, label, owner, name, kind, basis):
+        monkeypatch.setattr(owner, name, _perturb_result(owner, name, kind, basis))
+        with pytest.raises(engine.CrossRouteError):
             leonard.leonard_suite(make_params(QF, d=2), basis)
 
     def test_unperturbed_suite_builds(self, QF):
         leonard.leonard_suite(make_params(QF, d=2), "u")
 
     def test_call_counts_once_per_params(self, QF, monkeypatch):
-        # psi-hat once; four q-exponentials, each with one series; Delta and
+        # psi-hat once; four q-exponentials, each with one series (psi-hat's
+        # PsiSeries calls q_exp through the engine's binding); Delta and
         # Delta^-1 once each; one q-factorial table, [0]! to [6]!
         p = make_params(QF, d=6, b=None)
         calls = {}
-        for name in ("psi_hat", "exp_psi_matrix", "delta_matrix", "q_exp", "q_fact"):
-            original = getattr(leonard, name)
+        for owner, name in ((leonard, "psi_hat"), (leonard, "exp_psi_matrix"),
+                            (leonard, "delta_matrix"), (engine, "q_exp"),
+                            (leonard, "q_fact")):
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(leonard, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         leonard.leonard_suite(p, "u")
         assert calls == {"psi_hat": 1, "exp_psi_matrix": 4, "delta_matrix": 2, "q_exp": 4,
                          "q_fact": 7}

@@ -2,6 +2,8 @@
 conjugated by a unipotent S, so every split space and eigenspace has
 dimension 2 and every block of the adapted coordinates is 2x2."""
 
+from dataclasses import replace
+
 import pytest
 
 from tdq import engine, leonard
@@ -71,5 +73,5 @@ def test_doubled_suite_catches_one_wrong_entry():
     M = engine.derive_suite(A, K=K).M
     entries = list(M.entries)
     entries[1] = entries[1] + 1
-    suite = engine.derive_suite(A, K=K, overrides={"M": Matrix(QF, 6, 6, entries)})
+    suite = replace(engine.derive_suite(A, K=K), M=Matrix(QF, 6, 6, entries))
     assert _counts(suite)[1] > 0
