@@ -462,10 +462,10 @@ def _exp_shift_relations(s):
         witness = {"identity": f"shift relations with S = {label}"}
         if mat * t != qq * (t * mat):
             witness["error"] = "precondition failed: S T != q^2 T S"
-        elif nilpotency_index(t) is None:
+        elif not any(p.is_zero() for p in s.psi_series.powers):
             witness["error"] = "precondition failed: T is not nilpotent"
         else:
-            exp_t, exp_q2t = s.psi_series.exp(x), s.psi_series.exp(qq * x)
+            exp_t, exp_q2t = s.psi_series.exp(x, s.q), s.psi_series.exp(qq * x, s.q)
             if mat * exp_t == exp_q2t * mat and (s.I - (qq - 1) * t) * exp_q2t == exp_t:
                 continue
         out.append(witness)

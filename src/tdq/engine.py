@@ -45,7 +45,7 @@ from .linalg import (
     subspace_sum,  # noqa: F401  (perfbench/tracer.py wraps this binding by name)
 )
 from .params import QRacahParams, theta_sequence
-from .qcalc import QExpVariant, q_exp
+from .qcalc import q_exp
 from .scalars import Scalar
 
 __all__ = [
@@ -539,11 +539,11 @@ def delta_series_coefficients(d: int, q: Scalar, a: Scalar) -> list[Scalar]:
 
 
 class PsiSeries:
-    """Series in one lowering operator psi, each built on first use, once:
-    the powers I, ..., psi^(d+1), the geometric series sum x^n psi^n, the
-    Delta (or Delta^-1) power series, the q-exponential of x psi, the four
-    q-exponentials the identities name, and the product
-    exp_q(a/(q-q^-1) psi) exp_(q^-1)(-a^-1/(q-q^-1) psi) (a and a^-1
+    """Series in one lowering operator psi, each built on first use, once,
+    over one tuple of powers I, psi, ..., psi^n (psi is n x n): the geometric
+    series sum x^n psi^n, the Delta (or Delta^-1) power series, exp_base(x psi)
+    for base q or q^-1, the four q-exponentials the identities name, and the
+    product exp_q(a/(q-q^-1) psi) exp_(q^-1)(-a^-1/(q-q^-1) psi) (a and a^-1
     exchanged for the inverse)."""
 
     def __init__(self, psi: Matrix, q: Scalar, a: Scalar, d: int):
@@ -557,7 +557,8 @@ class PsiSeries:
 
     @cached_property
     def powers(self) -> tuple[Matrix, ...]:
-        return matrix_powers(self.psi, self.d + 1)
+        # up to psi^n, past any nilpotency index an n x n psi can have
+        return matrix_powers(self.psi, self.psi.rows)
 
     def geometric(self, x: Scalar) -> Matrix:
         return self._cached(("geometric", x), lambda: power_series(
@@ -568,18 +569,18 @@ class PsiSeries:
             delta_series_coefficients(self.d, self.q, self.a ** -1 if inverse else self.a),
             self.powers))
 
-    def exp(self, x: Scalar, variant: QExpVariant = "q") -> Matrix:
-        return self._cached(("exp", x, variant), lambda: q_exp(x * self.psi, self.q, variant))
+    def exp(self, x: Scalar, base: Scalar) -> Matrix:
+        return self._cached(("exp", x, base), lambda: q_exp(x, self.powers, base))
 
     @cached_property
     def exps(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         """(E+, E-, E+', E-'): E+ = exp_q(a/(q-q^-1) psi), E- =
-        exp_q(a^-1/(q-q^-1) psi), and E+', E-' the q^-1 variants at minus
+        exp_q(a^-1/(q-q^-1) psi), and E+', E-' their exp_(q^-1) at minus
         the same arguments."""
         c = self.q - self.q ** -1
         plus, minus = self.a / c, self.a ** -1 / c
-        return (self.exp(plus), self.exp(minus),
-                self.exp(-plus, "q_inverse"), self.exp(-minus, "q_inverse"))
+        return (self.exp(plus, self.q), self.exp(minus, self.q),
+                self.exp(-plus, self.q ** -1), self.exp(-minus, self.q ** -1))
 
     def exp_product(self, inverse: bool = False) -> Matrix:
         # E+ E-' (E- E+' for the inverse), built alone: derive_suite needs
@@ -587,7 +588,7 @@ class PsiSeries:
         def build():
             c = self.q - self.q ** -1
             s, t = (self.a ** -1, self.a) if inverse else (self.a, self.a ** -1)
-            return self.exp(s / c) * self.exp(-(t / c), "q_inverse")
+            return self.exp(s / c, self.q) * self.exp(-(t / c), self.q ** -1)
         return self._cached(("exp_product", inverse), build)
 
 

@@ -95,19 +95,19 @@ def _upper_triangular(d: int, field, entry) -> Matrix:
     return Matrix.from_rows(field, rows)
 
 
-def exp_psi_matrix(params: QRacahParams, x: Scalar, variant: str = "q") -> Matrix:
-    """Closed form of the q-exponential of x times the lowering matrix:
-    entry (i,j) is x^(j-i) q^(+-C(j-i,2)) (q-q^-1)^(2(j-i)) [j]![d-i]!/([i]![j-i]![d-j]!).
+def exp_psi_matrix(params: QRacahParams, x: Scalar, base: Scalar) -> Matrix:
+    """Closed form of exp_base(x psi-hat), for base q or q^-1 (``ValueError``
+    otherwise): entry (i,j) is
+    x^(j-i) base^C(j-i,2) (q-q^-1)^(2(j-i)) [j]![d-i]!/([i]![j-i]![d-j]!).
 
     The routes that call it (:func:`transition_matrix`, the Delta kinds of
     :func:`operator_matrix`) check it against the truncated series.
     """
-    if variant not in ("q", "q_inverse"):
-        raise ValueError(f"unknown variant {variant!r}")
     d, q, fact = params.d, params.q, _fact(params)
-    sign = 1 if variant == "q" else -1
+    if base not in (q, q ** -1):
+        raise ValueError("exp_psi_matrix needs base q or q^-1")
     return _upper_triangular(d, q.field, lambda i, j: (
-        x ** (j - i) * q ** (sign * comb(j - i, 2)) * (q - q ** -1) ** (2 * (j - i))
+        x ** (j - i) * base ** comb(j - i, 2) * (q - q ** -1) ** (2 * (j - i))
         * _fact_ratio(d, i, j, fact)))
 
 
@@ -159,12 +159,12 @@ def _exps(params: QRacahParams) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """psi-hat's (E+, E-, E+', E-') of :attr:`PsiSeries.exps`, each checked
     once against its closed form."""
     def build():
-        series = _hat_series(params)
-        c = params.q - params.q ** -1
+        series, q = _hat_series(params), params.q
+        c = q - q ** -1
         plus, minus = params.a / c, params.a ** -1 / c
-        for exp, x, variant in zip(series.exps, (plus, minus, -plus, -minus),
-                                   ("q", "q", "q_inverse", "q_inverse")):
-            formula = exp_psi_matrix(params, x, variant)
+        for exp, x, base in zip(series.exps, (plus, minus, -plus, -minus),
+                                (q, q, q ** -1, q ** -1)):
+            formula = exp_psi_matrix(params, x, base)
             if formula != exp:
                 raise CrossRouteError("closed-form q-exponential entries disagree with "
                                       "the series", formula, exp)

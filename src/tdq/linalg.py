@@ -33,7 +33,6 @@ __all__ = [
     "Decomposition",
     "is_direct_decomposition",
     "nilpotency_index",
-    "nilpotent_powers",
     "matrix_powers",
     "power_series",
     "generated_algebra_dim",
@@ -450,28 +449,16 @@ def is_direct_decomposition(spaces: Sequence[Subspace]) -> bool:
     return total.dim == ambient
 
 
-def nilpotent_powers(m: Matrix) -> Optional[tuple[Matrix, ...]]:
-    """I, m, ..., m^(k-1) for the least k <= n with m^k = 0, or None when m
-    is not nilpotent."""
-    m._require_square()
-    powers = [Matrix.identity(m.field, m.rows), m]
-    while not powers[-1].is_zero():
-        if len(powers) > m.rows:
-            return None
-        powers.append(powers[-1] * m)
-    return tuple(powers[:-1])
-
-
 def nilpotency_index(m: Matrix) -> Optional[int]:
     """Least k <= n with m^k = 0, or None when m is not nilpotent."""
-    powers = nilpotent_powers(m)
-    return None if powers is None else len(powers)
+    m._require_square()
+    return next((k for k, p in enumerate(matrix_powers(m, m.rows)) if p.is_zero()), None)
 
 
 def matrix_powers(m: Matrix, count: int) -> tuple[Matrix, ...]:
     """I, m, m^2, ..., m^count."""
-    powers = [Matrix.identity(m.field, m.rows)]
-    for _ in range(count):
+    powers = [Matrix.identity(m.field, m.rows), m][:count + 1]
+    while len(powers) <= count:
         powers.append(powers[-1] * m)
     return tuple(powers)
 

@@ -2,20 +2,21 @@
 
 The symmetric q-integer [n] = (q^n - q^-n)/(q - q^-1) is computed as the
 geometric sum q^(n-1) + q^(n-3) + ... + q^(1-n), which needs no division and
-is valid for every nonzero q.
+is valid for every nonzero q.  It is the same at q and at q^-1, so
+exp_(q^-1) is :func:`q_exp` at base q^-1.  :func:`q_exp` sums over powers
+the caller already holds, so one list of a matrix's powers serves every
+multiple of it and both bases.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Literal
+from typing import Sequence
 
-from .linalg import Matrix, nilpotent_powers, power_series
+from .linalg import Matrix, power_series
 from .scalars import Scalar
 
 __all__ = ["q_int", "q_fact", "q_exp"]
-
-QExpVariant = Literal["q", "q_inverse"]
 
 
 def q_int(n: int, q: Scalar) -> Scalar:
@@ -38,18 +39,11 @@ def q_fact(n: int, q: Scalar) -> Scalar:
     return result
 
 
-def q_exp(t: Matrix, q: Scalar, variant: QExpVariant = "q") -> Matrix:
-    """exp_q(T) = sum_n q^C(n,2)/[n]! T^n for nilpotent T.
-
-    The ``q_inverse`` variant uses q^-C(n,2) instead; applied to -T it gives
-    the exact inverse of the ``q`` variant.  The scalar prefactor is expected
-    to be folded into T by the caller.
-    """
-    if variant not in ("q", "q_inverse"):
-        raise ValueError(f"unknown variant {variant!r}")
-    powers = nilpotent_powers(t)
-    if powers is None:
+def q_exp(x: Scalar, powers: Sequence[Matrix], q: Scalar) -> Matrix:
+    """exp_q(x T) = sum_n x^n q^C(n,2)/[n]! T^n, from powers = (I, T, T^2, ...)
+    up to the first zero one; ``ValueError`` when none is zero."""
+    index = next((k for k, p in enumerate(powers) if p.is_zero()), None)
+    if index is None:
         raise ValueError("q_exp needs a nilpotent matrix")
-    sign = 1 if variant == "q" else -1
-    coeffs = [q ** (sign * comb(n, 2)) / q_fact(n, q) for n in range(len(powers))]
+    coeffs = [x ** n * q ** comb(n, 2) / q_fact(n, q) for n in range(index)]
     return power_series(coeffs, powers)

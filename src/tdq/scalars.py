@@ -555,10 +555,17 @@ def _rational_roots(f: list[int]) -> list[Fraction]:
     lifted by Newton's iteration to roots modulo a power of p above 2B; each
     lifted root whose residue nearest 0 is a root of g gives one x.  No
     integer is factored, so the work is polynomial in the coefficient sizes.
+
+    s is f itself when f is square-free modulo the large prime P = 2^61 - 1
+    and P does not divide f's leading coefficient: a square factor of f
+    would stay one modulo P.  Only otherwise is s taken as f / gcd(f, f'),
+    whose integer gcd is the slow step on large coefficients.
     """
     if len(f) < 2:
         return []
-    f = _exact_quotient(f, _gcd(f, _derivative(f)))
+    P = 2 ** 61 - 1
+    if not f[-1] % P or len(_gcd(f, _derivative(f), P)) > 1:
+        f = _exact_quotient(f, _gcd(f, _derivative(f)))
     n, c = len(f) - 1, f[-1]
     g = [x * c ** (n - 1 - i) for i, x in enumerate(f[:-1])] + [1]
     dg = _derivative(g)

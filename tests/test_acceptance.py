@@ -22,7 +22,7 @@ from tdq.engine import (
     detect_qracah,
     validate_axioms,
 )
-from tdq.linalg import Matrix, subspace_sum
+from tdq.linalg import Matrix, matrix_powers, subspace_sum
 from tdq.params import QRacahParams, validate_params
 from tdq.qcalc import q_exp
 from tdq.scalars import rational_field, ratfunc_field
@@ -127,8 +127,9 @@ def test_criterion_4_three_route_delta(grid_suites, symbolic_suites):
                             suite.psi_series.powers):
             series = series + c * power
         coeff = suite.q - suite.q ** -1
-        product = (q_exp((suite.a / coeff) * suite.psi, suite.q)
-                   * q_exp(-(suite.a ** -1 / coeff) * suite.psi, suite.q, "q_inverse"))
+        powers = suite.psi_series.powers
+        product = (q_exp(suite.a / coeff, powers, suite.q)
+                   * q_exp(-(suite.a ** -1 / coeff), powers, suite.q ** -1))
         triangular = delta_from_characterization(suite.U, suite.Udd)
         assert series == product == triangular == suite.Delta
 
@@ -143,7 +144,8 @@ def test_criterion_4_three_route_delta(grid_suites, symbolic_suites):
         for i in range(d):
             entries[i * n + i + 1] = RF.one
         X = Matrix(RF, n, n, entries)
-        product = q_exp((a / c) * X, q) * q_exp(-(a ** -1 / c) * X, q, "q_inverse")
+        powers = matrix_powers(X, n)
+        product = q_exp(a / c, powers, q) * q_exp(-(a ** -1 / c), powers, q ** -1)
         expected = Matrix.zero(RF, n)
         power = Matrix.identity(RF, n)
         for coeff_i in delta_series_coefficients(d, q, a):
@@ -187,8 +189,8 @@ def test_criterion_6_halfway_decomposition(grid_suites, symbolic_suites):
 
     for _, _, suite in list(grid_suites) + list(symbolic_suites):
         c = suite.q - suite.q ** -1
-        E_minus = q_exp((suite.a ** -1 / c) * suite.psi, suite.q)
-        E_plus = q_exp((suite.a / c) * suite.psi, suite.q)
+        E_minus = q_exp(suite.a ** -1 / c, suite.psi_series.powers, suite.q)
+        E_plus = q_exp(suite.a / c, suite.psi_series.powers, suite.q)
         total = 0
         u_running, w_running = [], []
         for i in range(suite.d + 1):

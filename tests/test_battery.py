@@ -144,6 +144,21 @@ class TestExpShiftRelations:
             "violation_count": 1,
         }
 
+    def test_psi_not_nilpotent_gives_precondition_witness(self):
+        p = make_params(QF, d=2)
+        ls = leonard.leonard_suite(p, "u")
+        suite = replace(engine.derive_suite(ls.A, K=ls.K), psi=Matrix.identity(QF, 3),
+                        M=Matrix.zero(QF, 3))
+        entry = _statuses(suite, self.ITEM)["exp_shift_relations"]
+        assert entry.status == "fail"
+        assert entry.witness == {
+            "violations": [{"identity": "shift relations with S = M",
+                            "error": "precondition failed: T is not nilpotent"},
+                           {"identity": "shift relations with S = K",
+                            "error": "precondition failed: S T != q^2 T S"}],
+            "violation_count": 2,
+        }
+
     def test_zero_psi_passes(self):
         p = make_params(QF, d=2)
         ls = leonard.leonard_suite(p, "u")
@@ -180,6 +195,23 @@ class TestCallCounts:
         assert calls["_running_sums"] == 7
         assert calls["subspace_sum"] <= 99
         assert calls["power_series"] <= 11
+
+    @pytest.mark.parametrize("d,bound", [(6, 145), (10, 160)])
+    def test_matrix_products_per_pass(self, monkeypatch, d, bound):
+        # leonard_suite + derive_suite(A, K, params) + verify_battery at
+        # rational (2, 3) in the u frame: every q-exponential of psi is summed
+        # over psi's one power list, so no powers of a multiple of psi are formed
+        original = Matrix.__mul__
+        products = [0]
+
+        def counted(self, other):
+            products[0] += isinstance(other, Matrix)
+            return original(self, other)
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        p = make_params(QF, d=d)
+        ls = leonard.leonard_suite(p, "u")
+        assert verify_battery(engine.derive_suite(ls.A, K=ls.K, params=p)).passed
+        assert products[0] <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_verify_non_nilpotent_psi_reports_failures(tmp_path):
     for item in ("exp_intertwine", "delta_exp_factorization", "exp_product_series",
                  "u_w_exp_maps"):
         assert status[item]["status"] == "fail"
-        assert "nilpotent" in status[item]["witness"]["error"]
+        assert status[item]["witness"]["error"] == "ValueError: q_exp needs a nilpotent matrix"
 
 
 def test_verify_malformed_fixture_exit_2(tmp_path):

@@ -311,8 +311,8 @@ class TestDeriveSuite:
         ls = leonard.leonard_suite(p, "u")
         s = engine.derive_suite(ls.A, K=ls.K)
         c = p.q - p.q ** -1
-        E_minus = q_exp((p.a ** -1 / c) * s.psi, p.q)
-        E_plus = q_exp((p.a / c) * s.psi, p.q)
+        E_minus = q_exp(p.a ** -1 / c, s.psi_series.powers, p.q)
+        E_plus = q_exp(p.a / c, s.psi_series.powers, p.q)
         for i in range(3):
             assert s.W[i].image(E_minus) == s.U[i]
             assert s.W[i].image(E_plus) == s.Udd[i]

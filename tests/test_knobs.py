@@ -1,5 +1,6 @@
 """The inventory of what a user can set: the options of each ``tdq`` command,
-the parameters of the library entry points, and no environment variable.  A
+the parameters of the library entry points and of the q-exponentials
+(exp_(q^-1) is a base, not a variant flag), and no environment variable.  A
 change that adds a knob edits this inventory in the same diff."""
 
 import ast
@@ -11,6 +12,9 @@ import click
 from test_cli import SRC
 from tdq import derive_suite, leonard_suite, verify_battery
 from tdq.cli import main
+from tdq.engine import PsiSeries
+from tdq.leonard import exp_psi_matrix
+from tdq.qcalc import q_exp
 
 OPTIONS = {
     "detect": ["--backend", "--theta"],
@@ -22,6 +26,9 @@ PARAMETERS = {
     derive_suite: ["A", "K", "Astar", "params"],
     verify_battery: ["suite", "only"],
     leonard_suite: ["params", "basis"],
+    q_exp: ["x", "powers", "q"],
+    PsiSeries.exp: ["self", "x", "base"],
+    exp_psi_matrix: ["params", "x", "base"],
 }
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
 

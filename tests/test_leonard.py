@@ -156,16 +156,18 @@ class TestSuite:
         assert suite.psi == leonard.psi_hat(2, p.q)
 
     def test_exp_entry_lemma(self, QF):
-        # closed-form entries of exp_q(x psi-hat) against the series, both
-        # variants, for a spread of scalars x
+        # closed-form entries of exp_q(x psi-hat) against the series, at
+        # base q and q^-1, for a spread of scalars x
+        from tdq.linalg import matrix_powers
         from tdq.qcalc import q_exp
 
         p = make_params(QF, d=3)
-        hat = leonard.psi_hat(3, p.q)
+        powers = matrix_powers(leonard.psi_hat(3, p.q), 4)
         for x in (QF.coerce(2), QF.coerce(Fraction(-2, 3)), QF.one):
-            for variant in ("q", "q_inverse"):
-                assert leonard.exp_psi_matrix(p, x, variant) == \
-                    q_exp(x * hat, p.q, variant)
+            for base in (p.q, p.q ** -1):
+                assert leonard.exp_psi_matrix(p, x, base) == q_exp(x, powers, base)
+        with pytest.raises(ValueError, match="base q or q\\^-1"):
+            leonard.exp_psi_matrix(p, QF.one, p.q * p.q)
 
     def test_backend_agreement(self, QF, RF_qa):
         # specializing the symbolic matrices at rational (q, a) reproduces the

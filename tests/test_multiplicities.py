@@ -3,12 +3,14 @@ conjugated by a unipotent S, so every split space and eigenspace has
 dimension 2 and every block of the adapted coordinates is 2x2."""
 
 from dataclasses import replace
+from math import comb
 
 import pytest
 
 from tdq import engine, leonard
 from tdq.battery import verify_battery
 from tdq.linalg import Matrix
+from tdq.qcalc import q_fact
 from tdq.scalars import rational_field
 
 from conftest import make_params
@@ -75,3 +77,26 @@ def test_doubled_suite_catches_one_wrong_entry():
     entries[1] = entries[1] + 1
     suite = replace(engine.derive_suite(A, K=K), M=Matrix(QF, 6, 6, entries))
     assert _counts(suite)[1] > 0
+
+
+def test_claimed_psi_past_index_d_plus_1():
+    # on n = 6 with d = 2 a claimed psi can have nilpotency index up to 6:
+    # the shift matrix has index 6, and each q-exponential sums its powers
+    # up to psi^5, past psi^(d+1)
+    p = make_params(QF, d=2, b=None)
+    ls = leonard.leonard_suite(p, "u")
+    S, Sinv = _unipotent(6)
+    shift = Matrix.from_rows(QF, [[1 if j == i + 1 else 0 for j in range(6)] for i in range(6)])
+    suite = replace(engine.derive_suite(_doubled(ls.A, S, Sinv), K=_doubled(ls.K, S, Sinv)),
+                    psi=shift)
+    c = p.q - p.q ** -1
+    plus, minus = p.a / c, p.a ** -1 / c
+    for exp, x, base in zip(suite.psi_series.exps, (plus, minus, -plus, -minus),
+                            (p.q, p.q, p.q ** -1, p.q ** -1)):
+        expected, power = Matrix.zero(QF, 6), suite.I
+        for n in range(6):
+            expected = expected + (x ** n * base ** comb(n, 2) / q_fact(n, base)) * power
+            power = power * shift
+        assert power.is_zero()
+        assert exp == expected
+    assert _counts(suite) == (23, 20, 5)

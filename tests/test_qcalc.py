@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tdq.leonard import psi_hat
-from tdq.linalg import Matrix, nilpotency_index
+from tdq.linalg import Matrix, matrix_powers, nilpotency_index
 from tdq.qcalc import q_exp, q_fact, q_int
 from tdq.scalars import rational_field, ratfunc_field
 
@@ -53,24 +53,37 @@ class TestQIntegers:
 
 class TestQExp:
     def test_zero_matrix(self):
-        assert q_exp(Matrix.zero(QF, 3), TWO) == Matrix.identity(QF, 3)
+        assert q_exp(TWO, matrix_powers(Matrix.zero(QF, 3), 3), TWO) == Matrix.identity(QF, 3)
 
     def test_worked_d1_example(self):
         # coefficient a/(q - q^-1) = 2, psi-hat entry 9/4
         hat = psi_hat(1, TWO)
-        result = q_exp(QF.coerce(2) * hat, TWO)
+        result = q_exp(QF.coerce(2), matrix_powers(hat, 2), TWO)
         assert result == Matrix.from_rows(QF, [[1, Fraction(9, 2)], [0, 1]])
 
     def test_not_nilpotent_rejected(self):
+        with pytest.raises(ValueError, match="^q_exp needs a nilpotent matrix$"):
+            q_exp(TWO, matrix_powers(Matrix.identity(QF, 2), 2), TWO)
+
+    def test_powers_short_of_zero_rejected(self):
+        # the sum stops at the first zero power, so a list that has none is
+        # rejected even when the matrix is nilpotent
+        powers = matrix_powers(psi_hat(2, TWO), 3)
         with pytest.raises(ValueError, match="nilpotent"):
-            q_exp(Matrix.identity(QF, 2), TWO)
+            q_exp(TWO, powers[:3], TWO)
 
     def test_inverse_pairing(self):
+        # exp_(q^-1) is q_exp at base q^-1
         for d in (1, 2, 3):
-            hat = psi_hat(d, TWO)
-            t = QF.coerce(Fraction(2, 3)) * hat
-            product = q_exp(t, TWO) * q_exp(-t, TWO, "q_inverse")
+            powers = matrix_powers(psi_hat(d, TWO), d + 1)
+            x = QF.coerce(Fraction(2, 3))
+            product = q_exp(x, powers, TWO) * q_exp(-x, powers, TWO ** -1)
             assert product == Matrix.identity(QF, d + 1)
+
+    def test_factorial_same_at_inverse_base(self):
+        q = RF.generator("q")
+        for n in range(7):
+            assert q_fact(n, q ** -1) == q_fact(n, q)
 
     def test_truncation_safety(self):
         # summing past the nilpotency index adds exactly nothing
@@ -83,8 +96,5 @@ class TestQExp:
         for n in range(index + 3):
             total = total + (TWO ** comb(n, 2) / q_fact(n, TWO)) * power
             power = power * hat
-        assert total == q_exp(hat, TWO)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            q_exp(Matrix.zero(QF, 2), TWO, "bogus")
+        assert total == q_exp(QF.one, matrix_powers(hat, index + 2), TWO)
+        assert total == q_exp(QF.one, matrix_powers(hat, index), TWO)

@@ -349,6 +349,30 @@ class TestRationalRootsAgainstSympy:
         assert _poly_roots(perturbed) != _poly_roots(poly)
 
 
+LARGE_ROOTS = st.builds(lambda s, p, r: Fraction(s * p, r), SIGNS,
+                       st.integers(0, 2 ** 1000), st.integers(1, 2 ** 1000))
+P61 = 2 ** 61 - 1  # the prime at which poly_roots tests square-freeness
+
+
+class TestLargeRoots:
+    """Products of (r x - p)^m with large p and r: every root comes back with
+    its multiplicity, whether f is square-free (no integer gcd is taken) or
+    not, and also where f is square-free but not modulo 2^61 - 1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(LARGE_ROOTS, st.integers(1, 3)), min_size=1, max_size=4))
+    @example([(Fraction(1), 1), (Fraction(1 + P61), 1)])
+    @example([(Fraction(3, P61), 2)])
+    @example([(Fraction(3, P61), 1), (Fraction(-2 ** 999, 3), 3)])
+    def test_roots_and_multiplicities(self, factors):
+        expected = {}
+        for root, m in factors:
+            expected[root] = expected.get(root, 0) + m
+        roots, splits = _poly_roots(_split(Fraction(1), factors))
+        assert splits
+        assert {x: roots.count(x) for x in roots} == expected
+
+
 class TestIntegerCoefficients:
     """Ratfunc values are reduced fractions over ZZ[q, a]; the representation
     shows in no render, specialization or root."""
