@@ -25,6 +25,7 @@ from .engine import EngineError, OperatorSuite, psi_from_KB
 from .linalg import (
     Matrix,
     Subspace,
+    _products,
     eigenspace,
     is_direct_decomposition,
     nilpotency_index,
@@ -84,7 +85,7 @@ def _check_mats(pairs: Iterable[tuple[str, Matrix, Matrix]]) -> list[dict]:
 
 
 def _maps_into(mat: Matrix, source: Subspace, target: Subspace) -> bool:
-    return target.spans(mat.mul_vector(v) for v in source.basis)
+    return target.spans(_products(mat, source.basis))
 
 
 def _each(s: OperatorSuite, checks: Callable[[int], Iterable[tuple[str, bool]]]) -> list[dict]:

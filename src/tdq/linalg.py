@@ -6,11 +6,18 @@ subspace equality a plain data comparison.  Everything is immutable and
 backend-agnostic: entries are :class:`~tdq.scalars.Scalar` values from one
 field.
 
-The kernels work on raw field values (``Fraction`` or sympy ``FracElement``,
-both with ``+ - * /``, ``bool`` and ``==``): ``_products`` is the one product
-kernel, ``_rref_rows`` the one elimination.  ``Subspace.spans`` reduces
-vectors against the basis; that relies on the RREF invariant, which holds as
-only ``Subspace.from_vectors`` and ``Subspace.zero`` build a subspace.
+``_products`` is the one product kernel, ``_rref_rows`` the one elimination,
+``power_series`` the one linear combination of matrices, and
+``Subspace.spans`` reduces vectors against the basis; that relies on the RREF
+invariant, which holds as only ``Subspace.from_vectors`` and
+``Subspace.zero`` build a subspace.  Each kernel branches once on the field's
+backend.  Rational kernels compute on integers: ``_lift`` puts each row or
+vector over the lcm of its denominators, elimination is fraction-free
+(cross-multiplied, each changed row divided by the gcd of its entries), and
+each output entry becomes one ``Fraction``, so one gcd normalises it.
+Ratfunc kernels compute on raw sympy ``FracElement`` values.  On either
+backend, products, elimination and membership form no product with a zero
+factor.
 
 A :class:`Decomposition` owns its adapted coordinates, built once on first
 use; every change to adapted coordinates reads them.
@@ -18,8 +25,10 @@ use; every change to adapted coordinates reads them.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .scalars import Scalar
@@ -150,11 +159,6 @@ class Matrix:
 
     __rmul__ = __mul__  # only reached with a scalar on the left
 
-    def mul_vector(self, v: Sequence[Scalar]) -> Vector:
-        if len(v) != self.cols or any(x.field != self.field for x in v):
-            raise ValueError("vector length or backend mismatch")
-        return next(_products(self, [v]))
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.cols, self.rows,
                       [self.entries[j * self.cols + i]
@@ -227,11 +231,53 @@ class Matrix:
         return [-reduced[r, k] for r in range(k)] + [self.field.one]
 
 
+def _lift(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(integer numerators, lcm of the denominators) of the Fractions."""
+    den = lcm(*(x.denominator for x in values))
+    if den == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (den // x.denominator) if x else 0 for x in values], den
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _cross(row: list[int], pivot_row: list[int], c: int) -> list[int]:
+    """The primitive integer row with row's entry at c eliminated by
+    pivot_row, cross-multiplied by the two entries at c over their gcd; row[c]
+    is nonzero."""
+    p, f = pivot_row[c], row[c]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    return _primitive([p * x - f * y if y else p * x if x else x
+                       for x, y in zip(row, pivot_row)])
+
+
+def _subtract(row: list, pivot_row: list, c: int) -> list:
+    """row minus row[c] times pivot_row, whose entry at c is 1."""
+    f = row[c]
+    return [x - f * y if y else x for x, y in zip(row, pivot_row)]
+
+
 def _products(m: Matrix, columns: Iterable[Sequence[Scalar]]) -> Iterator[Vector]:
     """m v for each column v.  m is unwrapped once, each v is kept as its
-    nonzero (index, raw value) pairs and zero entries of m are skipped, so no
-    product with a zero factor is formed; each output entry is wrapped once."""
+    nonzero (index, value) pairs and zero entries of m are skipped, so no
+    product with a zero factor is formed; each output entry is wrapped once.
+    Rational rows and columns are lifted, and an entry is one Fraction of an
+    integer dot product over the two denominators."""
     field = m.field
+    if field.backend == "rational":
+        rows = [_lift([x.raw for x in m.row(i)]) for i in range(m.rows)]
+        for v in columns:
+            nums, den = _lift([x.raw for x in v])
+            pairs = [(t, y) for t, y in enumerate(nums) if y]
+            yield tuple(Scalar(field, Fraction(sum(row[t] * y for t, y in pairs if row[t]),
+                                               row_den * den))
+                        for row, row_den in rows)
+        return
     rows = [[x.raw for x in m.row(i)] for i in range(m.rows)]
     zero = field.zero.raw
     for v in columns:
@@ -242,10 +288,13 @@ def _products(m: Matrix, columns: Iterable[Sequence[Scalar]]) -> Iterator[Vector
 
 def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tuple[int, ...]]:
     """The reduced row-echelon form of the rows (zero rows kept; the rows
-    given are not changed) and its pivot columns, computed on raw values.
-    Each pivot is the first nonzero entry at or below the current row; its
-    row is scaled by 1 / pivot (sympy leaves pivot ** -1 non-canonical) unless
-    the pivot is 1.  Zero entries are never multiplied."""
+    given are not changed) and its pivot columns.  Each pivot is the first
+    nonzero entry at or below the current row.  Zero entries are never
+    multiplied.  Rational rows are eliminated on integers by
+    ``_rref_integer``; other rows on raw values, each pivot row scaled by
+    1 / pivot (sympy leaves pivot ** -1 non-canonical) unless the pivot is 1."""
+    if field.backend == "rational":
+        return _rref_integer(rows, field)
     rows = [[x.raw for x in row] for row in rows]
     nrows = len(rows)
     pivots = []
@@ -262,10 +311,36 @@ def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tup
             rows[r] = [x * inv if x else x for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y if y else x for x, y in zip(rows[i], rows[r])]
+                rows[i] = _subtract(rows[i], rows[r], c)
         pivots.append(c)
     return [[Scalar(field, x) for x in row] for row in rows], tuple(pivots)
+
+
+def _rref_integer(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tuple[int, ...]]:
+    """``_rref_rows`` for rational rows: each row is lifted to a primitive
+    integer row, eliminated fraction-free by ``_cross`` with the same pivots
+    and swaps, and each pivot row is divided by its pivot once, at the end;
+    the reduced form is unique, so the result is the one Fraction arithmetic
+    gives."""
+    rows = [_primitive(_lift([x.raw for x in row])[0]) for row in rows]
+    nrows = len(rows)
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                rows[i] = _cross(rows[i], rows[r], c)
+        pivots.append(c)
+    zero = field.zero
+    reduced = [[Scalar(field, Fraction(x, row[c])) if x else zero for x in row]
+               for row, c in zip(rows, pivots)]
+    return reduced + [[zero] * len(row) for row in rows[len(pivots):]], tuple(pivots)
 
 
 class Subspace:
@@ -315,18 +390,23 @@ class Subspace:
         return [[x.render() for x in row] for row in self.basis]
 
     def spans(self, vectors: Iterable[Sequence[Scalar]]) -> bool:
-        """True when every vector reduces to zero against the RREF basis; its
-        coefficient on a basis row is its entry at that row's pivot (a 1)."""
-        basis = [[x.raw for x in row] for row in self.basis]
+        """True when every vector reduces to zero against the RREF basis, row
+        by row at each row's pivot.  Rational vectors and the basis are lifted
+        and reduced by ``_cross``; others by ``_subtract``, since each pivot
+        is 1."""
+        if self.field.backend == "rational":
+            unwrap, reduce = (lambda raws: _lift(raws)[0]), _cross
+        else:
+            unwrap, reduce = list, _subtract
+        basis = [unwrap([x.raw for x in row]) for row in self.basis]
         pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
         for v in vectors:
             if len(v) != self.ambient or any(x.field != self.field for x in v):
                 raise ValueError("vector length or backend mismatch")
-            v = [x.raw for x in v]
+            v = unwrap([x.raw for x in v])
             for p, row in zip(pivots, basis):
-                f = v[p]
-                if f:
-                    v = [x - f * y if y else x for x, y in zip(v, row)]
+                if v[p]:
+                    v = reduce(v, row, p)
             if any(v):
                 return False
         return True
@@ -464,9 +544,24 @@ def matrix_powers(m: Matrix, count: int) -> tuple[Matrix, ...]:
 
 
 def power_series(coeffs: Sequence[Scalar], powers: Sequence[Matrix]) -> Matrix:
-    """sum_n coeffs[n] powers[n], over the shorter of the two sequences."""
-    terms = [c * p for c, p in zip(coeffs, powers)]
-    return sum(terms[1:], terms[0])
+    """sum_n coeffs[n] powers[n], over the shorter of the two sequences.  On
+    rationals each power is lifted, its coefficient over its denominator is
+    lifted with the others over one lcm, and each entry is one Fraction."""
+    pairs = list(zip(coeffs, powers))
+    first = pairs[0][1]
+    field = first.field
+    if any((p.rows, p.cols, p.field) != (first.rows, first.cols, field) for _, p in pairs):
+        raise ValueError("matrix shape or backend mismatch")
+    if field.backend != "rational":
+        terms = [c * p for c, p in pairs]
+        return sum(terms[1:], terms[0])
+    lifted = [(c.raw, *_lift([x.raw for x in p.entries])) for c, p in pairs if c]
+    scales, den = _lift([c / power_den for c, _, power_den in lifted])
+    terms = [(s, nums) for s, (_, nums, _) in zip(scales, lifted)]
+    sums = (sum(s * nums[k] for s, nums in terms if nums[k]) for k in range(len(first.entries)))
+    zero = field.zero
+    return Matrix(field, first.rows, first.cols,
+                  [Scalar(field, Fraction(t, den)) if t else zero for t in sums])
 
 
 def generated_algebra_dim(mats: Sequence[Matrix]) -> int:

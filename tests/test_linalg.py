@@ -7,17 +7,29 @@ from tdq.linalg import (
     Decomposition,
     Matrix,
     Subspace,
+    _products,
     eigenspace,
     generated_algebra_dim,
     is_direct_decomposition,
     nilpotency_index,
+    power_series,
     subspace_intersect,
     subspace_sum,
 )
-from tdq.scalars import Scalar, rational_field, ratfunc_field
+from tdq.scalars import RationalField, Scalar, rational_field, ratfunc_field
 
 QF = rational_field()
 RF = ratfunc_field(("q", "a"))
+
+
+class RawRationalField(RationalField):
+    """Rationals under another backend name, so that the kernels take the
+    raw-value path that ratfunc takes, on Fraction values."""
+
+    backend = "raw-rational"
+
+
+RAW = RawRationalField()
 
 
 def mat(rows):
@@ -200,8 +212,9 @@ class TestMatrixBasics:
 
 # -- the kernels against plain references ---------------------------------------
 #
-# Matrix.__mul__ and _rref_rows skip every product with a zero factor.  The
-# references below multiply every pair and eliminate every entry.
+# The kernels skip every product with a zero factor, and on rationals compute
+# on integers over common denominators.  The references below use Scalar
+# arithmetic, multiply every pair and eliminate every entry.
 
 
 def ref_product(x, y):
@@ -232,6 +245,14 @@ def ref_rref(rows, field):
     return rows, tuple(pivots)
 
 
+def ref_basis(vectors, field):
+    """The RREF row basis of the vectors, from the reference elimination."""
+    if not vectors:
+        return ()
+    rows, pivots = ref_rref(vectors, field)
+    return tuple(tuple(row) for row in rows[: len(pivots)])
+
+
 def ref_kernel_basis(m):
     """RREF row basis of {v : m v = 0}, from the reference elimination."""
     reduced, pivots = ref_rref([m.row(i) for i in range(m.rows)], m.field)
@@ -242,16 +263,37 @@ def ref_kernel_basis(m):
         for r, pc in enumerate(pivots):
             v[pc] = -reduced[r][free]
         vectors.append(v)
-    if not vectors:
-        return ()
-    basis, pivots = ref_rref(vectors, m.field)
-    return tuple(tuple(row) for row in basis[: len(pivots)])
+    return ref_basis(vectors, m.field)
 
 
 def ref_contains(x, y):
     """Y <= X when the RREF of X's rows plus Y's rows equals X's basis."""
-    rows, pivots = ref_rref(list(x.basis) + list(y.basis), x.field)
-    return tuple(tuple(row) for row in rows[: len(pivots)]) == x.basis
+    return ref_basis(list(x.basis) + list(y.basis), x.field) == x.basis
+
+
+def ref_intersect(x, y):
+    """X n Y from the reference elimination of the Zassenhaus rows
+    [X | X; Y | 0]: the right halves of the rows whose left half is zero."""
+    zero = x.field.zero
+    rows = [list(r) + list(r) for r in x.basis] + [list(r) + [zero] * x.ambient
+                                                   for r in y.basis]
+    if not rows:
+        return ()
+    reduced, _ = ref_rref(rows, x.field)
+    return ref_basis([row[x.ambient:] for row in reduced
+                      if all(v.is_zero() for v in row[: x.ambient])
+                      and not all(v.is_zero() for v in row[x.ambient:])], x.field)
+
+
+def ref_power_series(coeffs, powers):
+    """sum_n coeffs[n] powers[n], entry by entry."""
+    p = powers[0]
+    return [[sum((c * m[i, j] for c, m in zip(coeffs, powers)), p.field.zero)
+             for j in range(p.cols)] for i in range(p.rows)]
+
+
+def rows_of(m):
+    return [list(m.row(i)) for i in range(m.rows)]
 
 
 @st.composite
@@ -278,82 +320,178 @@ def sparse_matrices(draw, field, rows, cols):
                                       else field.zero for k in range(size)])
 
 
-@st.composite
-def sparse_products(draw):
-    field = draw(st.sampled_from([QF, RF]))
-    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
-    return draw(sparse_matrices(field, n, k)), draw(sparse_matrices(field, k, m))
+BIG = 2 ** 300
 
 
 @st.composite
-def sparse_shapes(draw):
-    field = draw(st.sampled_from([QF, RF]))
-    n = draw(st.integers(1, 4))
-    return draw(sparse_matrices(field, n, draw(st.integers(1, 5)) if draw(st.booleans()) else n))
+def large_rationals(draw):
+    """A rational with numerator and denominator up to about 300 bits, of
+    either sign; zero and small values too."""
+    num = draw(st.one_of(st.integers(-BIG, BIG), st.integers(-9, 9)))
+    den = draw(st.one_of(st.integers(1, BIG), st.integers(1, 9)))
+    return QF.coerce(Fraction(num, den))
 
 
 @st.composite
-def subspace_pairs(draw):
+def dense_matrices(draw, field, rows, cols):
+    """Rational and mostly nonzero, with large entries; in half of the draws
+    a product through a narrower middle, so its rank is below min(rows, cols)."""
+    assert field is QF
+    def entries(r, c):
+        return Matrix(QF, r, c, [draw(large_rationals()) for _ in range(r * c)])
+
+    if min(rows, cols) > 1 and draw(st.booleans()):
+        middle = draw(st.integers(1, min(rows, cols) - 1))
+        return entries(rows, middle) * entries(middle, cols)
+    return entries(rows, cols)
+
+
+@st.composite
+def products(draw, matrices, fields, size):
+    field = draw(st.sampled_from(fields))
+    n, k, m = (draw(st.integers(1, size)) for _ in range(3))
+    return draw(matrices(field, n, k)), draw(matrices(field, k, m))
+
+
+@st.composite
+def shapes(draw, matrices, fields, size):
+    field = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, size))
+    return draw(matrices(field, n, draw(st.integers(1, size + 1)) if draw(st.booleans())
+                         else n))
+
+
+@st.composite
+def subspace_pairs(draw, matrices, fields, size):
     """(X, Y) with Y spanned by combinations of X's rows in half of the draws,
-    so that Y <= X holds by construction, and by sparse rows otherwise."""
-    field = draw(st.sampled_from([QF, RF]))
-    n = draw(st.integers(1, 4))
-    xs = draw(sparse_matrices(field, draw(st.integers(1, 3)), n))
+    so that Y <= X holds by construction, and by other rows otherwise."""
+    field = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, size))
+    xs = draw(matrices(field, draw(st.integers(1, max(1, size - 1))), n))
     if draw(st.booleans()):
-        ys = draw(sparse_matrices(field, draw(st.integers(1, 2)), xs.rows)) * xs
+        ys = draw(matrices(field, draw(st.integers(1, max(1, size // 2))), xs.rows)) * xs
     else:
-        ys = draw(sparse_matrices(field, draw(st.integers(1, 2)), n))
+        ys = draw(matrices(field, draw(st.integers(1, max(1, size // 2))), n))
     return tuple(Subspace.from_vectors(field, n, [m.row(i) for i in range(m.rows)])
                  for m in (xs, ys))
 
 
+@st.composite
+def series(draw, matrices, fields, size):
+    """Coefficients, some zero, and as many matrices of one shape."""
+    field = draw(st.sampled_from(fields))
+    n, m, k = draw(st.integers(1, size)), draw(st.integers(1, size)), draw(st.integers(1, 4))
+    coeffs = [field.zero if j and draw(st.booleans()) else
+              draw(large_rationals() if field is QF else nonzero_scalars(field))
+              for j in range(k)]
+    return coeffs, [draw(matrices(field, n, m)) for _ in range(k)]
+
+
+def check_rref_inverse_kernel(m):
+    reduced, pivots = m.rref()
+    ref_rows, ref_pivots = ref_rref([m.row(i) for i in range(m.rows)], m.field)
+    assert pivots == ref_pivots
+    assert rows_of(reduced) == ref_rows
+    assert m.kernel().basis == ref_kernel_basis(m)
+    if m.is_square:
+        eye = [[m.field.one if i == j else m.field.zero for j in range(m.rows)]
+               for i in range(m.rows)]
+        aug, aug_pivots = ref_rref([list(m.row(i)) + eye[i] for i in range(m.rows)], m.field)
+        if aug_pivots[: m.rows] == tuple(range(m.rows)):
+            assert rows_of(m.inverse()) == [row[m.rows:] for row in aug]
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+
+
+SPARSE_FIELDS = [QF, RF]
+
+
 class TestSparseKernels:
     @settings(max_examples=60, deadline=None)
-    @given(sparse_products())
+    @given(products(sparse_matrices, SPARSE_FIELDS, 4))
     def test_product(self, pair):
         x, y = pair
-        assert [list((x * y).row(i)) for i in range(x.rows)] == ref_product(x, y)
+        assert rows_of(x * y) == ref_product(x, y)
 
     @settings(max_examples=60, deadline=None)
-    @given(sparse_products())
-    def test_mul_vector(self, pair):
+    @given(products(sparse_matrices, SPARSE_FIELDS, 4))
+    def test_products_of_columns(self, pair):
         x, y = pair
-        column = [y[t, 0] for t in range(y.rows)]
-        assert list(x.mul_vector(column)) == [row[0] for row in ref_product(x, y)]
+        columns = [[y[t, j] for t in range(y.rows)] for j in range(y.cols)]
+        assert [list(v) for v in _products(x, columns)] == \
+            [list(column) for column in zip(*ref_product(x, y))]
 
     @settings(max_examples=100, deadline=None)
-    @given(subspace_pairs())
+    @given(subspace_pairs(sparse_matrices, SPARSE_FIELDS, 4))
     def test_contains(self, pair):
         x, y = pair
         assert x.contains(y) == ref_contains(x, y)
 
     @settings(max_examples=60, deadline=None)
-    @given(sparse_shapes())
+    @given(shapes(sparse_matrices, SPARSE_FIELDS, 4))
     def test_rref_inverse_kernel(self, m):
-        reduced, pivots = m.rref()
-        ref_rows, ref_pivots = ref_rref([m.row(i) for i in range(m.rows)], m.field)
-        assert pivots == ref_pivots
-        assert [list(reduced.row(i)) for i in range(m.rows)] == ref_rows
-        assert m.kernel().basis == ref_kernel_basis(m)
-        if m.is_square:
-            eye = [[m.field.one if i == j else m.field.zero for j in range(m.rows)]
-                   for i in range(m.rows)]
-            aug, aug_pivots = ref_rref([list(m.row(i)) + eye[i] for i in range(m.rows)],
-                                       m.field)
-            if aug_pivots[: m.rows] == tuple(range(m.rows)):
-                assert [list(m.inverse().row(i)) for i in range(m.rows)] == \
-                    [row[m.rows:] for row in aug]
-            else:
-                with pytest.raises(ValueError, match="singular"):
-                    m.inverse()
+        check_rref_inverse_kernel(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(subspace_pairs(sparse_matrices, SPARSE_FIELDS, 4))
+    def test_intersect(self, pair):
+        x, y = pair
+        assert subspace_intersect(x, y).basis == ref_intersect(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series(sparse_matrices, SPARSE_FIELDS, 4))
+    def test_power_series(self, pair):
+        coeffs, powers = pair
+        assert rows_of(power_series(coeffs, powers)) == ref_power_series(coeffs, powers)
+
+
+class TestDenseKernels:
+    """The kernels against the references on dense rationals with entries of
+    up to about 300 bits, up to 8 x 8, rank-deficient and non-square."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(products(dense_matrices, [QF], 8))
+    def test_product(self, pair):
+        x, y = pair
+        assert rows_of(x * y) == ref_product(x, y)
+        columns = [[y[t, j] for t in range(y.rows)] for j in range(y.cols)]
+        assert [list(v) for v in _products(x, columns)] == \
+            [list(column) for column in zip(*ref_product(x, y))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes(dense_matrices, [QF], 8))
+    def test_rref_inverse_kernel(self, m):
+        check_rref_inverse_kernel(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(subspace_pairs(dense_matrices, [QF], 8))
+    def test_contains_and_intersect(self, pair):
+        x, y = pair
+        assert x.contains(y) == ref_contains(x, y)
+        assert y.contains(x) == ref_contains(y, x)
+        assert subspace_intersect(x, y).basis == ref_intersect(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series(dense_matrices, [QF], 8))
+    def test_power_series(self, pair):
+        coeffs, powers = pair
+        assert rows_of(power_series(coeffs, powers)) == ref_power_series(coeffs, powers)
+
+
+class Products:
+    """The number of products formed by the counting values below."""
+
+    count = 0
 
 
 def _closed(op, counts=False):
-    """op with its result kept a CountedFraction; a product counts itself."""
+    """op with its result converted back to the operand's class; a product
+    counts itself."""
     def method(self, other):
         if counts:
-            CountedFraction.products += 1
-        return CountedFraction(op(self, other))
+            Products.count += 1
+        return type(self)(op(self, other))
     return method
 
 
@@ -362,7 +500,6 @@ class CountedFraction(Fraction):
     CountedFraction again, so every product the raw-value kernels form from
     these entries, or from values computed from them, is counted."""
 
-    products = 0
     __mul__ = _closed(Fraction.__mul__, counts=True)
     __rmul__ = _closed(Fraction.__rmul__, counts=True)
     __add__ = _closed(Fraction.__add__)
@@ -373,59 +510,109 @@ class CountedFraction(Fraction):
     __rtruediv__ = _closed(Fraction.__rtruediv__)
 
 
-def counted(rows):
-    return Matrix.from_rows(QF, [[Scalar(QF, CountedFraction(x)) for x in row] for row in rows])
+class CountedInt(int):
+    """An int that counts the products it forms; its arithmetic returns
+    CountedInt again."""
+
+    __mul__ = _closed(int.__mul__, counts=True)
+    __rmul__ = _closed(int.__rmul__, counts=True)
+    __add__ = _closed(int.__add__)
+    __radd__ = _closed(int.__radd__)
+    __sub__ = _closed(int.__sub__)
+    __rsub__ = _closed(int.__rsub__)
+    __floordiv__ = _closed(int.__floordiv__)
+    __rfloordiv__ = _closed(int.__rfloordiv__)
+
+
+class LiftedFraction(Fraction):
+    """A Fraction whose numerator and denominator are CountedInts, so every
+    product the integer kernels form from its lifted value is counted."""
+
+    @property
+    def numerator(self):
+        return CountedInt(super().numerator)
+
+    @property
+    def denominator(self):
+        return CountedInt(super().denominator)
 
 
 class TestZeroProductsSkipped:
-    """Counts of products formed on raw field values: a product with a zero
-    factor is never formed, in the product, the elimination or the membership
-    reduction."""
+    """Counts of the integer products the rational kernels form: a product
+    with a zero factor is never formed, in the product, the elimination or the
+    membership reduction.  An integer row is eliminated by cross-multiplying,
+    p x - f y, so each entry with both x and y nonzero costs two products,
+    and a row is never scaled: its content is divided out and each pivot row
+    is divided by its pivot once, at the end."""
+
+    field = QF
+    counting = LiftedFraction
+    N = 4
+    # A product costs one per output entry.  Lifted, (the identity plus ones
+    # down column 0) times 2 or times 1 has the same primitive rows, and each
+    # of the N - 1 eliminations costs p x - f y in column 0 and p x on the
+    # diagonal.  Membership costs p x - f y at the two nonzero entries.
+    expected = {"dense_eye": N ** 2, "eye_dense": N ** 2, "rref_2": 3 * (N - 1),
+                "rref_1": 3 * (N - 1), "spans": 4}
 
     @pytest.fixture(autouse=True)
     def reset(self):
-        CountedFraction.products = 0
+        Products.count = 0
 
-    N = 4
+    def counted(self, rows):
+        return Matrix.from_rows(self.field, [[Scalar(self.field, self.counting(x)) for x in row]
+                                             for row in rows])
 
     def dense_and_identity(self):
         n = self.N
-        return (counted([[i * n + j + 1 for j in range(n)] for i in range(n)]),
-                counted([[int(i == j) for j in range(n)] for i in range(n)]))
+        return (self.counted([[i * n + j + 1 for j in range(n)] for i in range(n)]),
+                self.counted([[int(i == j) for j in range(n)] for i in range(n)]))
 
     def test_dense_times_identity(self):
         dense, eye = self.dense_and_identity()
         assert dense * eye == dense
-        assert CountedFraction.products == self.N ** 2
+        assert Products.count == self.expected["dense_eye"]
 
     def test_identity_times_dense(self):
         dense, eye = self.dense_and_identity()
         assert eye * dense == dense
-        assert CountedFraction.products == self.N ** 2
+        assert Products.count == self.expected["eye_dense"]
 
     def ones_down_column_0(self, value):
         """value times (the identity plus ones down column 0), reduced: each
-        of the n - 1 eliminations has one nonzero entry to subtract, and each
-        pivot row one to scale, unless its pivot is already 1."""
+        of the n - 1 eliminations has one nonzero entry to subtract."""
         n = self.N
-        m = counted([[value if j == 0 or i == j else 0 for j in range(n)] for i in range(n)])
+        m = self.counted([[value if j == 0 or i == j else 0 for j in range(n)]
+                          for i in range(n)])
         reduced, pivots = m.rref()
-        assert reduced == Matrix.identity(QF, n) and pivots == tuple(range(n))
+        assert reduced == Matrix.identity(self.field, n) and pivots == tuple(range(n))
 
     def test_rref_scales_and_eliminates_nonzero_entries_only(self):
         self.ones_down_column_0(2)
-        assert CountedFraction.products == self.N + (self.N - 1)
+        assert Products.count == self.expected["rref_2"]
 
     def test_rref_leaves_unit_pivots_unscaled(self):
         self.ones_down_column_0(1)
-        assert CountedFraction.products == self.N - 1
+        assert Products.count == self.expected["rref_1"]
 
     def test_membership_reduces_nonzero_entries_only(self):
         # 5 times basis row 1: row 0 is skipped (the vector is 0 at its
         # pivot), and row 1 has two nonzero entries to subtract
-        basis = counted([[1, 0, 2, 0], [0, 1, 3, 0]])
-        plane = Subspace.from_vectors(QF, 4, [basis.row(0), basis.row(1)])
-        vector = counted([[0, 5, 15, 0]]).row(0)
-        CountedFraction.products = 0
+        basis = self.counted([[1, 0, 2, 0], [0, 1, 3, 0]])
+        plane = Subspace.from_vectors(self.field, 4, [basis.row(0), basis.row(1)])
+        vector = self.counted([[0, 5, 15, 0]]).row(0)
+        Products.count = 0
         assert plane.spans([vector])
-        assert CountedFraction.products == 2
+        assert Products.count == self.expected["spans"]
+
+
+class TestZeroProductsSkippedRaw(TestZeroProductsSkipped):
+    """The same counts on the raw-value path that ratfunc takes, where each
+    product of two nonzero entries is one Fraction product and a pivot row is
+    scaled by 1 / pivot unless the pivot is 1."""
+
+    field = RAW
+    counting = CountedFraction
+    N = TestZeroProductsSkipped.N
+    expected = {"dense_eye": N ** 2, "eye_dense": N ** 2, "rref_2": N + (N - 1),
+                "rref_1": N - 1, "spans": 2}
