@@ -15,7 +15,8 @@ backend.  Rational kernels compute on integers: ``_lift`` puts each row or
 vector over the lcm of its denominators, elimination is fraction-free
 (cross-multiplied, each changed row divided by the gcd of its entries), and
 each output entry becomes one ``Fraction``, so one gcd normalises it.
-Ratfunc kernels compute on raw sympy ``FracElement`` values.  On either
+Ratfunc kernels compute on raw ratfunc values, with the cross-cancelling
+arithmetic of :mod:`tdq.scalars`.  On either
 backend, products, elimination and membership form no product with a zero
 factor.
 
@@ -292,7 +293,7 @@ def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tup
     nonzero entry at or below the current row.  Zero entries are never
     multiplied.  Rational rows are eliminated on integers by
     ``_rref_integer``; other rows on raw values, each pivot row scaled by
-    1 / pivot (sympy leaves pivot ** -1 non-canonical) unless the pivot is 1."""
+    1 / pivot unless the pivot is 1."""
     if field.backend == "rational":
         return _rref_integer(rows, field)
     rows = [[x.raw for x in row] for row in rows]

@@ -10,6 +10,20 @@ arithmetic.  Both backends keep every value in a canonical form, so two
 scalars are equal as field elements exactly when their representations
 compare equal.
 
+Ratfunc values of one field are added, subtracted, multiplied and divided
+by tdq's own arithmetic, since sympy's cancels each result with one gcd of
+the whole numerator against the whole denominator.  A product a/b * c/d is
+cross-cancelled instead (Henrici; Knuth, TAOCP 2, 4.5.1): g1 = gcd(a, d) and
+g2 = gcd(c, b), skipped when d or b is 1, give (a/g1)(c/g2) / ((b/g2)(d/g1)).
+A quotient is the product with c/d swapped, and an inverse swaps numerator
+and denominator with no gcd.  A sum over equal denominators cancels the
+numerator sum against b alone; over a denominator 1 it needs no gcd;
+otherwise g = gcd(b, d) and t = a (d/g) + c (b/g) leave the one gcd of t
+with g.  Each gcd with a non-monomial second argument first tries exact
+division, because a denominator often divides the other numerator.  Results
+are sympy's canonical form, reduced with the denominator leading positive,
+so equality, hashes and rendered text are those of sympy's arithmetic.
+
 sympy is imported only where it is used: the first time a ratfunc field is
 built.  The rational backend never loads it; it finds the rational roots of
 a polynomial (eigenvalues the engine must detect itself) in pure Python.
@@ -25,7 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 __all__ = [
@@ -126,13 +140,9 @@ class Scalar:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent >= 0:
-            return Scalar(self.field, self.raw ** exponent)
-        if not self.raw:
+        if exponent < 0 and not self.raw:
             raise ZeroDivisionError("zero cannot be raised to a negative power")
-        # sympy's x ** -k only swaps numerator and denominator, which leaves a
-        # negative denominator when x's numerator leads negative; 1/x is reduced
-        return Scalar(self.field, (1 / self.raw) ** -exponent)
+        return Scalar(self.field, self.raw ** exponent)
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse; raises ZeroDivisionError for zero."""
@@ -272,6 +282,13 @@ class RatFuncField(_Field):
     Each value is a reduced fraction of polynomials in ZZ[x_1, ..., x_k]
     whose denominator has a positive leading coefficient; this is the same
     field as the one built over QQ, with integer coefficients throughout.
+
+    Values are elements of a subclass of sympy's ``FracElement`` (built on
+    first use; sympy's class is not changed) whose +, -, *, / and inverse
+    between values of one field cross-cancel, as the module docstring
+    describes, instead of cancelling each whole result; they give the same
+    reduced fraction.  The field's constructor, zero, one and generators
+    are re-seated on that subclass, so every value it makes is one.
     """
 
     backend = "ratfunc"
@@ -288,9 +305,18 @@ class RatFuncField(_Field):
         from sympy.polys.fields import field
 
         self.variables = variables
-        self._field, *gens = field(",".join(variables), ZZ)
+        self._field, *old_gens = field(",".join(variables), ZZ)
         self._ring = self._field.ring
-        self._gens = dict(zip(variables, gens))
+        # every value of this field is a _frac_class() element: re-seat the
+        # constructor, the constants and the generators (by name too) on it
+        fld = self._field
+        fld.dtype = _frac_class()(fld, self._ring.zero).raw_new
+        fld.zero, fld.one = fld.dtype(self._ring.zero), fld.dtype(self._ring.one)
+        fld.gens = fld._gens()
+        for name, old, gen in zip(variables, old_gens, fld.gens):
+            if getattr(fld, name, None) is old:
+                setattr(fld, name, gen)
+        self._gens = dict(zip(variables, fld.gens))
 
     def __repr__(self):
         return f"RatFuncField(variables={self.variables!r})"
@@ -394,6 +420,137 @@ class RatFuncField(_Field):
                 c1, c0 = factor.all_coeffs()
                 roots.extend([Scalar(self, self._field.from_expr(-c0 / c1))] * exp)
         return tuple(roots), len(roots) == Poly(expr, lam).degree()
+
+
+# -- ratfunc arithmetic --------------------------------------------------------
+#
+# Polynomials are sympy PolyElements over ZZ.  Every operand is a ratfunc
+# value a/b: reduced over ZZ, with b leading positive.
+
+
+def _is_one(poly) -> bool:
+    return len(poly) == 1 and poly.get(poly.ring.zero_monom) == 1
+
+
+def _exact_quotient_poly(x, y):
+    """x / y when y divides x over ZZ, else None.  Stops at the first
+    remainder whose leading term y's leading term does not divide, since y
+    divides x only if it divides every such term."""
+    y_monom, y_coeff = y.LT
+    divide = x.ring.monomial_div
+    rest, terms = x.copy(), []
+    while rest:
+        monom, coeff = rest.LT
+        monom = divide(monom, y_monom)
+        if monom is None or coeff % y_coeff:
+            return None
+        terms.append((monom, coeff // y_coeff))
+        rest = rest._iadd_poly_monom(y, (monom, -(coeff // y_coeff)))
+    return x.new(terms)
+
+
+def _cofactors(x, y):
+    """(h, x / h, y / h) for a gcd h of x and y.  A non-monomial y that
+    divides x is the gcd, found by one exact division; other pairs go to
+    sympy's ``cofactors``."""
+    if len(y) > 1:
+        quotient = _exact_quotient_poly(x, y)
+        if quotient is not None:
+            return y, quotient, y.ring.one
+    return x.cofactors(y)
+
+
+def _signed(like, numer, denom):
+    """numer / denom, both negated when denom leads negative."""
+    if denom.LC < 0:
+        numer, denom = -numer, -denom
+    return like.raw_new(numer, denom)
+
+
+def _product(f, c, d):
+    """f * (c / d) for reduced f = a/b and c/d (d may lead negative), by
+    cross-cancellation: (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d)
+    and g2 = gcd(c, b), each skipped when its denominator is 1."""
+    a, b = f.numer, f.denom
+    if not a or not c:
+        return f.field.zero
+    if not _is_one(d):
+        _, a, d = _cofactors(a, d)
+    if not _is_one(b):
+        _, c, b = _cofactors(c, b)
+    return _signed(f, a * c, b * d)
+
+
+def _sum(f, c, d):
+    """f + c/d for reduced f = a/b and c/d.  Equal denominators cancel the
+    numerator sum against b alone, a denominator 1 needs no gcd, and
+    otherwise, with g = gcd(b, d) and t = a (d/g) + c (b/g), the sum is
+    (t/h) / ((b/g)(d/g)(g/h)) with h = gcd(t, g)."""
+    a, b = f.numer, f.denom
+    if not c:
+        return f
+    if not a:
+        return f.raw_new(c, d)
+    if b == d:
+        t = a + c
+        if not t:
+            return f.field.zero
+        if _is_one(b):
+            return f.raw_new(t, b)
+        _, t, b = _cofactors(t, b)
+        return _signed(f, t, b)
+    if _is_one(b):
+        return f.raw_new(a * d + c, d)
+    if _is_one(d):
+        return f.raw_new(a + c * b, b)
+    g, b, d = _cofactors(b, d)
+    t = a * d + c * b
+    if _is_one(g):
+        return f.raw_new(t, b * d)
+    _, t, g = _cofactors(t, g)
+    return _signed(f, t, b * d * g)
+
+
+@cache
+def _frac_class():
+    """sympy's ``FracElement`` with the arithmetic above for operands of one
+    field; any other operand takes sympy's own path.  Defined on first use,
+    so that importing this module loads no sympy."""
+    from sympy.polys.fields import FracElement
+
+    class RatFuncElement(FracElement):
+        def _same_field(f, g) -> bool:
+            return isinstance(g, RatFuncElement) and (g.field is f.field or g.field == f.field)
+
+        def __add__(f, g):
+            return _sum(f, g.numer, g.denom) if f._same_field(g) else super().__add__(g)
+
+        def __sub__(f, g):
+            return _sum(f, -g.numer, g.denom) if f._same_field(g) else super().__sub__(g)
+
+        def __mul__(f, g):
+            return _product(f, g.numer, g.denom) if f._same_field(g) else super().__mul__(g)
+
+        def __truediv__(f, g):
+            if not f._same_field(g):
+                return super().__truediv__(g)
+            if not g:
+                raise ZeroDivisionError("division by zero")
+            return _product(f, g.denom, g.numer)
+
+        def __rtruediv__(f, c):
+            return f._inverse() if type(c) is int and c == 1 else super().__rtruediv__(c)
+
+        def __pow__(f, n):
+            return f._inverse() ** -n if n < 0 else super().__pow__(n)
+
+        def _inverse(f):
+            """1 / f: numerator and denominator swapped, with no gcd."""
+            if not f:
+                raise ZeroDivisionError("division by zero")
+            return _signed(f, f.denom, f.numer)
+
+    return RatFuncElement
 
 
 _RATIONAL = RationalField()

@@ -17,7 +17,7 @@ from tdq.scalars import rational_field, ratfunc_field
 QF = rational_field()
 RF = ratfunc_field(("q", "a"))
 OPERATORS = ("A", "K", "B", "psi", "M", "Minv", "Delta", "Deltainv")
-CASES = [(d, frame) for d in (1, 2, 3) for frame in leonard.BASES]
+CASES = [(d, frame) for d in (1, 2, 3, 4) for frame in leonard.BASES]
 
 
 def _derive(params, frame):

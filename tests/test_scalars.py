@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy import ZZ
+from sympy.polys.fields import FracElement, field
+from sympy.polys.rings import PolyElement
 
 from tdq.parser import ParseError, parse_scalar
-from tdq.scalars import rational_field, ratfunc_field
+from tdq.scalars import Scalar, rational_field, ratfunc_field
 
 QF = rational_field()
 RF = ratfunc_field(("q", "a", "b"))
@@ -164,6 +167,151 @@ class TestRatfuncAxioms:
         assert x + (-x) == RF.zero
         if not x.is_zero():
             assert x * x.inv() == RF.one
+
+
+# -- ratfunc arithmetic against sympy's own ------------------------------------
+
+QA = ratfunc_field(("q", "a"))
+STOCK = field("q,a", ZZ)[0]
+_q, _a = STOCK.ring.gens
+FACTORS = [_q, _a, _q + 1, _q - _a, 2 * _q * _a - 3, _q ** 2 + _a, _a ** 2 - _q + 5]
+UNITS = st.sampled_from([1, -1, 2, -6])
+
+
+@st.composite
+def _polys(draw, pool):
+    """A product of up to three factors from the pool, times a small integer
+    of either sign."""
+    value = STOCK.ring(draw(UNITS))
+    for factor in draw(st.lists(st.sampled_from(pool), max_size=3)):
+        value = value * factor
+    return value
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two (numerator, denominator) pairs that often share factors: free,
+    over one denominator, crossed as x y / z and z / (y q), summing to a
+    value over a smaller denominator, constant, or zero."""
+    shared = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=2))
+    polys = _polys(FACTORS + shared * 3)
+    x, y = (draw(polys), draw(polys)), (draw(polys), draw(polys))
+    shape = draw(st.sampled_from(["free", "same-denominator", "crossed", "summing",
+                                  "constant", "zero"]))
+    if shape == "summing":
+        rest = STOCK.new(*y) - STOCK.new(*x)
+        y = (rest.numer, rest.denom)
+    elif shape == "same-denominator":
+        y = (y[0], x[1])
+    elif shape == "crossed":
+        z = draw(polys)
+        x, y = (x[0] * y[1], z), (z * y[0], y[1] * _q)
+    elif shape == "constant":
+        y = (STOCK.ring(draw(UNITS)), STOCK.ring(draw(UNITS)))
+    elif shape == "zero":
+        y = (STOCK.ring.zero, y[1])
+    if draw(st.booleans()):
+        x, y = y, x
+    return x, y
+
+
+def _pair_values(pair):
+    """(tdq scalar, sympy FracElement) of one (numerator, denominator) pair,
+    each reduced by sympy's ``cancel``, so neither depends on tdq's
+    arithmetic."""
+    num, den = pair
+    ours = QA._field.new(num.set_ring(QA._ring), den.set_ring(QA._ring))
+    return Scalar(QA, ours), STOCK.new(num, den)
+
+
+def _same(ours, stock):
+    assert type(ours.raw) is type(QA.one.raw)
+    assert (ours.raw.numer, ours.raw.denom) == (stock.numer, stock.denom)
+
+
+class TestRatfuncArithmeticAgainstSympy:
+    """tdq's ratfunc arithmetic gives sympy's reduced form, byte for byte,
+    and keeps tdq's element class."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operand_pairs(), st.integers(1, 3))
+    def test_operations(self, pairs, k):
+        (x, sx), (y, sy) = map(_pair_values, pairs)
+        _same(x + y, sx + sy)
+        _same(x - y, sx - sy)
+        _same(x * y, sx * sy)
+        if y:
+            _same(x / y, sx / sy)
+            _same(y.inv(), 1 / sy)
+            _same(y ** -k, (1 / sy) ** k)
+
+    def test_zero_division(self):
+        with pytest.raises(ZeroDivisionError):
+            QA.one / QA.zero
+        with pytest.raises(ZeroDivisionError):
+            QA.zero.raw ** -2
+
+
+class TestGcdCounts:
+    """The arithmetic's shortcuts, pinned by counting sympy's gcds: a
+    non-monomial denominator that divides the other numerator is cancelled
+    by exact division, and a denominator 1 needs no gcd at all."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"cofactors": 0, "_gcd_ZZ": 0}
+        for name in calls:
+            original = getattr(PolyElement, name)
+
+            def counted(f, g, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(f, g)
+
+            monkeypatch.setattr(PolyElement, name, counted)
+        return calls
+
+    def test_denominator_dividing_the_other_numerator(self, counts):
+        x = parse_scalar("q/(q+1)", QA)
+        y = parse_scalar("(q+1)*(q-a)/a^2", QA)
+        counts.update(cofactors=0, _gcd_ZZ=0)
+        values = (x * y, y / x.inv())
+        assert counts["_gcd_ZZ"] == 0
+        assert values == (parse_scalar("q*(q-a)/a^2", QA),) * 2
+        stock_x, stock_y = STOCK.new(_q, _q + 1), STOCK.new((_q + 1) * (_q - _a), _a ** 2)
+        stock_x * stock_y
+        assert counts["_gcd_ZZ"] > 0
+
+    def test_denominator_one(self, counts):
+        p, r = parse_scalar("q^2-a", QA), parse_scalar("3*q*a+1", QA)
+        f = parse_scalar("(q-a)/(q+1)", QA)
+        counts.update(cofactors=0, _gcd_ZZ=0)
+        values = (p + r, p * r - r, p + f, f - p)
+        assert counts == {"cofactors": 0, "_gcd_ZZ": 0}
+        assert values == tuple(parse_scalar(text, QA) for text in (
+            "q^2-a+3*q*a+1", "(q^2-a-1)*(3*q*a+1)", "(q^3+q^2-q*a+q-2*a)/(q+1)",
+            "(-q^3-q^2+q*a+q)/(q+1)"))
+
+
+class TestSympyUntouched:
+    def test_ratfunc_fields_hold_tdq_elements(self):
+        for variables in (("q", "a"), ("q", "a", "b")):
+            rf = ratfunc_field(variables)
+            values = [rf.zero, rf.one, rf.coerce(Fraction(-2, 3))]
+            values += [rf.generator(v) for v in variables]
+            values += [values[-1] * values[-2], values[-1] + values[-2], values[-1].inv()]
+            (cls,) = {type(x.raw) for x in values}
+            assert issubclass(cls, FracElement) and cls is not FracElement
+
+    def test_sympy_field_keeps_its_own_methods(self):
+        QA.generator("q") * QA.generator("a")
+        stock, q, a = field("q,a", ZZ)
+        x = (q + 1) / (a - q)
+        assert type(x) is FracElement and type(stock.one) is FracElement
+        assert type(x * q) is FracElement and type(x ** -1) is FracElement
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__rtruediv__", "__pow__"):
+            method = getattr(type(x), name)
+            assert method is getattr(FracElement, name)
+            assert method.__module__ == "sympy.polys.fields", name
 
 
 class TestRendering:
