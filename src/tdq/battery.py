@@ -456,7 +456,7 @@ def _exp_product_series(s):
 
 @_item("exp_shift_relations", "S exp_q(T) = exp_q(q^2 T)S and (I - (q^2 - 1)T) exp_q(q^2 T) = exp_q(T) for S in {M, K}, T a psi multiple")
 def _exp_shift_relations(s):
-    qq, x = s.q * s.q, s.a ** -1 / (s.q - s.q ** -1)
+    qq, (x, _) = s.q * s.q, s.psi_series.exp_args[1]  # E-'s x = a^-1/(q - q^-1)
     t = x * s.psi
     out = []
     for label, mat in (("M", s.M), ("K", s.K)):

@@ -573,23 +573,25 @@ class PsiSeries:
         return self._cached(("exp", x, base), lambda: q_exp(x, self.powers, base))
 
     @cached_property
-    def exps(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-        """(E+, E-, E+', E-'): E+ = exp_q(a/(q-q^-1) psi), E- =
-        exp_q(a^-1/(q-q^-1) psi), and E+', E-' their exp_(q^-1) at minus
-        the same arguments."""
-        c = self.q - self.q ** -1
+    def exp_args(self) -> tuple[tuple[Scalar, Scalar], ...]:
+        """The (x, base) of E+ = exp_q(a/c psi), E- = exp_q(a^-1/c psi) and of
+        E+', E-', their exp_(q^-1) at minus the same arguments; c = q - q^-1."""
+        q, qinv = self.q, self.q ** -1
+        c = q - qinv
         plus, minus = self.a / c, self.a ** -1 / c
-        return (self.exp(plus, self.q), self.exp(minus, self.q),
-                self.exp(-plus, self.q ** -1), self.exp(-minus, self.q ** -1))
+        return ((plus, q), (minus, q), (-plus, qinv), (-minus, qinv))
+
+    @cached_property
+    def exps(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+        """(E+, E-, E+', E-'), one exp per pair of ``exp_args``."""
+        return tuple(self.exp(x, base) for x, base in self.exp_args)
 
     def exp_product(self, inverse: bool = False) -> Matrix:
         # E+ E-' (E- E+' for the inverse), built alone: derive_suite needs
         # only these two of the four exps
-        def build():
-            c = self.q - self.q ** -1
-            s, t = (self.a ** -1, self.a) if inverse else (self.a, self.a ** -1)
-            return self.exp(s / c, self.q) * self.exp(-(t / c), self.q ** -1)
-        return self._cached(("exp_product", inverse), build)
+        i, j = (1, 2) if inverse else (0, 3)
+        return self._cached(("exp_product", inverse),
+                            lambda: self.exp(*self.exp_args[i]) * self.exp(*self.exp_args[j]))
 
 
 def delta_from_characterization(U: Sequence[Subspace], Udd: Sequence[Subspace]) -> Matrix:
@@ -602,7 +604,7 @@ def delta_from_characterization(U: Sequence[Subspace], Udd: Sequence[Subspace]) 
     U.coordinates, where C' is C with everything outside its diagonal blocks
     zeroed.  U and Udd must be direct decompositions with equal flags.
     """
-    U, Udd = (s if isinstance(s, Decomposition) else Decomposition(s) for s in (U, Udd))
+    U, Udd = Decomposition(U), Decomposition(Udd)
     if not (is_direct_decomposition(U) and is_direct_decomposition(Udd)
             and U.flags == Udd.flags):
         raise EngineError("delta-characterization",
@@ -667,7 +669,7 @@ class OperatorSuite:
             raise ValueError("Astar and EstarV must be both present or both absent")
         for name in ("U", "Udd", "W", "EV", "EstarV"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, Decomposition):
+            if value is not None:
                 object.__setattr__(self, name, Decomposition(value))
         series = self.psi_series
         if series is None or (series.psi, series.q, series.a, series.d) != (

@@ -159,11 +159,8 @@ def _exps(params: QRacahParams) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """psi-hat's (E+, E-, E+', E-') of :attr:`PsiSeries.exps`, each checked
     once against its closed form."""
     def build():
-        series, q = _hat_series(params), params.q
-        c = q - q ** -1
-        plus, minus = params.a / c, params.a ** -1 / c
-        for exp, x, base in zip(series.exps, (plus, minus, -plus, -minus),
-                                (q, q, q ** -1, q ** -1)):
+        series = _hat_series(params)
+        for exp, (x, base) in zip(series.exps, series.exp_args):
             formula = exp_psi_matrix(params, x, base)
             if formula != exp:
                 raise CrossRouteError("closed-form q-exponential entries disagree with "

@@ -10,15 +10,15 @@ field.
 ``power_series`` the one linear combination of matrices, and
 ``Subspace.spans`` reduces vectors against the basis; that relies on the RREF
 invariant, which holds as only ``Subspace.from_vectors`` and
-``Subspace.zero`` build a subspace.  Each kernel branches once on the field's
-backend.  Rational kernels compute on integers: ``_lift`` puts each row or
-vector over the lcm of its denominators, elimination is fraction-free
-(cross-multiplied, each changed row divided by the gcd of its entries), and
-each output entry becomes one ``Fraction``, so one gcd normalises it.
-Ratfunc kernels compute on raw ratfunc values, with the cross-cancelling
-arithmetic of :mod:`tdq.scalars`.  On either
-backend, products, elimination and membership form no product with a zero
-factor.
+``Subspace.zero`` build a subspace.  Each kernel asks ``_on_integers``, the
+one reader of the field's backend, once per call.  Rational kernels compute
+on integers: ``_lift`` puts each row or vector over the lcm of its
+denominators, elimination is fraction-free (cross-multiplied, each changed
+row divided by the gcd of its entries), and each output entry becomes one
+``Fraction``, so one gcd normalises it.  Ratfunc kernels compute on raw
+values, with the cross-cancelling arithmetic of :mod:`tdq.scalars`, and the
+same elimination loop scales each pivot row to 1 and subtracts it.  No
+kernel forms a product with a zero factor.
 
 A :class:`Decomposition` owns its adapted coordinates, built once on first
 use; every change to adapted coordinates reads them.
@@ -232,6 +232,12 @@ class Matrix:
         return [-reduced[r, k] for r in range(k)] + [self.field.one]
 
 
+def _on_integers(field) -> bool:
+    """True when the kernels compute on the field's values lifted to integers
+    by ``_lift`` (rationals); otherwise they compute on raw values."""
+    return field.backend == "rational"
+
+
 def _lift(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """(integer numerators, lcm of the denominators) of the Fractions."""
     den = lcm(*(x.denominator for x in values))
@@ -257,6 +263,14 @@ def _cross(row: list[int], pivot_row: list[int], c: int) -> list[int]:
                        for x, y in zip(row, pivot_row)])
 
 
+def _unit(row: list, c: int) -> list:
+    """row over its entry at c, unless that entry is 1."""
+    if row[c] == 1:
+        return row
+    inv = 1 / row[c]
+    return [x * inv if x else x for x in row]
+
+
 def _subtract(row: list, pivot_row: list, c: int) -> list:
     """row minus row[c] times pivot_row, whose entry at c is 1."""
     f = row[c]
@@ -270,7 +284,7 @@ def _products(m: Matrix, columns: Iterable[Sequence[Scalar]]) -> Iterator[Vector
     Rational rows and columns are lifted, and an entry is one Fraction of an
     integer dot product over the two denominators."""
     field = m.field
-    if field.backend == "rational":
+    if _on_integers(field):
         rows = [_lift([x.raw for x in m.row(i)]) for i in range(m.rows)]
         for v in columns:
             nums, den = _lift([x.raw for x in v])
@@ -290,13 +304,17 @@ def _products(m: Matrix, columns: Iterable[Sequence[Scalar]]) -> Iterator[Vector
 def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tuple[int, ...]]:
     """The reduced row-echelon form of the rows (zero rows kept; the rows
     given are not changed) and its pivot columns.  Each pivot is the first
-    nonzero entry at or below the current row.  Zero entries are never
-    multiplied.  Rational rows are eliminated on integers by
-    ``_rref_integer``; other rows on raw values, each pivot row scaled by
-    1 / pivot unless the pivot is 1."""
-    if field.backend == "rational":
-        return _rref_integer(rows, field)
-    rows = [[x.raw for x in row] for row in rows]
+    nonzero entry at or below the current row; zero entries are never
+    multiplied.  Rational rows are lifted to primitive integer rows,
+    eliminated by ``_cross`` and divided by their pivots once, at the end (the
+    reduced form is unique, so Fraction arithmetic gives the same); other rows
+    are eliminated on raw values by ``_subtract`` after ``_unit``."""
+    if _on_integers(field):
+        rows = [_primitive(_lift([x.raw for x in row])[0]) for row in rows]
+        scale, eliminate, read = None, _cross, Fraction
+    else:
+        rows = [[x.raw for x in row] for row in rows]
+        scale, eliminate, read = _unit, _subtract, (lambda x, pivot: x)
     nrows = len(rows)
     pivots = []
     for c in range(len(rows[0]) if rows else 0):
@@ -307,39 +325,14 @@ def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tup
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        if rows[r][c] != field.one.raw:
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv if x else x for x in rows[r]]
+        if scale:
+            rows[r] = scale(rows[r], c)
         for i in range(nrows):
             if i != r and rows[i][c]:
-                rows[i] = _subtract(rows[i], rows[r], c)
-        pivots.append(c)
-    return [[Scalar(field, x) for x in row] for row in rows], tuple(pivots)
-
-
-def _rref_integer(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tuple[int, ...]]:
-    """``_rref_rows`` for rational rows: each row is lifted to a primitive
-    integer row, eliminated fraction-free by ``_cross`` with the same pivots
-    and swaps, and each pivot row is divided by its pivot once, at the end;
-    the reduced form is unique, so the result is the one Fraction arithmetic
-    gives."""
-    rows = [_primitive(_lift([x.raw for x in row])[0]) for row in rows]
-    nrows = len(rows)
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                rows[i] = _cross(rows[i], rows[r], c)
+                rows[i] = eliminate(rows[i], rows[r], c)
         pivots.append(c)
     zero = field.zero
-    reduced = [[Scalar(field, Fraction(x, row[c])) if x else zero for x in row]
+    reduced = [[Scalar(field, read(x, row[c])) if x else zero for x in row]
                for row, c in zip(rows, pivots)]
     return reduced + [[zero] * len(row) for row in rows[len(pivots):]], tuple(pivots)
 
@@ -392,10 +385,9 @@ class Subspace:
 
     def spans(self, vectors: Iterable[Sequence[Scalar]]) -> bool:
         """True when every vector reduces to zero against the RREF basis, row
-        by row at each row's pivot.  Rational vectors and the basis are lifted
-        and reduced by ``_cross``; others by ``_subtract``, since each pivot
-        is 1."""
-        if self.field.backend == "rational":
+        by row at each row's pivot: by ``_cross`` once rationals are lifted,
+        otherwise by ``_subtract``, since each pivot is 1."""
+        if _on_integers(self.field):
             unwrap, reduce = (lambda raws: _lift(raws)[0]), _cross
         else:
             unwrap, reduce = list, _subtract
@@ -451,8 +443,12 @@ class Decomposition(tuple):
 
     Its flags (V_0 + ... + V_i) and tails (V_i + ... + V_d) are built once,
     incrementally, on first use, and kept on the instance; so are its adapted
-    coordinates (``basis``, ``coordinates`` and ``blocks``).
+    coordinates (``basis``, ``coordinates`` and ``blocks``).  Decomposition(d)
+    is d itself when d is a Decomposition, so what d has built is kept.
     """
+
+    def __new__(cls, spaces: Iterable[Subspace] = ()):
+        return spaces if isinstance(spaces, cls) else super().__new__(cls, spaces)
 
     @cached_property
     def flags(self) -> tuple[Subspace, ...]:
@@ -517,8 +513,8 @@ def eigenspace(m: Matrix, value: Scalar) -> Subspace:
 
 def is_direct_decomposition(spaces: Sequence[Subspace]) -> bool:
     """True when the subspaces are all nonzero, their dimensions sum to the
-    ambient dimension, and their sum is the full space.  A
-    :class:`Decomposition` reads its sum off its cached flags."""
+    ambient dimension, and their sum, the last flag of their
+    :class:`Decomposition`, is the full space."""
     if not spaces:
         return False
     ambient = spaces[0].ambient
@@ -526,8 +522,7 @@ def is_direct_decomposition(spaces: Sequence[Subspace]) -> bool:
         return False
     if sum(s.dim for s in spaces) != ambient:
         return False
-    total = spaces.flags[-1] if isinstance(spaces, Decomposition) else subspace_sum(spaces)
-    return total.dim == ambient
+    return Decomposition(spaces).flags[-1].dim == ambient
 
 
 def nilpotency_index(m: Matrix) -> Optional[int]:
@@ -545,24 +540,27 @@ def matrix_powers(m: Matrix, count: int) -> tuple[Matrix, ...]:
 
 
 def power_series(coeffs: Sequence[Scalar], powers: Sequence[Matrix]) -> Matrix:
-    """sum_n coeffs[n] powers[n], over the shorter of the two sequences.  On
-    rationals each power is lifted, its coefficient over its denominator is
-    lifted with the others over one lcm, and each entry is one Fraction."""
+    """sum_n coeffs[n] powers[n], over the shorter of the two sequences.  Each
+    power with a nonzero coefficient is lifted (raw values lift over 1), its
+    coefficient over its denominator is lifted with the others over one lcm,
+    and each entry sums the nonzero entries' products only."""
     pairs = list(zip(coeffs, powers))
     first = pairs[0][1]
     field = first.field
     if any((p.rows, p.cols, p.field) != (first.rows, first.cols, field) for _, p in pairs):
         raise ValueError("matrix shape or backend mismatch")
-    if field.backend != "rational":
-        terms = [c * p for c, p in pairs]
-        return sum(terms[1:], terms[0])
-    lifted = [(c.raw, *_lift([x.raw for x in p.entries])) for c, p in pairs if c]
-    scales, den = _lift([c / power_den for c, _, power_den in lifted])
+    if _on_integers(field):
+        lift, start, read = _lift, 0, Fraction
+    else:
+        lift, start, read = (lambda values: (values, 1)), field.zero.raw, (lambda t, den: t)
+    lifted = [(c.raw, *lift([x.raw for x in p.entries])) for c, p in pairs if c]
+    scales, den = lift([c / power_den if power_den != 1 else c for c, _, power_den in lifted])
     terms = [(s, nums) for s, (_, nums, _) in zip(scales, lifted)]
-    sums = (sum(s * nums[k] for s, nums in terms if nums[k]) for k in range(len(first.entries)))
+    sums = (sum((s * nums[k] for s, nums in terms if nums[k]), start)
+            for k in range(len(first.entries)))
     zero = field.zero
     return Matrix(field, first.rows, first.cols,
-                  [Scalar(field, Fraction(t, den)) if t else zero for t in sums])
+                  [Scalar(field, read(t, den)) if t else zero for t in sums])
 
 
 def generated_algebra_dim(mats: Sequence[Matrix]) -> int:

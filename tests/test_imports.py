@@ -157,3 +157,34 @@ def test_a_stale_export_is_caught():
     module.present = object()
     module.__all__ = ["present", "DetectionResult", "present"]
     assert _bad_exports(module) == ["DetectionResult", "present"]
+
+
+LINALG = PACKAGE / "linalg.py"
+
+
+def _backend_readers(source):
+    """The innermost function around each read of an attribute named
+    ``backend`` in the source, or ``<module>`` for a read outside any."""
+    readers = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "backend":
+                readers.append(owner)
+            visit(child, child.name if isinstance(child, functions) else owner)
+    visit(ast.parse(source), "<module>")
+    return readers
+
+
+def test_linalg_reads_the_backend_once():
+    # the kernels ask one helper which arithmetic they run on
+    assert _backend_readers(LINALG.read_text()) == ["_on_integers"]
+
+
+def test_a_second_backend_read_is_caught():
+    source = LINALG.read_text()
+    call = "_on_integers(self.field)"
+    assert source.count(call) == 1
+    mutated = source.replace(call, 'self.field.backend == "rational"')
+    assert _backend_readers(mutated) == ["_on_integers", "spans"]

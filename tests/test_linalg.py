@@ -551,9 +551,10 @@ class TestZeroProductsSkipped:
     # A product costs one per output entry.  Lifted, (the identity plus ones
     # down column 0) times 2 or times 1 has the same primitive rows, and each
     # of the N - 1 eliminations costs p x - f y in column 0 and p x on the
-    # diagonal.  Membership costs p x - f y at the two nonzero entries.
+    # diagonal.  Membership costs p x - f y at the two nonzero entries.  A
+    # power series costs one product per nonzero entry of each term.
     expected = {"dense_eye": N ** 2, "eye_dense": N ** 2, "rref_2": 3 * (N - 1),
-                "rref_1": 3 * (N - 1), "spans": 4}
+                "rref_1": 3 * (N - 1), "spans": 4, "power_series": 2 * N}
 
     @pytest.fixture(autouse=True)
     def reset(self):
@@ -605,6 +606,17 @@ class TestZeroProductsSkipped:
         assert plane.spans([vector])
         assert Products.count == self.expected["spans"]
 
+    def test_power_series_sums_nonzero_terms_only(self):
+        # (2, 0, 3) times three identities: the zero coefficient's term and
+        # the zero entries of the other two are skipped
+        n = self.N
+        eye = self.counted([[int(i == j) for j in range(n)] for i in range(n)])
+        coeffs = self.counted([[2, 0, 3]]).row(0)
+        expected = Matrix.diagonal(self.field, [5] * n)
+        Products.count = 0
+        assert power_series(coeffs, [eye] * 3) == expected
+        assert Products.count == self.expected["power_series"]
+
 
 class TestZeroProductsSkippedRaw(TestZeroProductsSkipped):
     """The same counts on the raw-value path that ratfunc takes, where each
@@ -615,4 +627,4 @@ class TestZeroProductsSkippedRaw(TestZeroProductsSkipped):
     counting = CountedFraction
     N = TestZeroProductsSkipped.N
     expected = {"dense_eye": N ** 2, "eye_dense": N ** 2, "rref_2": N + (N - 1),
-                "rref_1": N - 1, "spans": 2}
+                "rref_1": N - 1, "spans": 2, "power_series": 2 * N}
