@@ -635,9 +635,13 @@ class OperatorSuite:
     Decompositions are :class:`~tdq.linalg.Decomposition`s (plain tuples are
     converted).  ``psi_series`` is replaced by a fresh one unless it was built
     for a psi, q, a and d equal to this suite's, so a claimed psi never sees
-    a stale series.  The identity, K^-1 and B^-1 are built on first use, per
-    instance.  theta_i and theta*_i are read from ``params``, rho_i is
-    ``U[i].dim``.
+    a stale series.  ``psi_route`` is ((K, B, q, a), psi), psi being the
+    common value of the four expressions of :func:`psi_from_KB` as
+    :func:`derive_suite` computed it.  It is dropped unless its K, B, q and
+    a equal this suite's, so a claimed psi is still checked against it and a
+    claimed K, B or parameter set has the four expressions computed anew.
+    The identity, K^-1 and B^-1 are built on first use, per instance.
+    theta_i and theta*_i are read from ``params``, rho_i is ``U[i].dim``.
     """
 
     params: QRacahParams
@@ -657,6 +661,7 @@ class OperatorSuite:
     Astar: Optional[Matrix] = None
     EstarV: Optional[Decomposition] = None
     psi_series: Optional[PsiSeries] = dataclass_field(default=None, compare=False, repr=False)
+    psi_route: Optional[tuple] = dataclass_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for name in OPERATOR_NAMES:
@@ -675,6 +680,8 @@ class OperatorSuite:
         if series is None or (series.psi, series.q, series.a, series.d) != (
                 self.psi, self.q, self.a, self.d):
             object.__setattr__(self, "psi_series", PsiSeries(self.psi, self.q, self.a, self.d))
+        if self.psi_route is not None and self.psi_route[0] != (self.K, self.B, self.q, self.a):
+            object.__setattr__(self, "psi_route", None)
 
     @property
     def d(self) -> int:
@@ -764,6 +771,7 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
         params=prms, n=n, A=A, K=K_op, B=B_op, psi=psi, M=M, Minv=Minv,
         Delta=Delta_series, Deltainv=Deltainv, U=sd.U, Udd=sd.Udd, W=W, EV=sd.EV,
         Astar=Astar, EstarV=sd.EstarV, psi_series=series,
+        psi_route=((K_op, B_op, q, a), psi),
     )
 
 

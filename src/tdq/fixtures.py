@@ -19,7 +19,7 @@ from .leonard import BASES, KINDS, LeonardSuite
 from .linalg import Matrix, Subspace
 from .params import QRacahParams
 from .parser import ParseError, parse_scalar
-from .scalars import get_field
+from .scalars import Scalar, get_field
 
 __all__ = [
     "FORMAT_TAG",
@@ -103,13 +103,18 @@ def parse_fixture(doc: dict) -> Fixture:
     if basis not in BASES + ("abstract",):
         raise FixtureFormatError(f"unknown basis tag {basis!r}")
 
+    parsed: dict[str, Scalar] = {}  # each distinct literal once; scalars are immutable
+
     def scalar(text):
         if not isinstance(text, str):
             raise FixtureFormatError(f"scalar entries must be strings, got {text!r}")
-        try:
-            return parse_scalar(text, field)
-        except (ParseError, ZeroDivisionError) as exc:
-            raise FixtureFormatError(f"bad scalar {text!r}: {exc}") from None
+        value = parsed.get(text)
+        if value is None:
+            try:
+                value = parsed[text] = parse_scalar(text, field)
+            except (ParseError, ZeroDivisionError) as exc:
+                raise FixtureFormatError(f"bad scalar {text!r}: {exc}") from None
+        return value
 
     def section(key):
         value = doc.get(key) or {}

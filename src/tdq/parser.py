@@ -13,20 +13,30 @@ Identifiers are the field's indeterminates (ratfunc backend only); '^' binds
 tighter than unary minus, so ``-q^2`` means ``-(q^2)``.  Exponents are
 integer literals and may be negative.
 
+Values stay in the field's ring until they meet a division: Python ints on
+the rational backend, sympy polynomials over ZZ on ratfunc.  A '/' or a
+negative exponent lifts both sides to field scalars (a ring value is itself
+over 1, so canonical) and the rest of that subexpression runs in field
+arithmetic; ``parse_scalar`` returns a :class:`Scalar` either way.  So a
+division-free literal builds one scalar, and a rendered ``(N)/(D)`` costs
+two polynomial builds and one cancellation.  Value, text and every refusal
+are those of evaluating each node in the field.
+
 Limits: parentheses nest at most ``MAX_NESTING`` (100) deep, an integer
 literal has at most ``MAX_DIGITS`` (4,300, Python's default limit for
 converting a decimal string) digits, an exponent is at most
 ``MAX_EXPONENT`` (1,000) in absolute value, and a power ``x^n`` is refused
 before it is computed when |n| * log10(max(|p|, q)) > ``MAX_DIGITS`` for a
-coefficient p/q among the field's ``end_coefficients`` of x: a rational x
-is its own, and a ratfunc x gives the coefficients of the leading and the
-least term of its numerator and denominator (both over the denominator when
-that is a constant).  That coefficient's |n|-th power then appears in the
-rendered result with more than ``MAX_DIGITS`` digits, so no value that could
-be written is refused.  Beyond any of these limits, :class:`ParseError`.
-The exponent bound stops ``2^99999999`` from running for minutes, and the
-power bound ``(<4,300 nines>)^1000`` and ``(q + 10^50)^1000``; rendered
-ratfunc fixtures need exponents of about 2d^2.
+coefficient p/q among the field's ``end_coefficients`` of x (of the ring
+value or the scalar, which agree): a rational x is its own, and a ratfunc x
+gives the coefficients of the leading and the least term of its numerator
+and denominator (both over the denominator when that is a constant).  That
+coefficient's |n|-th power then appears in the rendered result with more
+than ``MAX_DIGITS`` digits, so no value that could be written is refused.
+Beyond any of these limits, :class:`ParseError`.  The exponent bound stops
+``2^99999999`` from running for minutes, and the power bound
+``(<4,300 nines>)^1000`` and ``(q + 10^50)^1000``; rendered ratfunc fixtures
+need exponents of about 2d^2.
 
 ``MAX_DIAMETER`` (64) bounds the diameter ``tdq generate --d`` accepts:
 validating the parameters loops over every i <= d before anything else
@@ -114,6 +124,17 @@ class _Parser:
         kind, value, _ = self.peek()
         return kind == "op" and value in symbols
 
+    # -- values: ring elements until a division, then scalars --------------
+
+    def lift(self, value) -> Scalar:
+        return value if isinstance(value, Scalar) else self.field.from_ring(value)
+
+    def pair(self, x, y):
+        """x and y as they are when both are ring values, else as scalars."""
+        if isinstance(x, Scalar) or isinstance(y, Scalar):
+            return self.lift(x), self.lift(y)
+        return x, y
+
     # -- grammar rules ----------------------------------------------------
 
     def parse(self) -> Scalar:
@@ -121,30 +142,31 @@ class _Parser:
         kind, text, at = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", at)
-        return value
+        return self.lift(value)
 
-    def expr(self) -> Scalar:
+    def expr(self):
         value = self.term()
         while self.at_op("+", "-"):
             _, op, _ = self.advance()
-            rhs = self.term()
+            value, rhs = self.pair(value, self.term())
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self) -> Scalar:
+    def term(self):
         value = self.unary()
         while self.at_op("*", "/"):
             _, op, at = self.advance()
             rhs = self.unary()
             if op == "*":
+                value, rhs = self.pair(value, rhs)
                 value = value * rhs
             else:
-                if rhs.is_zero():
+                if not rhs:
                     raise ZeroDivisionError(f"division by zero at position {at}")
-                value = value / rhs
+                value = self.lift(value) / self.lift(rhs)
         return value
 
-    def unary(self) -> Scalar:
+    def unary(self):
         negate = False
         while self.at_op("-", "+"):
             _, op, _ = self.advance()
@@ -153,18 +175,19 @@ class _Parser:
         value = self.power()
         return -value if negate else value
 
-    def power(self) -> Scalar:
+    def power(self):
         value = self.atom()
         if self.at_op("^"):
             _, _, at = self.advance()
             exponent = self.exponent()
-            if exponent < 0 and value.is_zero():
+            if exponent < 0 and not value:
                 raise ZeroDivisionError(f"division by zero at position {at}")
+            raw = value.raw if isinstance(value, Scalar) else value
             base = max(max(abs(c.numerator), c.denominator)
-                       for c in value.field.end_coefficients(value))
+                       for c in self.field.end_coefficients(raw))
             if abs(exponent) * math.log10(base) > MAX_DIGITS:
                 raise ParseError(f"power with a number of more than {MAX_DIGITS} digits", at)
-            value = value ** exponent
+            value = (self.lift(value) if exponent < 0 else value) ** exponent
         return value
 
     def exponent(self) -> int:
@@ -186,13 +209,13 @@ class _Parser:
             raise ParseError(f"exponent larger than {MAX_EXPONENT}", at)
         return sign * int(text)
 
-    def atom(self) -> Scalar:
+    def atom(self):
         kind, text, at = self.advance()
         if kind == "int":
-            return self.field.from_int(int(text))
+            return self.field.ring_int(int(text))
         if kind == "ident":
             try:
-                return self.field.generator(text)
+                return self.field.ring_generator(text)
             except ValueError as exc:
                 raise ParseError(str(exc), at) from None
         if kind == "op" and text == "(":

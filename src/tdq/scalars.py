@@ -184,8 +184,12 @@ class Scalar:
 
 class _Field:
     """What both backends share: equality by backend and variable names,
-    coercion, zero, one and square roots.  A backend supplies ``backend``,
-    ``variables``, ``from_int``, ``from_fraction`` and ``poly_roots``."""
+    coercion, zero, one, generators and square roots.  A backend supplies
+    ``backend``, ``variables``, ``from_int``, ``from_fraction``,
+    ``ring_int``, ``ring_generator``, ``from_ring``, ``end_coefficients``
+    and ``poly_roots``.  The ring is the integers (Python ints), or the
+    integer polynomials in the variables (sympy ``PolyElement``s): the
+    parser evaluates a literal in it until the first division."""
 
     backend: str
     variables: tuple[str, ...] = ()
@@ -207,6 +211,9 @@ class _Field:
         if isinstance(value, Fraction):
             return self.from_fraction(value)
         raise TypeError(f"cannot coerce {value!r} to a {self.backend} scalar")
+
+    def generator(self, name: str) -> Scalar:
+        return self.from_ring(self.ring_generator(name))
 
     @cached_property
     def zero(self) -> Scalar:
@@ -240,18 +247,24 @@ class RationalField(_Field):
     def from_fraction(self, value: Fraction) -> Scalar:
         return Scalar(self, value)
 
-    def generator(self, name: str) -> Scalar:
+    def ring_int(self, value: int) -> int:
+        return value
+
+    def ring_generator(self, name: str):
         raise ValueError(f"identifier {name!r} is not allowed in the rational backend")
+
+    from_ring = from_int  # the ring is the integers
 
     # -- rendering ----------------------------------------------------------
 
     def render(self, raw: Fraction) -> str:
         return str(raw)
 
-    def end_coefficients(self, value: Scalar) -> tuple[Fraction, ...]:
-        """Rendered coefficients that ``value ** n`` raises to exactly the
-        |n|-th power: here the value itself."""
-        return (value.raw,)
+    def end_coefficients(self, raw) -> tuple[Fraction, ...]:
+        """Rendered coefficients that ``raw ** n`` raises to exactly the
+        |n|-th power, for the raw value of a scalar or a ring value: here
+        the value itself."""
+        return (raw,)
 
     # -- root extraction ----------------------------------------------------
 
@@ -316,7 +329,7 @@ class RatFuncField(_Field):
         for name, old, gen in zip(variables, old_gens, fld.gens):
             if getattr(fld, name, None) is old:
                 setattr(fld, name, gen)
-        self._gens = dict(zip(variables, fld.gens))
+        self._ring_gens = dict(zip(variables, self._ring.gens))
 
     def __repr__(self):
         return f"RatFuncField(variables={self.variables!r})"
@@ -329,11 +342,18 @@ class RatFuncField(_Field):
     def from_fraction(self, value: Fraction) -> Scalar:
         return Scalar(self, self._field.new(self._ring(value.numerator), self._ring(value.denominator)))
 
-    def generator(self, name: str) -> Scalar:
+    def ring_int(self, value: int):
+        return self._ring(value)
+
+    def ring_generator(self, name: str):
         try:
-            return Scalar(self, self._gens[name])
+            return self._ring_gens[name]
         except KeyError:
             raise ValueError(f"unknown identifier {name!r}") from None
+
+    def from_ring(self, value) -> Scalar:
+        """The scalar of a polynomial: itself over 1, which is canonical."""
+        return Scalar(self, self._field.dtype(value))
 
     # -- rendering ----------------------------------------------------------
 
@@ -352,14 +372,18 @@ class RatFuncField(_Field):
             _render_terms(den_terms, self.variables),
         )
 
-    def end_coefficients(self, value: Scalar) -> tuple[Fraction, ...]:
-        """Rendered coefficients that ``value ** n`` raises to exactly the
-        |n|-th power: the coefficients of the leading and of the least term
+    def end_coefficients(self, raw) -> tuple[Fraction, ...]:
+        """Rendered coefficients that ``raw ** n`` raises to exactly the
+        |n|-th power, for the raw value of a scalar or a polynomial of the
+        ring (over 1): the coefficients of the leading and of the least term
         (in the ring's monomial order) of numerator and denominator, since
         the least term of p^n is the n-th power of the least term of p; or,
         when the denominator is a constant c, the numerator's two over c,
         which is how :meth:`render` shows them."""
-        num, den = value.raw.numer, value.raw.denom
+        if isinstance(raw, _frac_class()):
+            num, den = raw.numer, raw.denom
+        else:
+            num, den = raw, self._ring.one
         if not num:
             return (Fraction(0),)
         ends = (Fraction(int(num.LC)), Fraction(int(num.terms()[-1][1])))

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from tdq import engine, leonard, linalg, qcalc
+from tdq import battery, engine, leonard, linalg, qcalc
 from tdq.battery import battery_ids, verify_battery
 from tdq.linalg import Matrix
 from tdq.params import QRacahParams
@@ -122,6 +122,65 @@ class TestSeriesFollowsClaimedPsi:
             assert status[item].status == "pass", item
 
 
+class TestPsiRouteRecord:
+    """derive_suite records psi's four-expression route on the suite; the
+    battery reads it while K, B, q and a are the suite's and otherwise runs
+    the route anew."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        calls = []
+        original = engine.psi_from_KB
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(battery, "psi_from_KB", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def derived(self):
+        p = make_params(QF, d=2)
+        ls = leonard.leonard_suite(p, "u")
+        return engine.derive_suite(ls.A, K=ls.K, params=p)
+
+    def test_derived_suite_runs_no_route(self, derived, routes):
+        assert derived.psi_route[1] is derived.psi
+        assert verify_battery(derived).passed
+        assert routes == []
+
+    def test_equal_claimed_b_keeps_the_record(self, derived, routes):
+        B = derived.B
+        claimed = replace(derived, B=Matrix(QF, B.rows, B.cols, list(B.entries)))
+        assert claimed.B is not B and claimed.psi_route is derived.psi_route
+        assert _statuses(claimed)["psi_four_expressions"].status == "pass"
+        assert routes == []
+
+    def test_changed_b_runs_the_route_once(self, derived, routes):
+        claimed = replace(derived, B=_bumped(derived.B, 2, 2))
+        assert claimed.psi_route is None
+        entry = _statuses(claimed)["psi_four_expressions"]
+        assert len(routes) == 1 and routes[0][1] is claimed.B
+        assert (entry.status, entry.witness) == ("fail", {
+            "violation_count": 1,
+            "violations": [{"identity": "four expressions",
+                            "error": "the four expressions for the lowering operator disagree"}],
+        })
+
+    @pytest.mark.parametrize("change", [
+        lambda s: {"K": _bumped(s.K, 0, 0)},
+        lambda s: {"params": make_params(QF, d=2, a=5)},
+    ], ids=["K", "params"])
+    def test_changed_k_or_params_drops_the_record(self, derived, change):
+        assert replace(derived, **change(derived)).psi_route is None
+
+    def test_claimed_psi_is_checked_against_the_record(self, derived, routes):
+        claimed = replace(derived, psi=2 * derived.psi)
+        assert claimed.psi_route is derived.psi_route
+        assert _statuses(claimed)["psi_four_expressions"].status == "fail"
+        assert routes == []
+
+
 class TestExpShiftRelations:
     ITEM = ["exp_shift_relations"]
 
@@ -191,16 +250,19 @@ class TestCallCounts:
         suite = engine.derive_suite(ls.A, K=ls.K)
         assert (calls["inverse"], calls["eigenspace"]) == (9, 12)
         assert verify_battery(suite).passed
+        # the battery inverts K, B and M's four (I - x psi); psi's route is derive's
+        assert calls["inverse"] == 15
         assert calls["q_exp"] == 5
         assert calls["_running_sums"] == 7
         assert calls["subspace_sum"] <= 99
         assert calls["power_series"] <= 11
 
-    @pytest.mark.parametrize("d,bound", [(6, 145), (10, 160)])
+    @pytest.mark.parametrize("d,bound", [(6, 131), (10, 143)])
     def test_matrix_products_per_pass(self, monkeypatch, d, bound):
         # leonard_suite + derive_suite(A, K, params) + verify_battery at
         # rational (2, 3) in the u frame: every q-exponential of psi is summed
-        # over psi's one power list, so no powers of a multiple of psi are formed
+        # over psi's one power list, so no powers of a multiple of psi are
+        # formed, and the battery reads psi's four-expression route from derive
         original = Matrix.__mul__
         products = [0]
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tdq import engine, leonard
+from tdq import engine, fixtures, leonard
 from tdq.fixtures import (
     FixtureFormatError,
     fixture_from_leonard,
@@ -12,7 +12,8 @@ from tdq.fixtures import (
     write_fixture,
     write_json,
 )
-from tdq.scalars import rational_field
+from tdq.params import QRacahParams
+from tdq.scalars import rational_field, ratfunc_field
 
 from conftest import make_params
 
@@ -113,3 +114,43 @@ def test_failed_write_leaves_no_temporary_file(tmp_path):
     with pytest.raises(FixtureFormatError, match=f"cannot write {target}: "):
         write_json(str(target), {"x": 1})
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def _literals(doc):
+    """Every scalar literal of a fixture document, in reading order."""
+    texts = [x for rows in doc["matrices"].values() for row in rows for x in row]
+    return texts + [doc["params"][k] for k in ("q", "a", "b") if k in doc["params"]]
+
+
+@pytest.mark.parametrize("backend", ["rational", "ratfunc"])
+def test_each_distinct_literal_parsed_once(tmp_path, monkeypatch, backend):
+    if backend == "rational":
+        fixture = leonard_fixture(d=3)
+    else:
+        RF = ratfunc_field(("q", "a"))
+        params = QRacahParams(2, RF.generator("q"), RF.generator("a"))
+        fixture = fixture_from_leonard(leonard.leonard_suite(params, "u"))
+    path = tmp_path / "f.json"
+    write_fixture(str(path), fixture)
+    texts = _literals(json.loads(path.read_text()))
+    parsed = []
+    original = fixtures.parse_scalar
+
+    def counted(text, field):
+        parsed.append(text)
+        return original(text, field)
+    monkeypatch.setattr(fixtures, "parse_scalar", counted)
+    loaded = read_fixture(str(path))
+    assert sorted(parsed) == sorted(set(texts)) and len(parsed) < len(texts)
+    assert loaded.matrices == fixture.matrices and loaded.params == fixture.params
+
+
+@pytest.mark.parametrize("entry", [["1"], 5, None, {"x": "1"}],
+                         ids=["list", "number", "null", "object"])
+def test_non_string_entries_rejected(entry):
+    # the type is checked before the parsed literals are looked up, so an
+    # unhashable entry is a format error too
+    doc = leonard_fixture().to_dict()
+    doc["matrices"]["A"][0][1] = entry
+    with pytest.raises(FixtureFormatError, match="scalar entries must be strings"):
+        parse_fixture(doc)

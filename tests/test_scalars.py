@@ -7,7 +7,8 @@ from sympy import ZZ
 from sympy.polys.fields import FracElement, field
 from sympy.polys.rings import PolyElement
 
-from tdq.parser import ParseError, parse_scalar
+from tdq.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, ParseError, _tokenize,
+                        parse_scalar)
 from tdq.scalars import Scalar, rational_field, ratfunc_field
 
 QF = rational_field()
@@ -91,6 +92,165 @@ class TestParser:
     def test_power_beyond_digit_bound_rejected(self, field, text):
         with pytest.raises(ParseError, match="more than 4300 digits"):
             parse_scalar(text, field)
+
+
+class _FieldEvaluator:
+    """Reference for the parser: the same grammar, evaluated in field
+    arithmetic at every node."""
+
+    def __init__(self, text, field):
+        self.tokens, self.pos, self.field, self.depth = _tokenize(text), 0, field, 0
+
+    def take(self, *symbols):
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "op" and value in symbols:
+            self.pos += 1
+            return self.tokens[self.pos - 1]
+        return None
+
+    def parse(self):
+        value = self.expr()
+        kind, text, at = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", at)
+        return value
+
+    def expr(self):
+        value = self.term()
+        while tok := self.take("+", "-"):
+            rhs = self.term()
+            value = value + rhs if tok[1] == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.unary()
+        while tok := self.take("*", "/"):
+            rhs = self.unary()
+            if tok[1] == "/" and rhs.is_zero():
+                raise ZeroDivisionError(f"division by zero at position {tok[2]}")
+            value = value * rhs if tok[1] == "*" else value / rhs
+        return value
+
+    def unary(self):
+        negate = False
+        while tok := self.take("-", "+"):
+            negate ^= tok[1] == "-"
+        value = self.power()
+        return -value if negate else value
+
+    def power(self):
+        value = self.atom()
+        if tok := self.take("^"):
+            at = tok[2]
+            exponent = self.exponent()
+            if exponent < 0 and value.is_zero():
+                raise ZeroDivisionError(f"division by zero at position {at}")
+            base = max(max(abs(c.numerator), c.denominator)
+                       for c in self.field.end_coefficients(value.raw))
+            if abs(exponent) * math.log10(base) > MAX_DIGITS:
+                raise ParseError(f"power with a number of more than {MAX_DIGITS} digits", at)
+            value = value ** exponent
+        return value
+
+    def exponent(self):
+        parenthesized = self.take("(") is not None
+        sign = -1 if (tok := self.take("-", "+")) and tok[1] == "-" else 1
+        kind, text, at = self.tokens[self.pos]
+        if kind != "int":
+            raise ParseError("expected an integer exponent", at)
+        self.pos += 1
+        if parenthesized and not self.take(")"):
+            raise ParseError("expected ')'", self.tokens[self.pos][2])
+        if int(text) > MAX_EXPONENT:
+            raise ParseError(f"exponent larger than {MAX_EXPONENT}", at)
+        return sign * int(text)
+
+    def atom(self):
+        kind, text, at = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "int":
+            return self.field.from_int(int(text))
+        if kind == "ident":
+            try:
+                return self.field.generator(text)
+            except ValueError as exc:
+                raise ParseError(str(exc), at) from None
+        if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.depth += 1
+            value = self.expr()
+            if not self.take(")"):
+                raise ParseError("expected ')'", self.tokens[self.pos][2])
+            self.depth -= 1
+            return value
+        raise ParseError(f"expected a value, found {text!r}" if text else "unexpected end of input", at)
+
+
+def _outcome(evaluate, text, field):
+    try:
+        value = evaluate(text, field)
+    except Exception as exc:  # sympy's ValueError("0**0") for a ratfunc 0^0 too
+        return type(exc), str(exc)
+    return value, value.render()
+
+
+_exponents = st.tuples(st.sampled_from(["{}", "-{}", "+{}", "({})", "(-{})", "(+{})"]),
+                       st.integers(0, 4)).map(lambda t: t[0].format(t[1]))
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " - ", " * "]), inner).map("".join),
+        st.tuples(st.text(alphabet="+-", min_size=1, max_size=3), inner).map("".join),
+        inner.map("({})".format),
+        st.tuples(inner, _exponents).map(lambda t: f"({t[0]})^{t[1]}"),
+    )
+
+
+# the grammar: integers, q and a, + - * / ^, signed and parenthesized exponents,
+# sign chains and nesting; most literals parse, some divide by zero
+grammar_literals = st.recursive(
+    st.one_of(st.integers(0, 12).map(str), st.sampled_from(["q", "a", "q^2", "a^-1", "q^(-3)",
+                                                            "1000003", "(q-q)", "0^-1"])),
+    _grow, max_leaves=8)
+token_soup = st.text(alphabet="0123456789qa+-*/^() ", max_size=12)
+
+
+class TestParserAgainstFieldEvaluation:
+    """Evaluating in the ring until the first division gives the value,
+    text and refusals of evaluating every node in the field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([QF, RF]), grammar_literals | token_soup)
+    @example(QF, "(10^5)^1000")
+    @example(RF, "(q + 10^5)^1000")
+    @example(RF, "((q + 10^5)/3)^1000")
+    @example(RF, "(2*q)^1001")
+    @example(QF, "1/(3-3)")
+    @example(RF, "(q-q)^-2")
+    @example(RF, "0^0")
+    @example(RF, "--+-(q*a - 2)^(+3)/(a^-1 - q)")
+    def test_same_value_text_and_refusal(self, field, text):
+        assert _outcome(parse_scalar, text, field) == _outcome(
+            lambda t, f: _FieldEvaluator(t, f).parse(), text, field)
+
+    @pytest.mark.parametrize("field,text", [
+        (RF, "3*q^2*a - (q + 2)*(a - 1)^2 + -7"),
+        (QF, "3*2^5 - (4 + 2)*(7 - 1)^2 + -7"),
+    ], ids=["ratfunc", "rational"])
+    def test_division_free_literal_builds_one_scalar(self, monkeypatch, field, text):
+        built = []
+        original = Scalar.__init__
+
+        def counted(self, field, raw):
+            built.append(raw)
+            original(self, field, raw)
+        monkeypatch.setattr(Scalar, "__init__", counted)
+        value = parse_scalar(text, field)
+        assert len(built) == 1 and built[0] is value.raw
+        monkeypatch.undo()
+        assert value == _FieldEvaluator(text, field).parse()
 
 
 class TestArithmetic:
