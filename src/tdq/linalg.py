@@ -1,24 +1,30 @@
 """Dense exact matrices and canonical subspaces.
 
 Matrices act on column vectors.  A subspace is stored as the reduced
-row-echelon basis of its row span (pivots 1, zero rows dropped), which makes
-subspace equality a plain data comparison.  Everything is immutable and
+row-echelon form of its row span (zero rows dropped), which makes subspace
+equality a plain data comparison.  Everything is immutable and
 backend-agnostic: entries are :class:`~tdq.scalars.Scalar` values from one
 field.
 
-``_products`` is the one product kernel, ``_rref_rows`` the one elimination,
+A matrix or subspace keeps one of two forms, picked by ``_on_integers``, the
+one reader of the field's backend.  On the rational backend a matrix is
+canonical and integer: row-major integer numerators over one positive
+denominator, with no common factor, so equal matrices have equal forms, and a
+subspace keeps primitive integer rows with positive pivots.  On other
+backends both keep raw values (sympy fractions for ratfunc), and a subspace's
+pivots are 1.  Arithmetic, comparison, hashing and elimination run on the
+form; the Scalar entries of a matrix and the Scalar basis of a subspace are
+built on first read, one ``Fraction`` per entry on the rational backend.
+
+``_apply`` is the one product kernel, ``_rref_rows`` the one elimination,
 ``power_series`` the one linear combination of matrices, and
-``Subspace.spans`` reduces vectors against the basis; that relies on the RREF
-invariant, which holds as only ``Subspace.from_vectors`` and
-``Subspace.zero`` build a subspace.  Each kernel asks ``_on_integers``, the
-one reader of the field's backend, once per call.  Rational kernels compute
-on integers: ``_lift`` puts each row or vector over the lcm of its
-denominators, elimination is fraction-free (cross-multiplied, each changed
-row divided by the gcd of its entries), and each output entry becomes one
-``Fraction``, so one gcd normalises it.  Ratfunc kernels compute on raw
-values, with the cross-cancelling arithmetic of :mod:`tdq.scalars`, and the
-same elimination loop scales each pivot row to 1 and subtracts it.  No
-kernel forms a product with a zero factor.
+``Subspace.spans`` reduces vectors against the rows; that relies on the RREF
+invariant, which holds as only ``_rref_rows`` builds a subspace's rows.
+Integer elimination is fraction-free (cross-multiplied, each changed row
+divided by the gcd of its entries), and an integer result is divided by one
+gcd of its denominator and numerators.  Raw elimination, with the
+cross-cancelling arithmetic of :mod:`tdq.scalars`, scales each pivot row to 1
+and subtracts it.  No kernel forms a product with a zero factor.
 
 A :class:`Decomposition` owns its adapted coordinates, built once on first
 use; every change to adapted coordinates reads them.
@@ -52,7 +58,19 @@ Vector = tuple[Scalar, ...]
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "entries")
+    """A rows x cols matrix over one field, in one of two forms.
+
+    On the rational backend ``nums`` holds the row-major integer numerators
+    over one denominator ``den`` > 0, with gcd(den, *nums) = 1; the lcm of
+    the entries' reduced denominators gives that, so equal matrices have
+    equal forms.  On other backends ``nums`` holds the row-major raw values
+    and ``den`` is None; ``den`` is the one backend test a method makes.
+    Every operation computes on the form and returns a matrix in it.
+    ``entries``, the row-major tuple of Scalars, is built on first read
+    (``render``, ``row``, ``[i, j]``).
+    """
+
+    __slots__ = ("field", "rows", "cols", "nums", "den", "_entries")
 
     def __init__(self, field, rows: int, cols: int, entries: Sequence[Scalar]):
         if rows <= 0 or cols <= 0:
@@ -60,10 +78,16 @@ class Matrix:
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match the shape")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        raws = [x.raw for x in entries]
+        self.field, self.rows, self.cols, self._entries = field, rows, cols, entries
+        self.nums, self.den = _lift(raws) if _on_integers(field) else (raws, None)
+
+    def _built(self, rows: int, cols: int, nums: list, den: Optional[int]) -> "Matrix":
+        """A rows x cols matrix over self's field with the given form, which
+        must be canonical."""
+        m = Matrix.__new__(Matrix)
+        m.field, m.rows, m.cols, m.nums, m.den, m._entries = self.field, rows, cols, nums, den, None
+        return m
 
     # -- constructors -------------------------------------------------------
 
@@ -100,6 +124,17 @@ class Matrix:
 
     # -- access --------------------------------------------------------------
 
+    @property
+    def entries(self) -> Vector:
+        if self._entries is None:
+            field, den, zero = self.field, self.den, self.field.zero
+            if den is None:
+                self._entries = tuple(Scalar(field, x) for x in self.nums)
+            else:
+                self._entries = tuple(Scalar(field, Fraction(x, den)) if x else zero
+                                      for x in self.nums)
+        return self._entries
+
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
         return self.entries[i * self.cols + j]
@@ -109,6 +144,17 @@ class Matrix:
 
     def render(self) -> list[list[str]]:
         return [[x.render() for x in self.row(i)] for i in range(self.rows)]
+
+    def _value_rows(self) -> list[list]:
+        """The rows of ``nums``, as new lists."""
+        c = self.cols
+        return [self.nums[i * c : (i + 1) * c] for i in range(self.rows)]
+
+    def _one_zero(self) -> tuple:
+        """1 and 0 in self's form: den and 0 over den, raw values otherwise."""
+        if self.den is None:
+            return self.field.one.raw, self.field.zero.raw
+        return self.den, 0
 
     @property
     def is_square(self) -> bool:
@@ -121,26 +167,38 @@ class Matrix:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        return Matrix(self.field, self.rows, self.cols,
-                      [x + y for x, y in zip(self.entries, other.entries)])
+        x, y, den = self._aligned(other)
+        return self._built(self.rows, self.cols, *_canonical([s + t for s, t in zip(x, y)], den))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        return Matrix(self.field, self.rows, self.cols,
-                      [x - y for x, y in zip(self.entries, other.entries)])
+        x, y, den = self._aligned(other)
+        return self._built(self.rows, self.cols, *_canonical([s - t for s, t in zip(x, y)], den))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, [-x for x in self.entries])
+        return self._built(self.rows, self.cols, [-x for x in self.nums], self.den)
+
+    def _aligned(self, other: "Matrix") -> tuple[list, list, Optional[int]]:
+        """self's and other's values over one denominator, the lcm of theirs,
+        and that denominator; raw values and None off the integer form."""
+        self._check_shape(other)
+        if self.den is None:
+            return self.nums, other.nums, None
+        den = lcm(self.den, other.den)
+        return _scaled(self.nums, den // self.den), _scaled(other.nums, den // other.den), den
 
     def shift(self, lam) -> "Matrix":
         """self - lam I."""
         self._require_square()
-        lam = self.field.coerce(lam)
+        lam, den = self.field.coerce(lam).raw, self.den
+        if den is None:
+            nums = list(self.nums)
+        else:
+            den = lcm(den, lam.denominator)
+            nums = _scaled(self.nums, den // self.den)
+            lam = lam.numerator * (den // lam.denominator)
         step = self.cols + 1
-        entries = list(self.entries)
-        entries[::step] = [x - lam for x in entries[::step]]
-        return Matrix(self.field, self.rows, self.cols, entries)
+        nums[::step] = [x - lam for x in nums[::step]]
+        return self._built(self.rows, self.cols, *_canonical(nums, den))
 
     def _check_shape(self, other: "Matrix"):
         if not isinstance(other, Matrix):
@@ -153,67 +211,87 @@ class Matrix:
             if self.cols != other.rows or self.field != other.field:
                 raise ValueError("matrix shape or backend mismatch")
             m = other.cols
-            columns = _products(self, [other.entries[j::m] for j in range(m)])
-            return Matrix(self.field, self.rows, m, [x for row in zip(*columns) for x in row])
-        scalar = self.field.coerce(other)
-        return Matrix(self.field, self.rows, self.cols, [scalar * x for x in self.entries])
+            columns = _apply(self, [other.nums[j::m] for j in range(m)])
+            nums = [x for row in zip(*columns) for x in row]
+            den = None if self.den is None else self.den * other.den
+            return self._built(self.rows, m, *_canonical(nums, den))
+        c = self.field.coerce(other).raw
+        if self.den is None:
+            return self._built(self.rows, self.cols, [c * x if x else x for x in self.nums], None)
+        # with c = p/q in lowest terms, gcd(p, den) and gcd(q, *nums) are all
+        # that cancels, as gcd(den, *nums) = 1
+        g, h = gcd(c.numerator, self.den), gcd(c.denominator, *self.nums)
+        nums = [x // h for x in self.nums] if h > 1 else self.nums
+        return self._built(self.rows, self.cols, _scaled(nums, c.numerator // g),
+                           self.den // g * (c.denominator // h))
 
     __rmul__ = __mul__  # only reached with a scalar on the left
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      [self.entries[j * self.cols + i]
-                       for i in range(self.cols) for j in range(self.rows)])
+        c = self.cols
+        return self._built(c, self.rows, [x for i in range(c) for x in self.nums[i::c]], self.den)
 
     def is_zero(self) -> bool:
-        return all(not x for x in self.entries)
+        return not any(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field == other.field and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
+        return hash((self.field, self.rows, self.cols, self.den, tuple(self.nums)))
 
     def __repr__(self):
         return f"Matrix({self.render()!r})"
 
     # -- elimination -----------------------------------------------------------
 
+    def _over_leads(self, rows: list[list], leads: Sequence) -> "Matrix":
+        """The matrix of eliminated rows in self's form: the first len(leads)
+        rows each over its lead, the pivot value ``_rref_rows`` left in it, and
+        zero rows after them.  Integer rows are put over the lcm of the leads;
+        each is primitive, so that form is canonical.  Raw leads are 1."""
+        den = None if self.den is None else lcm(*leads)
+        if den is not None:
+            rows = [_scaled(row, den // lead) for row, lead in zip(rows, leads)] + rows[len(leads):]
+        return self._built(len(rows), len(rows[0]), [x for row in rows for x in row], den)
+
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and the pivot columns."""
-        rows = [list(self.row(i)) for i in range(self.rows)]
-        reduced, pivots = _rref_rows(rows, self.field)
-        flat = [x for row in reduced for x in row]
-        return Matrix(self.field, self.rows, self.cols, flat), pivots
+        reduced, pivots = _rref_rows(self._value_rows(), self.field)
+        return self._over_leads(reduced, [row[c] for row, c in zip(reduced, pivots)]), pivots
 
     def inverse(self) -> "Matrix":
-        """The inverse, read off the reduced form of [self | I]."""
+        """The inverse, read off the reduced form of [self | I], which is
+        [nums | den I] on the integer form."""
         self._require_square()
         n = self.rows
-        zero, one = self.field.zero, self.field.one
-        aug = [list(self.row(i)) + [one if i == j else zero for j in range(n)] for i in range(n)]
+        one, zero = self._one_zero()
+        aug = [row + [one if i == j else zero for j in range(n)]
+               for i, row in enumerate(self._value_rows())]
         reduced, pivots = _rref_rows(aug, self.field)
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(self.field, n, n, [x for row in reduced for x in row[n:]])
+        return self._over_leads([row[n:] for row in reduced],
+                                [row[i] for i, row in enumerate(reduced)])
 
     def kernel(self) -> "Subspace":
         """Canonical basis of the right null space {v : Mv = 0}."""
         reduced, pivots = self.rref()
         pivot_set = set(pivots)
         free_cols = [j for j in range(self.cols) if j not in pivot_set]
-        zero, one = self.field.zero, self.field.one
+        one, zero = reduced._one_zero()
         vectors = []
         for free in free_cols:
             v = [zero] * self.cols
             v[free] = one
             for r, pc in enumerate(pivots):
-                v[pc] = -reduced[r, free]
-            vectors.append(tuple(v))
-        return Subspace.from_vectors(self.field, self.cols, vectors)
+                v[pc] = -reduced.nums[r * self.cols + free]
+            vectors.append(v)
+        return Subspace._from_rows(self.field, self.cols, vectors)
 
     def minimal_polynomial(self) -> list[Scalar]:
         """Monic minimal polynomial coefficients, constant term first.
@@ -225,16 +303,21 @@ class Matrix:
         self._require_square()
         n = self.rows
         powers = matrix_powers(self, n)
-        stacked = Matrix(self.field, n * n, n + 1,
-                         [p.entries[i] for i in range(n * n) for p in powers])
+        if self.den is None:
+            den, columns = None, [p.nums for p in powers]
+        else:
+            den = lcm(*(p.den for p in powers))
+            columns = [_scaled(p.nums, den // p.den) for p in powers]
+        stacked = self._built(n * n, n + 1, *_canonical(
+            [c[i] for i in range(n * n) for c in columns], den))
         reduced, pivots = stacked.rref()
         k = next(c for c in range(n + 1) if c not in pivots)
         return [-reduced[r, k] for r in range(k)] + [self.field.one]
 
 
 def _on_integers(field) -> bool:
-    """True when the kernels compute on the field's values lifted to integers
-    by ``_lift`` (rationals); otherwise they compute on raw values."""
+    """True when matrices and subspaces over the field keep integer values
+    lifted by ``_lift`` (rationals); otherwise they keep raw values."""
     return field.backend == "rational"
 
 
@@ -244,6 +327,23 @@ def _lift(values: Sequence[Fraction]) -> tuple[list[int], int]:
     if den == 1:
         return [x.numerator for x in values], 1
     return [x.numerator * (den // x.denominator) if x else 0 for x in values], den
+
+
+def _canonical(nums: list, den: Optional[int]) -> tuple[list, Optional[int]]:
+    """nums over den divided by gcd(den, *nums); raw values (den None) as
+    they are."""
+    if den is None:
+        return nums, den
+    g = gcd(den, *nums)
+    return ([x // g for x in nums], den // g) if g > 1 else (nums, den)
+
+
+def _scaled(values: Sequence[int], factor: int) -> list[int]:
+    """A new list of the values times factor, no zero multiplied and nothing
+    multiplied by 1."""
+    if factor == 1:
+        return list(values)
+    return [x * factor if x else x for x in values]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -277,44 +377,48 @@ def _subtract(row: list, pivot_row: list, c: int) -> list:
     return [x - f * y if y else x for x, y in zip(row, pivot_row)]
 
 
+def _apply(m: Matrix, vectors: Iterable[Sequence]) -> list[list]:
+    """m's values times each value vector v.  Each v is kept as its nonzero
+    (index, value) pairs and zero entries of m are skipped, so no product with
+    a zero factor is formed.  On the integer form each result is m v times
+    m.den."""
+    rows = m._value_rows()
+    zero = m._one_zero()[1]
+    out = []
+    for v in vectors:
+        pairs = [(t, y) for t, y in enumerate(v) if y]
+        out.append([sum((row[t] * y for t, y in pairs if row[t]), zero) for row in rows])
+    return out
+
+
 def _products(m: Matrix, columns: Iterable[Sequence[Scalar]]) -> Iterator[Vector]:
-    """m v for each column v.  m is unwrapped once, each v is kept as its
-    nonzero (index, value) pairs and zero entries of m are skipped, so no
-    product with a zero factor is formed; each output entry is wrapped once.
-    Rational rows and columns are lifted, and an entry is one Fraction of an
-    integer dot product over the two denominators."""
+    """m v for each Scalar column v, by ``_apply``; each output entry is
+    wrapped once.  A rational column is lifted, and an entry is one Fraction
+    of an integer dot product over the two denominators."""
     field = m.field
-    if _on_integers(field):
-        rows = [_lift([x.raw for x in m.row(i)]) for i in range(m.rows)]
-        for v in columns:
-            nums, den = _lift([x.raw for x in v])
-            pairs = [(t, y) for t, y in enumerate(nums) if y]
-            yield tuple(Scalar(field, Fraction(sum(row[t] * y for t, y in pairs if row[t]),
-                                               row_den * den))
-                        for row, row_den in rows)
+    if m.den is None:
+        for out in _apply(m, [[x.raw for x in v] for v in columns]):
+            yield tuple(Scalar(field, x) for x in out)
         return
-    rows = [[x.raw for x in m.row(i)] for i in range(m.rows)]
-    zero = field.zero.raw
-    for v in columns:
-        pairs = [(t, y) for t, y in enumerate(x.raw for x in v) if y]
-        yield tuple(Scalar(field, sum((row[t] * y for t, y in pairs if row[t]), zero))
-                    for row in rows)
+    lifted = [_lift([x.raw for x in v]) for v in columns]
+    for (_, den), out in zip(lifted, _apply(m, [nums for nums, _ in lifted])):
+        den *= m.den
+        yield tuple(Scalar(field, Fraction(x, den)) for x in out)
 
 
-def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tuple[int, ...]]:
-    """The reduced row-echelon form of the rows (zero rows kept; the rows
+def _rref_rows(rows: list[list], field) -> tuple[list[list], tuple[int, ...]]:
+    """The reduced row-echelon form of value rows (zero rows kept; the rows
     given are not changed) and its pivot columns.  Each pivot is the first
     nonzero entry at or below the current row; zero entries are never
-    multiplied.  Rational rows are lifted to primitive integer rows,
-    eliminated by ``_cross`` and divided by their pivots once, at the end (the
-    reduced form is unique, so Fraction arithmetic gives the same); other rows
-    are eliminated on raw values by ``_subtract`` after ``_unit``."""
-    if _on_integers(field):
-        rows = [_primitive(_lift([x.raw for x in row])[0]) for row in rows]
-        scale, eliminate, read = None, _cross, Fraction
+    multiplied.  Integer rows (the rational backend) are made primitive,
+    eliminated by ``_cross`` and not divided by their pivots; each pivot is
+    made positive, so the rows are unique to the row span.  Raw rows are
+    eliminated by ``_subtract`` after ``_unit`` scales each pivot row to 1."""
+    integers = _on_integers(field)
+    if integers:
+        rows, scale, eliminate = [_primitive(row) for row in rows], None, _cross
     else:
-        rows = [[x.raw for x in row] for row in rows]
-        scale, eliminate, read = _unit, _subtract, (lambda x, pivot: x)
+        rows, scale, eliminate = list(rows), _unit, _subtract
     nrows = len(rows)
     pivots = []
     for c in range(len(rows[0]) if rows else 0):
@@ -331,51 +435,76 @@ def _rref_rows(rows: list[list[Scalar]], field) -> tuple[list[list[Scalar]], tup
             if i != r and rows[i][c]:
                 rows[i] = eliminate(rows[i], rows[r], c)
         pivots.append(c)
-    zero = field.zero
-    reduced = [[Scalar(field, read(x, row[c])) if x else zero for x in row]
-               for row, c in zip(rows, pivots)]
-    return reduced + [[zero] * len(row) for row in rows[len(pivots):]], tuple(pivots)
+    if integers:
+        for r, c in enumerate(pivots):
+            if rows[r][c] < 0:
+                rows[r] = [-x for x in rows[r]]
+    return rows, tuple(pivots)
 
 
 class Subspace:
-    """A subspace of column vectors, stored as an RREF row basis."""
+    """A subspace of column vectors, stored as the nonzero rows of a reduced
+    row-echelon form of a spanning set: ``rows``, as ``_rref_rows`` leaves
+    them, and their ``pivots``.  Those rows are unique to the subspace, so
+    equality compares them, and ``spans`` reduces against them as they are.
+    ``basis``, the rows over their pivots as Scalar vectors, is built on first
+    read."""
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_basis")
 
-    def __init__(self, field, ambient: int, basis: tuple[Vector, ...]):
+    def __init__(self, field, ambient: int, rows: tuple[list, ...], pivots: tuple[int, ...]):
         self.field = field
         self.ambient = ambient
-        self.basis = basis
+        self.rows = rows
+        self.pivots = pivots
+        self._basis = None
+
+    @classmethod
+    def _from_rows(cls, field, ambient: int, rows: list[list]) -> "Subspace":
+        """The span of value rows: integer rows on the rational backend, raw
+        rows otherwise."""
+        reduced, pivots = _rref_rows(rows, field)
+        return cls(field, ambient, tuple(reduced[: len(pivots)]), pivots)
 
     @classmethod
     def from_vectors(cls, field, ambient: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        rows = [list(field.coerce(x) for x in v) for v in vectors]
-        for row in rows:
-            if len(row) != ambient:
+        integers = _on_integers(field)
+        rows = []
+        for v in vectors:
+            raws = [field.coerce(x).raw for x in v]
+            if len(raws) != ambient:
                 raise ValueError("vector length does not match the ambient dimension")
-        reduced, pivots = _rref_rows(rows, field)
-        basis = tuple(tuple(reduced[i]) for i in range(len(pivots)))
-        return cls(field, ambient, basis)
+            rows.append(_lift(raws)[0] if integers else raws)
+        return cls._from_rows(field, ambient, rows)
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, ())
+        return cls(field, ambient, (), ())
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        if self._basis is None:
+            field, zero = self.field, self.field.zero
+            read = Fraction if _on_integers(field) else (lambda x, pivot: x)
+            self._basis = tuple(tuple(Scalar(field, read(x, row[c])) if x else zero for x in row)
+                                for row, c in zip(self.rows, self.pivots))
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.field == other.field and self.ambient == other.ambient
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        return hash((self.field, self.ambient, tuple(map(tuple, self.rows))))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -384,20 +513,18 @@ class Subspace:
         return [[x.render() for x in row] for row in self.basis]
 
     def spans(self, vectors: Iterable[Sequence[Scalar]]) -> bool:
-        """True when every vector reduces to zero against the RREF basis, row
-        by row at each row's pivot: by ``_cross`` once rationals are lifted,
+        """True when every vector reduces to zero against the rows, row by
+        row at each row's pivot: by ``_cross`` once rationals are lifted,
         otherwise by ``_subtract``, since each pivot is 1."""
         if _on_integers(self.field):
             unwrap, reduce = (lambda raws: _lift(raws)[0]), _cross
         else:
             unwrap, reduce = list, _subtract
-        basis = [unwrap([x.raw for x in row]) for row in self.basis]
-        pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
         for v in vectors:
             if len(v) != self.ambient or any(x.field != self.field for x in v):
                 raise ValueError("vector length or backend mismatch")
             v = unwrap([x.raw for x in v])
-            for p, row in zip(pivots, basis):
+            for p, row in zip(self.pivots, self.rows):
                 if v[p]:
                     v = reduce(v, row, p)
             if any(v):
@@ -413,7 +540,7 @@ class Subspace:
         """The subspace {m v : v in self}."""
         if m.cols != self.ambient or m.field != self.field:
             raise ValueError("shape or backend mismatch")
-        return Subspace.from_vectors(self.field, m.rows, _products(m, self.basis))
+        return Subspace._from_rows(self.field, m.rows, _apply(m, self.rows))
 
 
 def subspace_sum(spaces: Sequence[Subspace]) -> Subspace:
@@ -422,12 +549,10 @@ def subspace_sum(spaces: Sequence[Subspace]) -> Subspace:
         raise ValueError("need at least one subspace")
     ambient = spaces[0].ambient
     field = spaces[0].field
-    vectors = []
     for s in spaces:
         if s.ambient != ambient or s.field != field:
             raise ValueError("ambient dimension or backend mismatch")
-        vectors.extend(s.basis)
-    return Subspace.from_vectors(field, ambient, vectors)
+    return Subspace._from_rows(field, ambient, [row for s in spaces for row in s.rows])
 
 
 def _running_sums(spaces: Sequence[Subspace]) -> tuple[Subspace, ...]:
@@ -491,19 +616,13 @@ def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:
         raise ValueError("ambient dimension or backend mismatch")
     n = x.ambient
     field = x.field
-    zero = field.zero
-    rows = [list(r) + list(r) for r in x.basis]
-    rows += [list(r) + [zero] * n for r in y.basis]
+    zero = 0 if _on_integers(field) else field.zero.raw
+    rows = [row + row for row in x.rows] + [row + [zero] * n for row in y.rows]
     if not rows:
         return Subspace.zero(field, n)
     reduced, _ = _rref_rows(rows, field)
-    vectors = []
-    for row in reduced:
-        if all(not v for v in row[:n]):
-            right = row[n:]
-            if any(right):
-                vectors.append(tuple(right))
-    return Subspace.from_vectors(field, n, vectors)
+    return Subspace._from_rows(field, n, [row[n:] for row in reduced
+                                          if not any(row[:n]) and any(row[n:])])
 
 
 def eigenspace(m: Matrix, value: Scalar) -> Subspace:
@@ -540,27 +659,24 @@ def matrix_powers(m: Matrix, count: int) -> tuple[Matrix, ...]:
 
 
 def power_series(coeffs: Sequence[Scalar], powers: Sequence[Matrix]) -> Matrix:
-    """sum_n coeffs[n] powers[n], over the shorter of the two sequences.  Each
-    power with a nonzero coefficient is lifted (raw values lift over 1), its
-    coefficient over its denominator is lifted with the others over one lcm,
-    and each entry sums the nonzero entries' products only."""
+    """sum_n coeffs[n] powers[n], over the shorter of the two sequences.  On
+    the integer form each nonzero coefficient over its power's denominator is
+    lifted with the others over one lcm; each entry sums the nonzero entries'
+    products only."""
     pairs = list(zip(coeffs, powers))
     first = pairs[0][1]
-    field = first.field
-    if any((p.rows, p.cols, p.field) != (first.rows, first.cols, field) for _, p in pairs):
+    if any((p.rows, p.cols, p.field) != (first.rows, first.cols, first.field) for _, p in pairs):
         raise ValueError("matrix shape or backend mismatch")
-    if _on_integers(field):
-        lift, start, read = _lift, 0, Fraction
+    terms = [(c.raw, p) for c, p in pairs if c]
+    if first.den is None:
+        scales, den = [c for c, _ in terms], None
     else:
-        lift, start, read = (lambda values: (values, 1)), field.zero.raw, (lambda t, den: t)
-    lifted = [(c.raw, *lift([x.raw for x in p.entries])) for c, p in pairs if c]
-    scales, den = lift([c / power_den if power_den != 1 else c for c, _, power_den in lifted])
-    terms = [(s, nums) for s, (_, nums, _) in zip(scales, lifted)]
-    sums = (sum((s * nums[k] for s, nums in terms if nums[k]), start)
-            for k in range(len(first.entries)))
-    zero = field.zero
-    return Matrix(field, first.rows, first.cols,
-                  [Scalar(field, read(t, den)) if t else zero for t in sums])
+        scales, den = _lift([c / p.den if p.den != 1 else c for c, p in terms])
+    zero = first._one_zero()[1]
+    terms = [(s, p.nums) for s, (_, p) in zip(scales, terms)]
+    sums = [sum((s * nums[k] for s, nums in terms if nums[k]), zero)
+            for k in range(len(first.nums))]
+    return first._built(first.rows, first.cols, *_canonical(sums, den))
 
 
 def generated_algebra_dim(mats: Sequence[Matrix]) -> int:

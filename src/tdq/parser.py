@@ -187,7 +187,10 @@ class _Parser:
                        for c in self.field.end_coefficients(raw))
             if abs(exponent) * math.log10(base) > MAX_DIGITS:
                 raise ParseError(f"power with a number of more than {MAX_DIGITS} digits", at)
-            value = (self.lift(value) if exponent < 0 else value) ** exponent
+            if exponent == 0:  # 0^0 too, which sympy refuses
+                value = self.field.ring_int(1)
+            else:
+                value = (self.lift(value) if exponent < 0 else value) ** exponent
         return value
 
     def exponent(self) -> int:

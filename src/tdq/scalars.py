@@ -142,6 +142,8 @@ class Scalar:
             return NotImplemented
         if exponent < 0 and not self.raw:
             raise ZeroDivisionError("zero cannot be raised to a negative power")
+        if exponent == 0:  # 0^0 too, which sympy refuses
+            return self.field.one
         return Scalar(self.field, self.raw ** exponent)
 
     def inv(self) -> "Scalar":

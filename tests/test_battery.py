@@ -11,7 +11,7 @@ from tdq import battery, engine, leonard, linalg, qcalc
 from tdq.battery import battery_ids, verify_battery
 from tdq.linalg import Matrix
 from tdq.params import QRacahParams
-from tdq.scalars import rational_field, ratfunc_field
+from tdq.scalars import Scalar, rational_field, ratfunc_field
 
 from conftest import make_params
 
@@ -274,6 +274,44 @@ class TestCallCounts:
         ls = leonard.leonard_suite(p, "u")
         assert verify_battery(engine.derive_suite(ls.A, K=ls.K, params=p)).passed
         assert products[0] <= bound
+
+    def test_scalars_built_per_pass(self, monkeypatch):
+        # the same pass at d=10 builds a Scalar for each entry that is read
+        # and each scalar computed outside the matrices; matrix operations
+        # compute on integers and build none
+        built = [0]
+        original = Scalar.__init__
+
+        def counted(self, field, raw):
+            built[0] += 1
+            original(self, field, raw)
+        p = make_params(QF, d=10)
+        monkeypatch.setattr(Scalar, "__init__", counted)
+        ls = leonard.leonard_suite(p, "u")
+        assert verify_battery(engine.derive_suite(ls.A, K=ls.K, params=p)).passed
+        assert built[0] <= 17_133
+
+    def test_rational_chain_builds_no_scalar_until_rendered(self, monkeypatch):
+        # rational matrices compute on their integer form: a chain of
+        # products, differences, scalar multiples and shifts, and its
+        # comparison, build no Scalar; reading the result builds one per
+        # nonzero entry
+        ls = leonard.leonard_suite(make_params(QF, d=4), "u")
+        X, Y, c, t = ls.A, ls.K, QF.coerce(Fraction(-7, 3)), QF.coerce(Fraction(5, 2))
+        Z = Matrix(QF, X.rows, X.cols, (X * Y - c * Y * X.shift(t)).entries)
+        nonzero = sum(1 for x in Z.entries if x)
+        built = [0]
+        original = Scalar.__init__
+
+        def counted(self, field, raw):
+            built[0] += 1
+            original(self, field, raw)
+        monkeypatch.setattr(Scalar, "__init__", counted)
+        chain = X * Y - c * Y * X.shift(t)
+        assert chain == Z and hash(chain) == hash(Z)
+        assert built[0] == 0
+        assert chain.render() == Z.render()
+        assert built[0] == nonzero
 
 
 # ---------------------------------------------------------------------------

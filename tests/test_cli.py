@@ -68,6 +68,16 @@ def test_generate_zero_parameter_exit_2(tmp_path, name):
     assert not out.exists()
 
 
+def test_generate_ratfunc_zero_to_the_zero_exit_2(tmp_path):
+    # (a-a)^0 reads 1, as on the rational backend, and a = 1 is refused
+    out = tmp_path / "x.json"
+    proc = run_cli("generate", "--backend", "ratfunc", "--d", "1", "--q", "q",
+                   "--a", "(a-a)^0", "--out", str(out))
+    assert proc.returncode == 2
+    assert "parameter violation" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "verify", "engine"])
 def test_unwritable_output_exit_2(tmp_path, command):
     fix = tmp_path / "fix.json"

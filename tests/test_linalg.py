@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -404,6 +405,41 @@ def check_rref_inverse_kernel(m):
                 m.inverse()
 
 
+def fractions_of(m):
+    """m's entries as Fractions, row by row."""
+    return [[x.raw for x in m.row(i)] for i in range(m.rows)]
+
+
+def fraction_product(x, y):
+    return [[sum((x[i][t] * y[t][j] for t in range(len(y))), Fraction(0))
+             for j in range(len(y[0]))] for i in range(len(x))]
+
+
+def check_form(m, ref):
+    """m equals, and hashes as, the matrix built from the reference's
+    entries, in the canonical form, and its entries are the reference's."""
+    built = Matrix.from_rows(QF, [[QF.coerce(x) for x in row] for row in ref])
+    assert m == built and hash(m) == hash(built)
+    assert m.den > 0 and gcd(m.den, *m.nums) == 1
+    assert fractions_of(m) == ref
+
+
+@st.composite
+def form_matrices(draw, field, rows, cols):
+    """Rational entries of up to about 300 bits, of both signs, with some
+    rows zero."""
+    assert field is QF
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+    return Matrix(QF, rows, cols, [QF.zero if i in zero_rows else draw(large_rationals())
+                                   for i in range(rows) for _ in range(cols)])
+
+
+@st.composite
+def same_shape(draw, size):
+    n, m = draw(st.integers(1, size)), draw(st.integers(1, size))
+    return draw(form_matrices(QF, n, m)), draw(form_matrices(QF, n, m))
+
+
 SPARSE_FIELDS = [QF, RF]
 
 
@@ -448,7 +484,9 @@ class TestSparseKernels:
 
 class TestDenseKernels:
     """The kernels against the references on dense rationals with entries of
-    up to about 300 bits, up to 8 x 8, rank-deficient and non-square."""
+    up to about 300 bits, up to 8 x 8, rank-deficient and non-square; and
+    every operation on the integer form against entrywise Fractions, with
+    zero rows, equality and hashing against matrices built from entries."""
 
     @settings(max_examples=60, deadline=None)
     @given(products(dense_matrices, [QF], 8))
@@ -477,6 +515,77 @@ class TestDenseKernels:
     def test_power_series(self, pair):
         coeffs, powers = pair
         assert rows_of(power_series(coeffs, powers)) == ref_power_series(coeffs, powers)
+
+
+    # -- the integer form: every operation against entrywise Fractions --------
+
+    @settings(max_examples=50, deadline=None)
+    @given(same_shape(4), large_rationals())
+    def test_entrywise_operations(self, pair, c):
+        x, y = pair
+        fx, fy, fc = fractions_of(x), fractions_of(y), c.raw
+        check_form(x + y, [[s + t for s, t in zip(r, u)] for r, u in zip(fx, fy)])
+        check_form(x - y, [[s - t for s, t in zip(r, u)] for r, u in zip(fx, fy)])
+        check_form(-x, [[-s for s in r] for r in fx])
+        check_form(c * x, [[fc * s for s in r] for r in fx])
+        check_form(x * c, [[fc * s for s in r] for r in fx])
+        check_form(x.transpose(), [list(col) for col in zip(*fx)])
+        assert x.is_zero() == (not any(map(any, fx)))
+        assert (x == y) == (fx == fy)
+        check_form(x - x, [[Fraction(0)] * x.cols for _ in range(x.rows)])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: form_matrices(QF, n, n)), large_rationals())
+    def test_shift(self, m, lam):
+        ref = fractions_of(m)
+        for i in range(m.rows):
+            ref[i][i] -= lam.raw
+        check_form(m.shift(lam), ref)
+
+    @settings(max_examples=50, deadline=None)
+    @given(products(form_matrices, [QF], 5))
+    def test_product_form(self, pair):
+        x, y = pair
+        check_form(x * y, fraction_product(fractions_of(x), fractions_of(y)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(shapes(form_matrices, [QF], 5))
+    def test_rref_inverse_kernel_form(self, m):
+        ref_rows, ref_pivots = ref_rref([m.row(i) for i in range(m.rows)], m.field)
+        reduced, pivots = m.rref()
+        assert pivots == ref_pivots
+        check_form(reduced, [[x.raw for x in row] for row in ref_rows])
+        kernel = Subspace.from_vectors(QF, m.cols, ref_kernel_basis(m))
+        assert m.kernel() == kernel and hash(m.kernel()) == hash(kernel)
+        assert m.kernel().basis == kernel.basis
+        if m.is_square and len(pivots) == m.rows:
+            eye = Matrix.identity(QF, m.rows)
+            aug, _ = ref_rref([list(m.row(i)) + list(eye.row(i)) for i in range(m.rows)], QF)
+            check_form(m.inverse(), [[x.raw for x in row[m.rows:]] for row in aug])
+            assert m.inverse() * m == eye
+
+    @settings(max_examples=50, deadline=None)
+    @given(series(form_matrices, [QF], 5))
+    def test_power_series_form(self, pair):
+        coeffs, powers = pair
+        check_form(power_series(coeffs, powers),
+                   [[x.raw for x in row] for row in ref_power_series(coeffs, powers)])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(form_matrices(QF, n, n),
+                                                         form_matrices(QF, n, n))),
+           large_rationals(), large_rationals())
+    def test_unread_chain(self, pair, c, t):
+        # the chain's intermediate results are never read; only the end is
+        x, y = pair
+        fx, fy = fractions_of(x), fractions_of(y)
+        shifted = [[s - t.raw if i == j else s for j, s in enumerate(r)] for i, r in enumerate(fx)]
+        scaled = [[c.raw * s for s in r] for r in fy]
+        ref = [[s - u for s, u in zip(r, w)] for r, w in
+               zip(fraction_product(fx, fy), fraction_product(scaled, shifted))]
+        chain = x * y - c * y * x.shift(t)
+        assert chain._entries is None
+        check_form(chain, ref)
 
 
 class Products:

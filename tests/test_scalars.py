@@ -61,6 +61,13 @@ class TestParser:
         with pytest.raises(ZeroDivisionError):
             parse_scalar("0^-1", QF)
 
+    @pytest.mark.parametrize("field", [QF, RF], ids=["rational", "ratfunc"])
+    def test_zero_to_the_zero_is_one(self, field):
+        # both backends read x^0 as 1, zero included
+        assert parse_scalar("0^0", field) == field.one
+        assert parse_scalar("(2-2)^0 + 1", field) == field.coerce(2)
+        assert field.zero ** 0 == field.one
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_scalar("1 + 2 )", QF)
@@ -190,7 +197,7 @@ class _FieldEvaluator:
 def _outcome(evaluate, text, field):
     try:
         value = evaluate(text, field)
-    except Exception as exc:  # sympy's ValueError("0**0") for a ratfunc 0^0 too
+    except Exception as exc:  # a refusal: ParseError or ZeroDivisionError
         return type(exc), str(exc)
     return value, value.render()
 
