@@ -25,7 +25,6 @@ from .engine import EngineError, OperatorSuite, psi_from_KB
 from .linalg import (
     Matrix,
     Subspace,
-    _products,
     eigenspace,
     is_direct_decomposition,
     nilpotency_index,
@@ -84,10 +83,6 @@ def _check_mats(pairs: Iterable[tuple[str, Matrix, Matrix]]) -> list[dict]:
             for label, lhs, rhs in pairs if lhs != rhs]
 
 
-def _maps_into(mat: Matrix, source: Subspace, target: Subspace) -> bool:
-    return target.spans(_products(mat, source.basis))
-
-
 def _each(s: OperatorSuite, checks: Callable[[int], Iterable[tuple[str, bool]]]) -> list[dict]:
     """A witness ``{"identity": label, "i": i}`` for every failed check, index
     by index; ``checks(i)`` gives the (label, holds) pairs of index i."""
@@ -100,7 +95,7 @@ def _action_witnesses(label: str, mat: Matrix, sources: Sequence[Subspace],
     out = []
     for i, src in enumerate(sources):
         target = target_of(i)
-        if not _maps_into(mat, src, target):
+        if not src.maps_into(mat, target):
             out.append({
                 "identity": label,
                 "i": i,
@@ -158,9 +153,9 @@ def _dual_eigenflags(s):
 def _a_action_splits(s):
     def checks(i):
         yield ("(A - theta_i)U_i <= U_(i+1)",
-               _maps_into(s.A.shift(s.params.theta(i)), s.U[i], s.U.at(i + 1)))
+               s.U[i].maps_into(s.A.shift(s.params.theta(i)), s.U.at(i + 1)))
         yield ("(A - theta_(d-i))U_i^dd <= U_(i+1)^dd",
-               _maps_into(s.A.shift(s.params.theta(s.d - i)), s.Udd[i], s.Udd.at(i + 1)))
+               s.Udd[i].maps_into(s.A.shift(s.params.theta(s.d - i)), s.Udd.at(i + 1)))
     return _each(s, checks)
 
 
@@ -168,8 +163,8 @@ def _a_action_splits(s):
 def _astar_action_splits(s):
     def checks(i):
         shift = s.Astar.shift(s.params.theta_star(i))
-        yield "(A* - theta*_i)U_i <= U_(i-1)", _maps_into(shift, s.U[i], s.U.at(i - 1))
-        yield "(A* - theta*_i)U_i^dd <= U_(i-1)^dd", _maps_into(shift, s.Udd[i], s.Udd.at(i - 1))
+        yield "(A* - theta*_i)U_i <= U_(i-1)", s.U[i].maps_into(shift, s.U.at(i - 1))
+        yield "(A* - theta*_i)U_i^dd <= U_(i-1)^dd", s.Udd[i].maps_into(shift, s.Udd.at(i - 1))
     return _each(s, checks)
 
 
@@ -211,9 +206,9 @@ def _kb_quadratic(s):
 def _kb_triangular(s):
     def checks(i):
         lam = s.q ** (s.d - 2 * i)
-        yield "(B - q^(d-2i))U_i <= U-flag", _maps_into(s.B.shift(lam), s.U[i], s.U.flag(i - 1))
+        yield "(B - q^(d-2i))U_i <= U-flag", s.U[i].maps_into(s.B.shift(lam), s.U.flag(i - 1))
         yield ("(K - q^(d-2i))U_i^dd <= Udd-flag",
-               _maps_into(s.K.shift(lam), s.Udd[i], s.Udd.flag(i - 1)))
+               s.Udd[i].maps_into(s.K.shift(lam), s.Udd.flag(i - 1)))
     return _each(s, checks)
 
 
@@ -525,8 +520,8 @@ def _kb_action_w(s):
     def checks(i):
         lam = s.q ** (s.d - 2 * i)
         target = s.W.at(i - 1)
-        yield "(K - q^(d-2i))W_i <= W_(i-1)", _maps_into(s.K.shift(lam), s.W[i], target)
-        yield "(B - q^(d-2i))W_i <= W_(i-1)", _maps_into(s.B.shift(lam), s.W[i], target)
+        yield "(K - q^(d-2i))W_i <= W_(i-1)", s.W[i].maps_into(s.K.shift(lam), target)
+        yield "(B - q^(d-2i))W_i <= W_(i-1)", s.W[i].maps_into(s.B.shift(lam), target)
     return _each(s, checks)
 
 
@@ -544,22 +539,22 @@ def _a_action_w(s):
     def checks(i):
         shift = s.A.shift((s.a + s.a ** -1) * s.q ** (s.d - 2 * i))
         target = subspace_sum([s.W.at(i - 1), s.W.at(i + 1)])
-        yield "(A - (a+a^-1)q^(d-2i))W_i <= W_(i-1)+W_(i+1)", _maps_into(shift, s.W[i], target)
+        yield "(A - (a+a^-1)q^(d-2i))W_i <= W_(i-1)+W_(i+1)", s.W[i].maps_into(shift, target)
     return _each(s, checks)
 
 
 @_item("astar_action_w", "(A* - theta*_i I)W_i <= W_0 + ... + W_(i-1)", needs_astar=True)
 def _astar_action_w(s):
-    return _each(s, lambda i: [("(A* - theta*_i)W_i <= W-flag", _maps_into(
-        s.Astar.shift(s.params.theta_star(i)), s.W[i], s.W.flag(i - 1)))])
+    return _each(s, lambda i: [("(A* - theta*_i)W_i <= W-flag", s.W[i].maps_into(
+        s.Astar.shift(s.params.theta_star(i)), s.W.flag(i - 1)))])
 
 
 @_item("m_action_splits", "(M - q^(d-2i)I)U_i <= U_0 + ... + U_(i-1), and the same on the second split")
 def _m_action_splits(s):
     def checks(i):
         shift = s.M.shift(s.q ** (s.d - 2 * i))
-        yield "(M - q^(d-2i))U_i <= U-flag", _maps_into(shift, s.U[i], s.U.flag(i - 1))
-        yield "(M - q^(d-2i))U_i^dd <= Udd-flag", _maps_into(shift, s.Udd[i], s.Udd.flag(i - 1))
+        yield "(M - q^(d-2i))U_i <= U-flag", s.U[i].maps_into(shift, s.U.flag(i - 1))
+        yield "(M - q^(d-2i))U_i^dd <= Udd-flag", s.Udd[i].maps_into(shift, s.Udd.flag(i - 1))
     return _each(s, checks)
 
 
@@ -567,16 +562,16 @@ def _m_action_splits(s):
 def _minv_action_splits(s):
     def checks(i):
         shift = s.Minv.shift(s.q ** (2 * i - s.d))
-        yield "(M^-1 - q^(2i-d))U_i <= U_(i-1)", _maps_into(shift, s.U[i], s.U.at(i - 1))
+        yield "(M^-1 - q^(2i-d))U_i <= U_(i-1)", s.U[i].maps_into(shift, s.U.at(i - 1))
         yield ("(M^-1 - q^(2i-d))U_i^dd <= U_(i-1)^dd",
-               _maps_into(shift, s.Udd[i], s.Udd.at(i - 1)))
+               s.Udd[i].maps_into(shift, s.Udd.at(i - 1)))
     return _each(s, checks)
 
 
 @_item("minv_action_ev", "M^-1 E_iV <= E_(i-1)V + E_iV + E_(i+1)V")
 def _minv_action_ev(s):
-    return _each(s, lambda i: [("M^-1 E_iV <= E_(i-1)V + E_iV + E_(i+1)V", _maps_into(
-        s.Minv, s.EV[i], subspace_sum([s.EV.at(i - 1), s.EV[i], s.EV.at(i + 1)])))])
+    return _each(s, lambda i: [("M^-1 E_iV <= E_(i-1)V + E_iV + E_(i+1)V", s.EV[i].maps_into(
+        s.Minv, subspace_sum([s.EV.at(i - 1), s.EV[i], s.EV.at(i + 1)])))])
 
 
 @_item("m_action_dual_ev", "(M - q^(d-2i)I)E*_iV and (M^-1 - q^(2i-d)I)E*_iV lie in E*_0V + ... + E*_(i-1)V", needs_astar=True)
@@ -584,9 +579,9 @@ def _m_action_dual_ev(s):
     def checks(i):
         flag = s.EstarV.flag(i - 1)
         yield ("(M - q^(d-2i))E*_iV <= E*-flag",
-               _maps_into(s.M.shift(s.q ** (s.d - 2 * i)), s.EstarV[i], flag))
+               s.EstarV[i].maps_into(s.M.shift(s.q ** (s.d - 2 * i)), flag))
         yield ("(M^-1 - q^(2i-d))E*_iV <= E*-flag",
-               _maps_into(s.Minv.shift(s.q ** (2 * i - s.d)), s.EstarV[i], flag))
+               s.EstarV[i].maps_into(s.Minv.shift(s.q ** (2 * i - s.d)), flag))
     return _each(s, checks)
 
 

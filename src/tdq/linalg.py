@@ -18,8 +18,9 @@ built on first read, one ``Fraction`` per entry on the rational backend.
 
 ``_apply`` is the one product kernel, ``_rref_rows`` the one elimination,
 ``power_series`` the one linear combination of matrices, and
-``Subspace.spans`` reduces vectors against the rows; that relies on the RREF
-invariant, which holds as only ``_rref_rows`` builds a subspace's rows.
+``Subspace._holds``, which reduces value rows against the stored rows, the
+one membership test; that relies on the RREF invariant, which holds as only
+``_rref_rows`` builds a subspace's rows.
 Integer elimination is fraction-free (cross-multiplied, each changed row
 divided by the gcd of its entries), and an integer result is divided by one
 gcd of its denominator and numerators.  Raw elimination, with the
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .scalars import Scalar
 
@@ -391,21 +392,6 @@ def _apply(m: Matrix, vectors: Iterable[Sequence]) -> list[list]:
     return out
 
 
-def _products(m: Matrix, columns: Iterable[Sequence[Scalar]]) -> Iterator[Vector]:
-    """m v for each Scalar column v, by ``_apply``; each output entry is
-    wrapped once.  A rational column is lifted, and an entry is one Fraction
-    of an integer dot product over the two denominators."""
-    field = m.field
-    if m.den is None:
-        for out in _apply(m, [[x.raw for x in v] for v in columns]):
-            yield tuple(Scalar(field, x) for x in out)
-        return
-    lifted = [_lift([x.raw for x in v]) for v in columns]
-    for (_, den), out in zip(lifted, _apply(m, [nums for nums, _ in lifted])):
-        den *= m.den
-        yield tuple(Scalar(field, Fraction(x, den)) for x in out)
-
-
 def _rref_rows(rows: list[list], field) -> tuple[list[list], tuple[int, ...]]:
     """The reduced row-echelon form of value rows (zero rows kept; the rows
     given are not changed) and its pivot columns.  Each pivot is the first
@@ -446,9 +432,9 @@ class Subspace:
     """A subspace of column vectors, stored as the nonzero rows of a reduced
     row-echelon form of a spanning set: ``rows``, as ``_rref_rows`` leaves
     them, and their ``pivots``.  Those rows are unique to the subspace, so
-    equality compares them, and ``spans`` reduces against them as they are.
-    ``basis``, the rows over their pivots as Scalar vectors, is built on first
-    read."""
+    equality compares them, and ``_holds``, the one membership test, reduces
+    against them as they are.  ``basis``, the rows over their pivots as
+    Scalar vectors, is built on first read."""
 
     __slots__ = ("field", "ambient", "rows", "pivots", "_basis")
 
@@ -468,14 +454,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        integers = _on_integers(field)
-        rows = []
-        for v in vectors:
-            raws = [field.coerce(x).raw for x in v]
-            if len(raws) != ambient:
-                raise ValueError("vector length does not match the ambient dimension")
-            rows.append(_lift(raws)[0] if integers else raws)
-        return cls._from_rows(field, ambient, rows)
+        return cls._from_rows(field, ambient, list(_lifted(field, ambient, vectors)))
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
@@ -512,18 +491,12 @@ class Subspace:
     def render(self) -> list[list[str]]:
         return [[x.render() for x in row] for row in self.basis]
 
-    def spans(self, vectors: Iterable[Sequence[Scalar]]) -> bool:
-        """True when every vector reduces to zero against the rows, row by
-        row at each row's pivot: by ``_cross`` once rationals are lifted,
-        otherwise by ``_subtract``, since each pivot is 1."""
-        if _on_integers(self.field):
-            unwrap, reduce = (lambda raws: _lift(raws)[0]), _cross
-        else:
-            unwrap, reduce = list, _subtract
-        for v in vectors:
-            if len(v) != self.ambient or any(x.field != self.field for x in v):
-                raise ValueError("vector length or backend mismatch")
-            v = unwrap([x.raw for x in v])
+    def _holds(self, rows: Iterable[list]) -> bool:
+        """True when every value row in self's form, or a multiple of it,
+        reduces to zero against the rows at each row's pivot: by ``_cross``
+        on integers, otherwise by ``_subtract``, since each pivot is 1."""
+        reduce = _cross if _on_integers(self.field) else _subtract
+        for v in rows:
             for p, row in zip(self.pivots, self.rows):
                 if v[p]:
                     v = reduce(v, row, p)
@@ -531,16 +504,38 @@ class Subspace:
                 return False
         return True
 
+    def spans(self, vectors: Iterable[Sequence[Scalar]]) -> bool:
+        """True when every Scalar vector lies in self."""
+        return self._holds(_lifted(self.field, self.ambient, vectors))
+
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient or other.field != self.field:
             raise ValueError("ambient dimension or backend mismatch")
-        return self.spans(other.basis)
+        return self._holds(other.rows)
+
+    def maps_into(self, m: Matrix, target: "Subspace") -> bool:
+        """True when m maps self into target: m times each of self's rows,
+        by ``_apply`` (times m.den on the integer form), lies in target."""
+        if (m.cols, m.rows) != (self.ambient, target.ambient) or not (
+                m.field == self.field == target.field):
+            raise ValueError("shape or backend mismatch")
+        return target._holds(_apply(m, self.rows))
 
     def image(self, m: Matrix) -> "Subspace":
         """The subspace {m v : v in self}."""
         if m.cols != self.ambient or m.field != self.field:
             raise ValueError("shape or backend mismatch")
         return Subspace._from_rows(self.field, m.rows, _apply(m, self.rows))
+
+
+def _lifted(field, ambient: int, vectors: Iterable[Sequence[Scalar]]) -> Iterable[list]:
+    """Each vector of field values as a value row: its numerators over the
+    lcm of its denominators on the rational backend, its raw values otherwise."""
+    for v in vectors:
+        raws = [field.coerce(x).raw for x in v]
+        if len(raws) != ambient:
+            raise ValueError("vector length does not match the ambient dimension")
+        yield _lift(raws)[0] if _on_integers(field) else raws
 
 
 def subspace_sum(spaces: Sequence[Subspace]) -> Subspace:
@@ -585,8 +580,11 @@ class Decomposition(tuple):
 
     @cached_property
     def basis(self) -> Matrix:
-        """The matrix whose columns are the bases of V_0, ..., V_d, in order."""
-        return Matrix.from_rows(self[0].field, [v for s in self for v in s.basis]).transpose()
+        """The matrix whose columns are the stored rows of V_0, ..., V_d, in
+        order: each V_i's basis vectors times their pivots."""
+        rows = [row for s in self for row in s.rows]
+        n, unit = self[0].ambient, Matrix.identity(self[0].field, 1)
+        return unit._built(n, len(rows), [row[j] for j in range(n) for row in rows], unit.den)
 
     @cached_property
     def coordinates(self) -> Matrix:
@@ -694,11 +692,12 @@ def generated_algebra_dim(mats: Sequence[Matrix]) -> int:
         m._require_square()
         if m.rows != n or m.field != field:
             raise ValueError("size or backend mismatch")
-    span = Subspace.from_vectors(field, n * n, [Matrix.identity(field, n).entries])
+    one = Matrix.identity(field, n)
+    span = Subspace._from_rows(field, n * n, [one.nums])
     while True:
-        words = [Matrix(field, n, n, v) for v in span.basis]
-        grown = Subspace.from_vectors(
-            field, n * n, list(span.basis) + [(w * g).entries for w in words for g in mats])
+        words = [one._built(n, n, row, one.den) for row in span.rows]
+        grown = Subspace._from_rows(
+            field, n * n, list(span.rows) + [(w * g).nums for w in words for g in mats])
         if grown.dim == span.dim:
             return span.dim
         span = grown

@@ -33,10 +33,15 @@ gives the coefficients of the leading and the least term of its numerator
 and denominator (both over the denominator when that is a constant).  That
 coefficient's |n|-th power then appears in the rendered result with more
 than ``MAX_DIGITS`` digits, so no value that could be written is refused.
+A ratfunc power ``x^n`` is also refused before it is computed when
+|n| * deg(x) > ``MAX_EXPONENT``, deg(x) being the largest exponent of any one
+variable in x's numerator or denominator (the field's ``degree``; 0 on
+rational), so no power reaches a degree that a literal ``q^n`` could not.
 Beyond any of these limits, :class:`ParseError`.  The exponent bound stops
-``2^99999999`` from running for minutes, and the power bound
-``(<4,300 nines>)^1000`` and ``(q + 10^50)^1000``; rendered ratfunc fixtures
-need exponents of about 2d^2.
+``2^99999999`` from running for minutes, the power bound
+``(<4,300 nines>)^1000`` and ``(q + 10^50)^1000``, and the degree bound
+``((q+1)^60)^60``; rendered ratfunc fixtures need exponents of about 2d^2,
+and put ``^`` only on identifiers.
 
 ``MAX_DIAMETER`` (64) bounds the diameter ``tdq generate --d`` accepts:
 validating the parameters loops over every i <= d before anything else
@@ -187,6 +192,8 @@ class _Parser:
                        for c in self.field.end_coefficients(raw))
             if abs(exponent) * math.log10(base) > MAX_DIGITS:
                 raise ParseError(f"power with a number of more than {MAX_DIGITS} digits", at)
+            if abs(exponent) * self.field.degree(raw) > MAX_EXPONENT:
+                raise ParseError(f"power of degree more than {MAX_EXPONENT}", at)
             if exponent == 0:  # 0^0 too, which sympy refuses
                 value = self.field.ring_int(1)
             else:

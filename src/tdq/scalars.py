@@ -188,9 +188,9 @@ class _Field:
     """What both backends share: equality by backend and variable names,
     coercion, zero, one, generators and square roots.  A backend supplies
     ``backend``, ``variables``, ``from_int``, ``from_fraction``,
-    ``ring_int``, ``ring_generator``, ``from_ring``, ``end_coefficients``
-    and ``poly_roots``.  The ring is the integers (Python ints), or the
-    integer polynomials in the variables (sympy ``PolyElement``s): the
+    ``ring_int``, ``ring_generator``, ``from_ring``, ``end_coefficients``,
+    ``degree`` and ``poly_roots``.  The ring is the integers (Python ints),
+    or the integer polynomials in the variables (sympy ``PolyElement``s): the
     parser evaluates a literal in it until the first division."""
 
     backend: str
@@ -267,6 +267,10 @@ class RationalField(_Field):
         |n|-th power, for the raw value of a scalar or a ring value: here
         the value itself."""
         return (raw,)
+
+    def degree(self, raw) -> int:
+        """The largest exponent of a variable in a value: none here."""
+        return 0
 
     # -- root extraction ----------------------------------------------------
 
@@ -392,6 +396,13 @@ class RatFuncField(_Field):
         if den.is_ground:
             return tuple(c / int(den.LC) for c in ends)
         return ends + (Fraction(int(den.LC)), Fraction(int(den.terms()[-1][1])))
+
+    def degree(self, raw) -> int:
+        """The largest exponent of any one variable in the numerator or the
+        denominator of the raw value of a scalar or a ring polynomial, which
+        ``raw ** n`` multiplies by |n|; 0 for a constant."""
+        parts = (raw.numer, raw.denom) if isinstance(raw, _frac_class()) else (raw,)
+        return max((e for p in parts if p for e in p.degrees()), default=0)
 
     # -- specialization -----------------------------------------------------
 

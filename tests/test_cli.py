@@ -239,7 +239,11 @@ TOO_LONG_TO_WRITE = "*".join(["2^1000"] * 15)
     (["--q", TOO_LONG_TO_WRITE, "--a", "3"], "more than 4300 digits"),
     (["--backend", "ratfunc", "--q", "(q + 10^50)^1000", "--a", "a"],
      "power with a number of more than 4300 digits"),
-], ids=["huge-exponent", "long-power", "huge-power", "long-product", "huge-least-term-power"])
+    # refused before it is computed; expanding it runs for minutes
+    (["--backend", "ratfunc", "--q", "((q+1)^120)^120", "--a", "a"],
+     "power of degree more than 1000"),
+], ids=["huge-exponent", "long-power", "huge-power", "long-product", "huge-least-term-power",
+        "nested-power-degree"])
 def test_oversized_generate_exit_2(tmp_path, args, message):
     out = tmp_path / "x.json"
     started = time.perf_counter()

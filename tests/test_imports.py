@@ -187,4 +187,34 @@ def test_a_second_backend_read_is_caught():
     call = "_on_integers(self.field)"
     assert source.count(call) == 1
     mutated = source.replace(call, 'self.field.backend == "rational"')
-    assert _backend_readers(mutated) == ["_on_integers", "spans"]
+    assert _backend_readers(mutated) == ["_on_integers", "_holds"]
+
+
+def _private_imports(package):
+    """``module: name`` for each ``_``-prefixed name a module of the package
+    imports from another module of it, at any depth of the module."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "tdq"):
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    return found
+
+
+def test_no_private_name_crosses_modules():
+    # a module's private helpers are its own; the kernels' callers go through
+    # public methods such as Subspace.maps_into
+    assert not _private_imports(PACKAGE)
+
+
+def test_a_private_import_is_caught(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    battery = tmp_path / "battery.py"
+    source = battery.read_text()
+    anchor = "from .linalg import (\n"
+    assert source.count(anchor) == 1
+    battery.write_text(source.replace(anchor, anchor + "    _apply,\n"))
+    assert _private_imports(tmp_path) == ["battery.py: _apply"]

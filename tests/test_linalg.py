@@ -8,7 +8,6 @@ from tdq.linalg import (
     Decomposition,
     Matrix,
     Subspace,
-    _products,
     eigenspace,
     generated_algebra_dim,
     is_direct_decomposition,
@@ -204,6 +203,23 @@ class TestMatrixBasics:
         m = mat([[1, 0], [0, 0]])
         assert [str(c) for c in m.minimal_polynomial()] == ["0", "-1", "1"]
 
+    @pytest.mark.parametrize("field", [QF, RF, RAW], ids=["rational", "ratfunc", "raw"])
+    def test_maps_into(self, field):
+        # m S = T for S = span(e0, e1) and T = span((2, 0, 1), (1, 3, 0));
+        # a 1 at m[2, 1] sends e1 to (1, 3, 1), outside T
+        rows = [[2, 1, 0], [0, 3, 0], [1, 0, 5]]
+        m = Matrix.from_rows(field, rows)
+        source = Subspace.from_vectors(field, 3, [[1, 0, 0], [0, 1, 0]])
+        target = Subspace.from_vectors(field, 3, [[2, 0, 1], [1, 3, 0]])
+        zero = Subspace.zero(field, 3)
+        assert source.maps_into(m, target) and ref_maps_into(m, source, target)
+        assert zero.maps_into(m, zero) and source.maps_into(Matrix.zero(field, 3), zero)
+        assert not source.maps_into(m, zero)
+        rows[2][1] = 1
+        perturbed = Matrix.from_rows(field, rows)
+        assert not source.maps_into(perturbed, target)
+        assert not ref_maps_into(perturbed, source, target)
+
     def test_image_of_subspace(self):
         m = mat([[0, 1], [0, 0]])
         line = sub(2, [0, 1])
@@ -267,9 +283,24 @@ def ref_kernel_basis(m):
     return ref_basis(vectors, m.field)
 
 
+def ref_spans(x, vectors):
+    """The vectors lie in X when the RREF of X's rows plus them equals X's
+    basis."""
+    return ref_basis(list(x.basis) + list(vectors), x.field) == x.basis
+
+
 def ref_contains(x, y):
-    """Y <= X when the RREF of X's rows plus Y's rows equals X's basis."""
-    return ref_basis(list(x.basis) + list(y.basis), x.field) == x.basis
+    return ref_spans(x, y.basis)
+
+
+def ref_images(m, source):
+    """m v for each basis vector v of the subspace, by the triple loop."""
+    return [[row[0] for row in ref_product(m, Matrix(m.field, m.cols, 1, v))]
+            for v in source.basis]
+
+
+def ref_maps_into(m, source, target):
+    return ref_spans(target, ref_images(m, source))
 
 
 def ref_intersect(x, y):
@@ -373,8 +404,32 @@ def subspace_pairs(draw, matrices, fields, size):
         ys = draw(matrices(field, draw(st.integers(1, max(1, size // 2))), xs.rows)) * xs
     else:
         ys = draw(matrices(field, draw(st.integers(1, max(1, size // 2))), n))
-    return tuple(Subspace.from_vectors(field, n, [m.row(i) for i in range(m.rows)])
-                 for m in (xs, ys))
+    return span_of_rows(xs), span_of_rows(ys)
+
+
+def span_of_rows(m):
+    return Subspace.from_vectors(m.field, m.cols, [m.row(i) for i in range(m.rows)])
+
+
+@st.composite
+def inclusions(draw, matrices, fields, size):
+    """(m, S, T): a nonzero n x k matrix (k >= 2, so that a sparse one can
+    be), a subspace S of k-space and a subspace T of n-space.  S is zero in
+    some draws, and T in others; in half the draws T is spanned by the images
+    m S and other rows, so that m S <= T holds by construction."""
+    field = draw(st.sampled_from(fields))
+    n, k = draw(st.integers(1, size)), draw(st.integers(2, size))
+    m = draw(matrices(field, n, k).filter(lambda x: not x.is_zero()))
+    source = (Subspace.zero(field, k) if draw(st.integers(0, 4)) == 0 else span_of_rows(
+        draw(matrices(field, draw(st.integers(1, size)), k).filter(lambda x: not x.is_zero()))))
+    kind = draw(st.sampled_from(["zero", "image", "image", "other", "other"]))
+    if kind == "zero":
+        return m, source, Subspace.zero(field, n)
+    rows = draw(matrices(field, draw(st.integers(1, max(1, size // 2))), n))
+    vectors = [rows.row(i) for i in range(rows.rows)]
+    if kind == "image":
+        vectors += ref_images(m, source)
+    return m, source, Subspace.from_vectors(field, n, vectors)
 
 
 @st.composite
@@ -451,12 +506,10 @@ class TestSparseKernels:
         assert rows_of(x * y) == ref_product(x, y)
 
     @settings(max_examples=60, deadline=None)
-    @given(products(sparse_matrices, SPARSE_FIELDS, 4))
-    def test_products_of_columns(self, pair):
-        x, y = pair
-        columns = [[y[t, j] for t in range(y.rows)] for j in range(y.cols)]
-        assert [list(v) for v in _products(x, columns)] == \
-            [list(column) for column in zip(*ref_product(x, y))]
+    @given(inclusions(sparse_matrices, SPARSE_FIELDS, 4))
+    def test_maps_into(self, case):
+        m, source, target = case
+        assert source.maps_into(m, target) == ref_maps_into(m, source, target)
 
     @settings(max_examples=100, deadline=None)
     @given(subspace_pairs(sparse_matrices, SPARSE_FIELDS, 4))
@@ -493,9 +546,12 @@ class TestDenseKernels:
     def test_product(self, pair):
         x, y = pair
         assert rows_of(x * y) == ref_product(x, y)
-        columns = [[y[t, j] for t in range(y.rows)] for j in range(y.cols)]
-        assert [list(v) for v in _products(x, columns)] == \
-            [list(column) for column in zip(*ref_product(x, y))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(inclusions(dense_matrices, [QF], 8))
+    def test_maps_into(self, case):
+        m, source, target = case
+        assert source.maps_into(m, target) == ref_maps_into(m, source, target)
 
     @settings(max_examples=60, deadline=None)
     @given(shapes(dense_matrices, [QF], 8))

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,27 @@ class TestParser:
         with pytest.raises(ParseError, match="more than 4300 digits"):
             parse_scalar(text, field)
 
+    @pytest.mark.parametrize("field,text", [
+        (RF, "((q+1)^30)^30"),          # degree 900
+        (RF, "(q^2*a)^500"),
+        (RF, "(1/(q + 1)^2)^-500"),
+        (RF, "(a/q^4 + 1)^250"),        # q^1000 in the denominator
+        (QF, "(2^3)^400"),              # a rational has degree 0
+    ], ids=["nested", "product", "negative", "denominator", "rational"])
+    def test_power_inside_degree_bound_parses(self, field, text):
+        assert parse_scalar(text, field)
+
+    @pytest.mark.parametrize("text", [
+        "((q+1)^40)^40", "((q+1)^60)^60", "(q^2*a)^501", "(1/(q + 1)^2)^-501",
+        "(a/q^4 + 1)^251", "((q-1)*(q+1))^1000",
+    ], ids=["nested-40", "nested-60", "product", "negative", "denominator", "times-1000"])
+    def test_power_beyond_degree_bound_rejected(self, text):
+        # refused before the power is computed: ((q+1)^60)^60 took seconds
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match="power of degree more than 1000"):
+            parse_scalar(text, RF)
+        assert time.perf_counter() - started < 5
+
 
 class _FieldEvaluator:
     """Reference for the parser: the same grammar, evaluated in field
@@ -156,6 +178,8 @@ class _FieldEvaluator:
                        for c in self.field.end_coefficients(value.raw))
             if abs(exponent) * math.log10(base) > MAX_DIGITS:
                 raise ParseError(f"power with a number of more than {MAX_DIGITS} digits", at)
+            if abs(exponent) * self.field.degree(value.raw) > MAX_EXPONENT:
+                raise ParseError(f"power of degree more than {MAX_EXPONENT}", at)
             value = value ** exponent
         return value
 
@@ -234,6 +258,7 @@ class TestParserAgainstFieldEvaluation:
     @example(RF, "(q + 10^5)^1000")
     @example(RF, "((q + 10^5)/3)^1000")
     @example(RF, "(2*q)^1001")
+    @example(RF, "((q + 1)^4)^300")
     @example(QF, "1/(3-3)")
     @example(RF, "(q-q)^-2")
     @example(RF, "0^0")
