@@ -32,20 +32,28 @@ MATH_FAILURE = 1
 USAGE_ERROR = 2
 
 
+class _BadInput(ValueError):
+    """A command-line value the command cannot use."""
+
+
 class _Commands(click.Group):
     """Runs a command; the one place where errors become exit codes.  Bad
-    input (a malformed fixture, a path that cannot be read or written, a
-    value too long to render) exits 2, a failed reconstruction exits 1."""
+    input (a bad option value, a malformed fixture, a path that cannot be
+    read or written, a value too long to render) exits 2, a failed
+    reconstruction exits 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (FixtureFormatError, RenderError) as exc:
+        except ParamValidationError as exc:
+            for v in exc.violations:
+                click.echo(f"parameter violation: {v}", err=True)
+        except (_BadInput, FixtureFormatError, RenderError) as exc:
             click.echo(f"error: {exc}", err=True)
-            ctx.exit(USAGE_ERROR)
         except EngineError as exc:
             click.echo(f"mathematical failure: {exc}", err=True)
             ctx.exit(MATH_FAILURE)
+        ctx.exit(USAGE_ERROR)
 
 
 @click.group(cls=_Commands)
@@ -53,12 +61,11 @@ def main():
     """Exact q-Racah tridiagonal suites: generate, verify, derive, detect."""
 
 
-def _parse_scalar_flag(ctx, text: str, field, flag: str):
+def _parse_scalar_flag(text: str, field, flag: str):
     try:
         return parse_scalar(text, field)
     except (ParseError, ZeroDivisionError) as exc:
-        click.echo(f"error: bad value for {flag}: {exc}", err=True)
-        ctx.exit(USAGE_ERROR)
+        raise _BadInput(f"bad value for {flag}: {exc}") from None
 
 
 @main.command()
@@ -70,34 +77,28 @@ def _parse_scalar_flag(ctx, text: str, field, flag: str):
 @click.option("--backend", type=click.Choice(["rational", "ratfunc"]),
               default="rational", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.pass_context
-def generate(ctx, d, q_text, a_text, b_text, basis, backend, out_path):
+def generate(d, q_text, a_text, b_text, basis, backend, out_path):
     """Emit a closed-form fixture for validated parameters."""
     field = get_field(backend)
     if d < 1:
-        click.echo("error: --d must be >= 1", err=True)
-        ctx.exit(USAGE_ERROR)
+        raise _BadInput("--d must be >= 1")
     if d > MAX_DIAMETER:
-        click.echo(f"error: --d must be <= {MAX_DIAMETER}", err=True)
-        ctx.exit(USAGE_ERROR)
-    q = _parse_scalar_flag(ctx, q_text, field, "--q")
-    a = _parse_scalar_flag(ctx, a_text, field, "--a")
-    b = _parse_scalar_flag(ctx, b_text, field, "--b") if b_text is not None else None
+        raise _BadInput(f"--d must be <= {MAX_DIAMETER}")
+    q = _parse_scalar_flag(q_text, field, "--q")
+    a = _parse_scalar_flag(a_text, field, "--a")
+    b = _parse_scalar_flag(b_text, field, "--b") if b_text is not None else None
     try:
         params = QRacahParams(d, q, a, b)
-    except ParamValidationError as exc:
-        for v in exc.violations:
-            click.echo(f"parameter violation: {v}", err=True)
-        ctx.exit(USAGE_ERROR)
+    except ParamValidationError:
+        raise
     except ValueError as exc:  # a zero parameter
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(USAGE_ERROR)
+        raise _BadInput(exc) from None
     suite = leonard_suite(params, basis)
     write_fixture(out_path, fixture_from_leonard(suite))
     click.echo(f"wrote {out_path}")
 
 
-def _battery_filter(ctx, battery: str):
+def _battery_filter(battery: str):
     """The ids ``--battery`` names, or None for all of them; an unknown id is
     a usage error."""
     if battery == "all":
@@ -105,8 +106,7 @@ def _battery_filter(ctx, battery: str):
     ids = [x.strip() for x in battery.split(",") if x.strip()]
     unknown = set(ids) - set(battery_ids())
     if unknown:
-        click.echo(f"error: unknown battery ids: {sorted(unknown)}", err=True)
-        ctx.exit(USAGE_ERROR)
+        raise _BadInput(f"unknown battery ids: {sorted(unknown)}")
     return ids
 
 
@@ -151,7 +151,7 @@ def _text_table(report: VerificationReport) -> str:
 @click.pass_context
 def verify(ctx, fixture_path, battery, report_path):
     """Derive a suite from a fixture and run the identity battery."""
-    only = _battery_filter(ctx, battery)
+    only = _battery_filter(battery)
     fixture = read_fixture(fixture_path)
     # the fixture's other operators are claims for the battery to check
     suite = replace(_suite_from_fixture(fixture), **{
@@ -190,8 +190,7 @@ def detect(ctx, theta_text, backend):
         thetas = [parse_scalar(piece.strip(), field)
                   for piece in theta_text.split(",") if piece.strip()]
     except (ParseError, ZeroDivisionError) as exc:
-        click.echo(f"error: bad --theta: {exc}", err=True)
-        ctx.exit(USAGE_ERROR)
+        raise _BadInput(f"bad --theta: {exc}") from None
     try:
         solutions = detect_qracah(thetas)
     except NotQRacahError as exc:
@@ -199,8 +198,7 @@ def detect(ctx, theta_text, backend):
                                "message": str(exc)}, indent=2, sort_keys=True))
         ctx.exit(MATH_FAILURE)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(USAGE_ERROR)
+        raise _BadInput(exc) from None
     doc = {
         "status": "ok",
         "solutions": [[q.render(), a.render()] for q, a in solutions],

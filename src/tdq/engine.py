@@ -11,7 +11,9 @@ Each input finds {U_i} its own way (the K-eigenspaces, or the dual eigenflags
 cut by the tails of the eigenspace decomposition of A); from there one tail,
 ``_split``, builds U_i-dd = F_i n (E_0 V + ... + E_(d-i) V) from the flag F_i
 (U_0 + ... + U_i, or the dual eigenflag that must equal it) and runs the
-split checks.  B is built from {U_i-dd}, and K from {U_i} unless it was given.
+split checks: both split sequences are direct, with the multiplicities of
+the eigenspaces; the flag sum identities follow (see ``_split``).  B is built
+from {U_i-dd}, and K from {U_i} unless it was given.
 
 Unless supplied, each parameter comes from the operator that fixes it.  On
 (A, K) input the K spectrum q^d, ..., q^-d fixes q, and ``_fit`` then fixes
@@ -315,56 +317,77 @@ def split_from_pair(A: Matrix, Astar: Matrix,
         raise EngineError("no-standard-ordering",
                           "the dual operator does not act tridiagonally on any "
                           "ordering of the eigenspaces")
-    theta = tuple(avals[i] for i in order)
-
+    theta = [avals[i] for i in order]
     if params is not None:
         # orient the path so it matches the supplied parameters
-        q, a = params.q, params.a
-        if theta != params.thetas:
-            if theta[::-1] != params.thetas:
-                raise NotQRacahError("parameter-mismatch",
-                                     "supplied parameters do not match the eigenvalues")
-            order, theta = order[::-1], theta[::-1]
+        q, oriented = params.q, _orient(theta, params.q, params.d, params.a)
+        if oriented is None:
+            raise NotQRacahError("parameter-mismatch",
+                                 "supplied parameters do not match the eigenvalues")
+        flip, a = oriented
     else:
         # the representative solves the sequence in this exact order
-        q, a = detect_qracah(theta)[0]
-    EV = Decomposition(aspaces[i] for i in order)
+        (q, a), flip = detect_qracah(theta)[0], False
+    EV = Decomposition(aspaces[i] for i in (order[::-1] if flip else order))
 
     sorder = _path_ordering(sspaces, A)
     if sorder is None:
         raise EngineError("no-standard-ordering",
                           "the first operator does not act tridiagonally on any "
                           "ordering of the dual eigenspaces")
-    oriented = _orient_dual([svals[i] for i in sorder], q, d,
-                            params.b if params is not None else None)
+    oriented = _orient([svals[i] for i in sorder], q, d,
+                       params.b if params is not None else None)
     if oriented is None:
         raise NotQRacahError("dual-parameter-failure",
                              "no b in the working field matches the dual eigenvalues")
     flip, b = oriented
-    if flip:
-        sorder = sorder[::-1]
-    EstarV = Decomposition(sspaces[i] for i in sorder)
+    EstarV = Decomposition(sspaces[i] for i in (sorder[::-1] if flip else sorder))
     U = Decomposition(subspace_intersect(EstarV.flags[i], EV.tails[i]) for i in range(d + 1))
     return _split(QRacahParams(d, q, a, b), U, EV, EstarV.flags, EstarV)
 
 
-def _orient_dual(theta_star, q, d, b=None):
-    """(flip, b) for the orientation of the dual eigenvalue sequence
-    compatible with q (reversal swaps b and 1/b), preferring the given b when
-    supplied; None if neither fits."""
-    options = []
-    for flip in (False, True):
-        bval = _fit(theta_star[::-1] if flip else theta_star, q, d)
-        if bval is not None and (b is None or bval == b):
-            options.append((flip, bval))
+def _orient(seq, q, d, x=None):
+    """(flip, x) for the orientation of seq, as given or reversed, that is
+    theta_sequence(x, q, d), reversal inverting x: the one that fits the
+    given x, or else the one whose x renders first; None if none fits.
+
+    Validated parameters have q^4 != 1, so ``_fit`` recovers x from seq[0]
+    and seq[1] alone, and distinct values fit a given x in one orientation
+    at most.
+    """
+    options = [(flip, fit) for flip in (False, True)
+               if (fit := _fit(seq[::-1] if flip else seq, q, d)) is not None
+               and (x is None or fit == x)]
     return min(options, key=lambda item: item[1].render(), default=None)
 
 
 def _split(params: QRacahParams, U: Decomposition, EV: Decomposition,
            flags: Sequence[Subspace], EstarV: Optional[Decomposition] = None) -> SplitData:
-    """The split data once U is known: U_i-dd = flags[i] n (E_0 V + ... +
-    E_(d-i) V), then directness, common multiplicities and the flag sum
-    identities are checked."""
+    """The split data once U is known: U_i-dd = F_i n E-flag_(d-i), where
+    F_i = flags[i], E-flag_i = E_0 V + ... + E_i V and E-tail_i = E_i V +
+    ... + E_d V.  Three checks run: (A) U is direct, (B) U-dd is direct, and
+    (C) dim U_i = dim U_i-dd = dim E_i V (= dim E*_i V) for every i.
+
+    The flag sum identities follow from them, so they are not checked.  Let
+    rho_i = dim U_i and P_i = rho_0 + ... + rho_i (P_(-1) = 0).  F_i is
+    U-flag_i on (A, K) input and E*-flag_i on (A, A*) input; by
+    construction U_j <= F_j and U_j-dd = F_j n E-flag_(d-j).
+
+    1. By (A) and (C), dim F_i = dim E-flag_i = P_i.  Grassmann gives
+       rho_i = dim U_i-dd >= P_i + P_(d-i) - n, so P_(i-1) + P_(d-i) <= n.
+       U_i-dd + ... + U_d-dd lies in E-flag_(d-i) and has dimension
+       n - P_(i-1) by (B), so n - P_(i-1) <= P_(d-i).  Hence equality, and
+       U_i-dd + ... + U_d-dd = E-flag_(d-i) (the head identity).
+    2. U-flag_i and U-dd-flag_i lie in F_i and have its dimension P_i, so
+       U-flag_i = U-dd-flag_i, and on (A, A*) both are E*-flag_i (the flag
+       and dual flag identities).
+    3. U-tail_i and E-tail_i have dimension n - P_(i-1).  On (A, A*)
+       U_j <= E-tail_j by construction.  On (A, K) ``_block_eigenvalues``
+       made A block lower bidiagonal with scalar blocks theta_j on U_j, so
+       U-tail_i is A-invariant and A has eigenvalues theta_i, ...,
+       theta_d on it; A is diagonalizable, so U-tail_i <= E-tail_i.
+       Either way U-tail_i = E-tail_i (the tail identity).
+    """
     d = params.d
     Udd = Decomposition(subspace_intersect(flags[i], EV.flags[d - i]) for i in range(d + 1))
     if not is_direct_decomposition(U):
@@ -378,15 +401,6 @@ def _split(params: QRacahParams, U: Decomposition, EV: Decomposition,
         if len(dims) != 1:
             raise EngineError("split-failure",
                               f"multiplicities disagree at index {i}")
-    for i in range(d + 1):
-        if EV.tails[i] != U.tails[i]:
-            raise EngineError("split-failure", f"eigenflag/tail mismatch at index {i}")
-        if EV.flags[i] != Udd.tails[d - i]:
-            raise EngineError("split-failure", f"eigenflag/head mismatch at index {i}")
-        if U.flags[i] != Udd.flags[i]:
-            raise EngineError("split-failure", f"flag mismatch at index {i}")
-        if EstarV is not None and EstarV.flags[i] != U.flags[i]:
-            raise EngineError("split-failure", f"dual flag mismatch at index {i}")
     return SplitData(params, U, Udd, EV, EstarV)
 
 
@@ -854,8 +868,6 @@ class AxiomReport:
     conclusive: bool
     passed: bool
     checks: tuple[CheckRecord, ...]
-    theta: Optional[tuple[Scalar, ...]] = None
-    theta_star: Optional[tuple[Scalar, ...]] = None
     algebra_dim: Optional[int] = None
 
 
@@ -870,49 +882,32 @@ def validate_axioms(A: Matrix, Astar: Matrix) -> AxiomReport:
     n = A.rows
     checks: list[CheckRecord] = []
 
-    try:
-        avals, aspaces = _eigendata(A)
-        checks.append(CheckRecord("diagonalizable-A", "pass",
-                                  f"{len(avals)} eigenspaces spanning the space"))
-    except EngineError as exc:
-        checks.append(CheckRecord("diagonalizable-A", "inconclusive", str(exc)))
-        return AxiomReport(n, None, None, False, False, tuple(checks))
-    try:
-        svals, sspaces = _eigendata(Astar)
-        checks.append(CheckRecord("diagonalizable-Astar", "pass",
-                                  f"{len(svals)} eigenspaces spanning the space"))
-    except EngineError as exc:
-        checks.append(CheckRecord("diagonalizable-Astar", "inconclusive", str(exc)))
-        return AxiomReport(n, len(avals) - 1, None, False, False, tuple(checks))
+    spaces: list[Decomposition] = []  # the eigenspaces of A, then of A*
+    for name, m in (("A", A), ("Astar", Astar)):
+        try:
+            spaces.append(_eigendata(m)[1])
+        except EngineError as exc:
+            checks.append(CheckRecord(f"diagonalizable-{name}", "inconclusive", str(exc)))
+            d = len(spaces[0]) - 1 if spaces else None
+            return AxiomReport(n, d, None, False, False, tuple(checks))
+        checks.append(CheckRecord(f"diagonalizable-{name}", "pass",
+                                  f"{len(spaces[-1])} eigenspaces spanning the space"))
 
-    d = len(avals) - 1
-    delta = len(svals) - 1
+    d, delta = (len(s) - 1 for s in spaces)
     if d == delta:
         checks.append(CheckRecord("diameters-equal", "pass", f"d = delta = {d}"))
     else:
         checks.append(CheckRecord("diameters-equal", "fail", f"d = {d}, delta = {delta}"))
 
-    order = _path_ordering(aspaces, Astar)
-    theta = None
-    if order is None:
-        checks.append(CheckRecord("standard-ordering-A", "fail",
-                                  "no ordering makes the dual action tridiagonal"))
-    else:
-        theta = [avals[i] for i in order]
-        checks.append(CheckRecord("standard-ordering-A", "pass",
-                                  "ordering found; its reversal is the only other "
-                                  "standard ordering"))
-
-    sorder = _path_ordering(sspaces, A)
-    theta_star = None
-    if sorder is None:
-        checks.append(CheckRecord("standard-ordering-Astar", "fail",
-                                  "no ordering makes the action tridiagonal"))
-    else:
-        theta_star = [svals[i] for i in sorder]
-        checks.append(CheckRecord("standard-ordering-Astar", "pass",
-                                  "ordering found; its reversal is the only other "
-                                  "standard ordering"))
+    for name, own, cross, action in (("A", spaces[0], Astar, "the dual action"),
+                                     ("Astar", spaces[1], A, "the action")):
+        if _path_ordering(own, cross) is None:
+            checks.append(CheckRecord(f"standard-ordering-{name}", "fail",
+                                      f"no ordering makes {action} tridiagonal"))
+        else:
+            checks.append(CheckRecord(f"standard-ordering-{name}", "pass",
+                                      "ordering found; its reversal is the only other "
+                                      "standard ordering"))
 
     algebra_dim = generated_algebra_dim([A, Astar])
     if algebra_dim == n * n:
@@ -925,9 +920,5 @@ def validate_axioms(A: Matrix, Astar: Matrix) -> AxiomReport:
                                   "over the algebraic closure"))
 
     passed = all(c.status == "pass" for c in checks)
-    return AxiomReport(
-        n=n, d=d, delta=delta, conclusive=True, passed=passed, checks=tuple(checks),
-        theta=tuple(theta) if theta else None,
-        theta_star=tuple(theta_star) if theta_star else None,
-        algebra_dim=algebra_dim,
-    )
+    return AxiomReport(n=n, d=d, delta=delta, conclusive=True, passed=passed,
+                       checks=tuple(checks), algebra_dim=algebra_dim)

@@ -59,6 +59,16 @@ def dual_operator(params, c):
          for col in range(d + 1)] for r in range(d + 1)])
 
 
+def conjugator(n):
+    """S = L U for unit triangular L and U with small integer entries."""
+    field = rational_field()
+    L = Matrix.from_rows(field, [[(r + 2 * c) % 3 - 1 if c < r else int(c == r)
+                                  for c in range(n)] for r in range(n)])
+    U = Matrix.from_rows(field, [[(2 * r + c) % 3 - 1 if c > r else int(c == r)
+                                  for c in range(n)] for r in range(n)])
+    return L * U
+
+
 def load_perfbench(name):
     """Import perfbench/<name>.py by path; the benchmark is not a package."""
     import importlib.util
@@ -73,3 +83,17 @@ def load_perfbench(name):
         sys.modules[key] = module  # dataclasses look their module up here
         spec.loader.exec_module(module)
     return sys.modules[key]
+
+
+def assert_split_identities(split):
+    """The flag sum identities that ``engine._split`` derives from its checks
+    rather than checking: on a split (a ``SplitData`` or a suite) with
+    E-flag_i = E_0 V + ... + E_i V, E-tail_i = E_i V + ... + E_d V and so on,
+    E-tail_i = U-tail_i, E-flag_i = U-dd-tail_(d-i), U-flag_i = U-dd-flag_i,
+    and E*-flag_i = U-flag_i when E*V is known."""
+    U, Udd, EV, d = split.U, split.Udd, split.EV, split.params.d
+    assert EV.tails == U.tails
+    assert EV.flags == tuple(Udd.tails[d - i] for i in range(d + 1))
+    assert U.flags == Udd.flags
+    if split.EstarV is not None:
+        assert split.EstarV.flags == U.flags

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from conftest import dual_operator, make_params
+from conftest import assert_split_identities, conjugator, dual_operator, make_params
 from test_cli import run_cli
 from tdq import engine, leonard
 from tdq.battery import verify_battery
@@ -16,15 +16,6 @@ from tdq.scalars import rational_field, ratfunc_field
 QF = rational_field()
 C = 7
 FULL = {"pass": 48, "fail": 0, "skipped-needs-Astar": 0}
-
-
-def conjugator(n):
-    """S = L U for unit triangular L and U with small integer entries."""
-    L = Matrix.from_rows(QF, [[(r + 2 * c) % 3 - 1 if c < r else int(c == r) for c in range(n)]
-                              for r in range(n)])
-    U = Matrix.from_rows(QF, [[(2 * r + c) % 3 - 1 if c > r else int(c == r) for c in range(n)]
-                              for r in range(n)])
-    return L * U
 
 
 def pair(d, conjugated):
@@ -56,7 +47,9 @@ def test_every_route_passes_the_full_battery(d, conjugated):
     routes = [{"K": K, "Astar": Astar}, {"Astar": Astar}]
     routes += [{"Astar": Astar, "params": oriented} for oriented in orientations(p)]
     for kwargs in routes:
-        report = verify_battery(engine.derive_suite(A, **kwargs))
+        suite = engine.derive_suite(A, **kwargs)
+        assert_split_identities(suite)
+        report = verify_battery(suite)
         assert report.counts == FULL, (sorted(kwargs), [e.id for e in report.failures()])
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import fields as dataclass_fields, replace
 from fractions import Fraction
@@ -7,17 +8,25 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tdq import engine, leonard
 from tdq.engine import EngineError, NotQRacahError
-from tdq.linalg import Matrix, Subspace
+from tdq.linalg import Decomposition, Matrix, Subspace
 from tdq.params import QRacahParams, validate_params
 from tdq.scalars import rational_field, ratfunc_field
 
-from conftest import make_params
+from conftest import assert_split_identities, conjugator, make_params
+from test_cli import run_cli
 
 QF = rational_field()
 
 
 def scal(v):
     return QF.coerce(Fraction(v))
+
+
+def raises_reason(call, reason, message):
+    """call() raises an EngineError with this reason code and message."""
+    with pytest.raises(EngineError) as err:
+        call()
+    assert (err.value.reason, str(err.value)) == (reason, message)
 
 
 def d1_full_fixture():
@@ -69,8 +78,30 @@ class TestDetect:
     def test_irrational_q_rejected(self):
         # q^2 + q^-2 = 3 has no rational q
         thetas = [scal(3), scal(1), scal(0), scal(-1)]
-        with pytest.raises(NotQRacahError):
-            engine.detect_qracah(thetas)
+        raises_reason(lambda: engine.detect_qracah(thetas), "no-field-root",
+                      "the quadratic for q^2 has no root in the working field")
+
+    def test_q_outside_the_field_rejected(self):
+        # q^2 + q^-2 = 5/2, so q^2 is 2 or 1/2, and neither has a rational root
+        raises_reason(lambda: engine.detect_qracah([scal(2), scal(1), scal(Fraction(1, 2))]),
+                      "no-field-root", "q^2 lies in the working field but q itself does not")
+
+    def test_vanishing_interior_eigenvalue_rejected(self):
+        raises_reason(lambda: engine.detect_qracah([scal(1), scal(0), scal(2)]), "middle-zero",
+                      "a vanishing interior eigenvalue forces a^2 = -1, "
+                      "which has no solution in the working field")
+
+    def test_d1_without_roots_rejected(self):
+        # aq + (aq)^-1 = 1 has no rational root
+        raises_reason(lambda: engine.detect_qracah([scal(1), scal(Fraction(5, 2))]),
+                      "no-field-root",
+                      "the quadratic for aq or a/q has no root in the working field")
+
+    def test_d1_roots_without_a_square_ratio_rejected(self):
+        # aq is 2 or 1/2 and a/q is 3 or 1/3: no ratio aq / (a/q) is a square
+        raises_reason(lambda: engine.detect_qracah([scal(Fraction(5, 2)), scal(Fraction(10, 3))]),
+                      "a-system-inconsistent",
+                      "no (q, a) pair in the working field reproduces the eigenvalue sequence")
 
     def test_duplicate_eigenvalues_rejected(self):
         with pytest.raises(ValueError):
@@ -131,15 +162,27 @@ class TestSplits:
         p = make_params(QF, d=1)
         ls = leonard.leonard_suite(p, "u")
         K_bad = Matrix.diagonal(QF, [scal(2), scal(3)])  # not q, q^-1 shaped
-        with pytest.raises(EngineError):
-            engine.split_from_AK(ls.A, K_bad, params=p)
+        raises_reason(lambda: engine.split_from_AK(ls.A, K_bad, params=p), "spectrum-mismatch",
+                      "K is not diagonalizable with eigenvalues q^(d-2i)")
 
     def test_split_action_violation_rejected(self):
         p = make_params(QF, d=1)
         ls = leonard.leonard_suite(p, "u")
         A_bad = ls.A.transpose()  # raises along the wrong direction for this K
-        with pytest.raises(EngineError):
-            engine.split_from_AK(A_bad, ls.K, params=p)
+        raises_reason(lambda: engine.split_from_AK(A_bad, ls.K, params=p), "split-action",
+                      "A does not act as a block lower bidiagonal raising operator "
+                      "on the K-eigenspace ordering")
+
+
+@st.composite
+def conjugators(draw, n):
+    """S = L U for unit triangular L and U with entries in [-2, 2]."""
+    entry = st.integers(-2, 2)
+    L = Matrix.from_rows(QF, [[draw(entry) if c < r else int(c == r) for c in range(n)]
+                              for r in range(n)])
+    U = Matrix.from_rows(QF, [[draw(entry) if c > r else int(c == r) for c in range(n)]
+                              for r in range(n)])
+    return L * U
 
 
 @st.composite
@@ -151,13 +194,7 @@ def conjugated_ak(draw):
     a = scal(draw(st.sampled_from([3, -3, 5, Fraction(1, 3), Fraction(-7, 2), Fraction(2, 5)])))
     assume(not validate_params(d, q, a))
     ls = leonard.leonard_suite(QRacahParams(d, q, a), draw(st.sampled_from(leonard.BASES)))
-    n = d + 1
-    entry = st.integers(-2, 2)
-    L = Matrix.from_rows(QF, [[draw(entry) if c < r else int(c == r) for c in range(n)]
-                              for r in range(n)])
-    U = Matrix.from_rows(QF, [[draw(entry) if c > r else int(c == r) for c in range(n)]
-                              for r in range(n)])
-    S = L * U
+    S = draw(conjugators(d + 1))
     Sinv = S.inverse()
     return S * ls.A * Sinv, S * ls.K * Sinv
 
@@ -413,8 +450,6 @@ class TestSuiteDerivedData:
         assert replace(s, psi=equal).psi_series is s.psi_series
 
     def test_hand_built_suite(self):
-        from tdq.linalg import Decomposition
-
         p = make_params(QF, d=1)
         ls = leonard.leonard_suite(p, "u")
         s = engine.derive_suite(ls.A, K=ls.K)
@@ -523,3 +558,218 @@ class TestEquivariance:
                 for name in ("U", "Udd", "W", "EV"):
                     assert getattr(conj, name) == tuple(
                         x.image(S) for x in getattr(base, name))
+
+
+def _fixture(tmp_path, matrices, params=None):
+    """A rational fixture file of these rendered matrices and parameters."""
+    doc = {"format": "tdq-fixture/1", "field": {"backend": "rational"},
+           "matrices": {name: m.render() for name, m in matrices.items()}}
+    if params is not None:
+        doc["params"] = params.render()
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestSplitChecks:
+    """Both directness checks of ``_split`` fail on some input, in process
+    and through ``tdq engine`` (exit 1, one line, no traceback).  Its third
+    check, that the multiplicities agree, follows from them; see
+    ``tests/test_reasons.py``."""
+
+    @staticmethod
+    def _fails(tmp_path, matrices, params, message):
+        raises_reason(lambda: engine.derive_suite(**matrices, params=params),
+                      "split-failure", message)
+        proc = run_cli("engine", str(_fixture(tmp_path, matrices, params)),
+                       "--out", str(tmp_path / "out.json"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"mathematical failure: {message}\n")
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("with_params", [False, True], ids=["detected", "given"])
+    def test_second_sequence_not_direct(self, tmp_path, with_params):
+        # the d = 1 u frame at (q, a) = (2, 3) with A's subdiagonal 1 set to
+        # 0: U_1-dd = (U_0 + U_1) n E_0 V = E_0 V = U_0-dd
+        p = make_params(QF, d=1, b=None)
+        ls = leonard.leonard_suite(p, "u")
+        A = Matrix.from_rows(QF, [[ls.A[0, 0], 0], [0, ls.A[1, 1]]])
+        self._fails(tmp_path, {"A": A, "K": ls.K}, p if with_params else None,
+                    "the second split sequence is not a decomposition")
+
+    @pytest.mark.parametrize("with_params", [False, True], ids=["detected", "given"])
+    def test_first_sequence_not_direct(self, tmp_path, with_params):
+        # diagonal A and A* with E*_0 V = E_1 V: U_0 = E*_0 V = E_1 V = U_1
+        p = make_params(QF, d=1)
+        A = Matrix.diagonal(QF, [p.theta(0), p.theta(1)])
+        Astar = Matrix.diagonal(QF, [p.theta_star(1), p.theta_star(0)])
+        self._fails(tmp_path, {"A": A, "Astar": Astar}, p if with_params else None,
+                    "the first split sequence is not a decomposition")
+
+
+@st.composite
+def block_bidiagonal_ak(draw):
+    """(A, K, params or None) at d <= 3: K = q^(d-2i) on the i-th block of
+    rho_i in {1, 2} coordinates, A block lower bidiagonal with theta_i on the
+    diagonal blocks and integers in [-2, 2] below them, both conjugated by
+    S = L U in half of the draws; the parameters are given in half."""
+    d = draw(st.integers(1, 3))
+    q = scal(draw(st.sampled_from([2, -2, 3, Fraction(1, 2), Fraction(5, 3)])))
+    a = scal(draw(st.sampled_from([3, -3, 5, Fraction(1, 3), Fraction(2, 5)])))
+    assume(not validate_params(d, q, a))
+    p = QRacahParams(d, q, a)
+    block = [i for i in range(d + 1) for _ in range(draw(st.integers(1, 2)))]
+    n = len(block)
+    A = Matrix.from_rows(QF, [
+        [p.theta(block[r]) if r == c else draw(st.integers(-2, 2))
+         if block[r] == block[c] + 1 else 0 for c in range(n)] for r in range(n)])
+    K = Matrix.diagonal(QF, [q ** (d - 2 * block[r]) for r in range(n)])
+    if draw(st.booleans()):
+        S = draw(conjugators(n))
+        Sinv = S.inverse()
+        A, K = S * A * Sinv, S * K * Sinv
+    return A, K, p if draw(st.booleans()) else None
+
+
+class TestSplitIdentities:
+    """The flag sum identities hold on every split the engine returns."""
+
+    @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("frame", leonard.BASES)
+    def test_frames(self, frame, d, conjugated):
+        ls = leonard.leonard_suite(make_params(QF, d=d, b=None), frame)
+        S = conjugator(d + 1) if conjugated else Matrix.identity(QF, d + 1)
+        Sinv = S.inverse()
+        assert_split_identities(engine.split_from_AK(S * ls.A * Sinv, S * ls.K * Sinv))
+
+    def test_a_swapped_space_is_caught(self):
+        ls = leonard.leonard_suite(make_params(QF, d=2, b=None), "u")
+        sd = engine.split_from_AK(ls.A, ls.K)
+        for name in ("U", "Udd", "EV"):
+            spaces = list(getattr(sd, name))
+            spaces[0], spaces[1] = spaces[1], spaces[0]
+            with pytest.raises(AssertionError):
+                assert_split_identities(replace(sd, **{name: Decomposition(spaces)}))
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_bidiagonal_ak())
+    def test_random_block_bidiagonal_inputs(self, case):
+        # a split that the checks pass satisfies the identities; the only
+        # check these inputs fail is the second split sequence's
+        A, K, p = case
+        try:
+            sd = engine.split_from_AK(A, K, p)
+        except EngineError as exc:
+            assert str(exc) == "the second split sequence is not a decomposition"
+        else:
+            assert_split_identities(sd)
+
+
+class TestFailureReasons:
+    """Inputs that reach the engine's other failures, one each."""
+
+    P1 = make_params(QF, d=1)
+
+    @staticmethod
+    def _pair():
+        """(A, K, A*) of ``d1_full_fixture``, K of the u frame."""
+        p, A, Astar = d1_full_fixture()
+        return A, leonard.leonard_suite(p, "u").K, Astar
+
+    def test_jordan_block_not_diagonalizable(self):
+        J = Matrix.from_rows(QF, [[1, 1], [0, 1]])
+        raises_reason(lambda: engine.derive_suite(J, Astar=Matrix.identity(QF, 2)),
+                      "not-diagonalizable", "eigenspaces do not span the whole space")
+
+    def test_eigenspace_counts_differ(self):
+        raises_reason(lambda: engine.derive_suite(
+            Matrix.diagonal(QF, [scal(1), scal(1), scal(2)]),
+            Astar=Matrix.diagonal(QF, [scal(1), scal(2), scal(3)])),
+            "diameter-mismatch", "eigenspace counts differ: 2 vs 3")
+
+    def test_one_eigenvalue_each(self):
+        eye = Matrix.identity(QF, 2)
+        raises_reason(lambda: engine.derive_suite(eye, Astar=eye),
+                      "diameter-zero", "need at least two distinct eigenvalues")
+
+    def test_first_operator_not_tridiagonal_on_the_dual_eigenspaces(self):
+        # A* is tridiagonal on the eigenbasis of the diagonal A, but A acts on
+        # the eigenvectors of A* with a block graph that is no path
+        p = make_params(QF, d=2, b=None)
+        A = Matrix.diagonal(QF, [p.theta(i) for i in range(3)])
+        Astar = Matrix.from_rows(QF, [[0, -2, 0], [-1, 1, -2], [0, 0, 3]])
+        raises_reason(lambda: engine.derive_suite(A, Astar=Astar), "no-standard-ordering",
+                      "the first operator does not act tridiagonally on any "
+                      "ordering of the dual eigenspaces")
+
+    def test_pair_with_another_a(self):
+        A, _, Astar = self._pair()
+        raises_reason(lambda: engine.derive_suite(A, Astar=Astar,
+                                                  params=make_params(QF, d=1, a=7)),
+                      "parameter-mismatch", "supplied parameters do not match the eigenvalues")
+
+    def test_pair_with_another_b(self):
+        A, _, Astar = self._pair()
+        raises_reason(lambda: engine.derive_suite(A, Astar=Astar,
+                                                  params=make_params(QF, d=1, b=7)),
+                      "dual-parameter-failure",
+                      "no b in the working field matches the dual eigenvalues")
+
+    def test_ak_with_another_a(self):
+        A, K, _ = self._pair()
+        raises_reason(lambda: engine.derive_suite(A, K=K, params=make_params(QF, d=1, a=7)),
+                      "parameter-mismatch",
+                      "extracted eigenvalues do not match the supplied parameters")
+
+    def test_k_with_one_eigenvalue(self):
+        A, _, _ = self._pair()
+        raises_reason(lambda: engine.derive_suite(A, K=Matrix.identity(QF, 2)),
+                      "diameter-zero", "K must have at least two eigenvalues")
+
+    def test_dual_with_one_eigenvalue(self):
+        A, K, _ = self._pair()
+        raises_reason(lambda: engine.derive_suite(A, K=K, Astar=Matrix.identity(QF, 2)),
+                      "diameter-mismatch", "the dual operator has the wrong number of eigenspaces")
+
+    def test_dual_eigenspaces_off_the_split_flags(self):
+        # neither eigenvector (0, 1), (1, -1) of this A* lies in U_0 = span (1, 0)
+        A, K, _ = self._pair()
+        raises_reason(lambda: engine.derive_suite(
+            A, K=K, Astar=Matrix.from_rows(QF, [[1, 0], [1, 2]])),
+            "split-failure", "the dual eigenspaces do not refine the split flags")
+
+    def test_dual_eigenvalues_fit_no_b(self):
+        A, K, _ = self._pair()
+        raises_reason(lambda: engine.derive_suite(
+            A, K=K, Astar=Matrix.diagonal(QF, [scal(1), scal(2)])),
+            "dual-parameter-failure", "no b in the working field matches the dual eigenvalues")
+
+    def test_dual_with_another_b(self):
+        A, K, Astar = self._pair()
+        raises_reason(lambda: engine.derive_suite(A, K=K, Astar=Astar,
+                                                  params=make_params(QF, d=1, b=7)),
+                      "dual-parameter-failure", "supplied b does not match the dual eigenvalues")
+
+    def test_singular_k(self):
+        raises_reason(lambda: engine.psi_from_KB(Matrix.zero(QF, 2), Matrix.identity(QF, 2),
+                                                 scal(2), scal(3)),
+                      "singular-operator", "K and B must be invertible")
+
+    def test_singular_denominator(self):
+        # B K^-1 = a^2 I makes a I - a^-1 B K^-1 zero
+        eye = Matrix.identity(QF, 2)
+        raises_reason(lambda: engine.psi_from_KB(eye, 9 * eye, scal(2), scal(3)),
+                      "singular-denominator", "denominator of the first expression is singular")
+
+    def test_downarrow_of_a_claimed_halfway_decomposition(self):
+        A, K, _ = self._pair()
+        s = engine.derive_suite(A, K=K, params=self.P1)
+        raises_reason(lambda: engine.downarrow(replace(s, W=s.W[::-1])),
+                      "downarrow-mismatch", "the halfway decomposition moved")
+
+    def test_downarrow_of_a_claimed_split(self):
+        A, K, _ = self._pair()
+        s = engine.derive_suite(A, K=K, params=self.P1)
+        raises_reason(lambda: engine.downarrow(replace(s, U=s.U[::-1])),
+                      "downarrow-mismatch", "the split decompositions did not swap")

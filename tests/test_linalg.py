@@ -345,9 +345,10 @@ def nonzero_scalars(draw, field):
 
 @st.composite
 def sparse_matrices(draw, field, rows, cols):
-    """At least half of the entries are zero."""
+    """At least one nonzero entry, and at most half of the entries nonzero
+    (one, for a 1 x 1 matrix)."""
     size = rows * cols
-    nonzero = draw(st.sets(st.integers(0, size - 1), max_size=size // 2))
+    nonzero = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=max(1, size // 2)))
     return Matrix(field, rows, cols, [draw(nonzero_scalars(field)) if k in nonzero
                                       else field.zero for k in range(size)])
 
@@ -387,16 +388,18 @@ def products(draw, matrices, fields, size):
 
 @st.composite
 def shapes(draw, matrices, fields, size):
+    """A square or wide matrix, zero in some draws."""
     field = draw(st.sampled_from(fields))
     n = draw(st.integers(1, size))
-    return draw(matrices(field, n, draw(st.integers(1, size + 1)) if draw(st.booleans())
-                         else n))
+    m = draw(matrices(field, n, draw(st.integers(1, size + 1)) if draw(st.booleans()) else n))
+    return Matrix.zero(field, m.rows, m.cols) if draw(st.integers(0, 7)) == 0 else m
 
 
 @st.composite
 def subspace_pairs(draw, matrices, fields, size):
     """(X, Y) with Y spanned by combinations of X's rows in half of the draws,
-    so that Y <= X holds by construction, and by other rows otherwise."""
+    so that Y <= X holds by construction, and by other rows otherwise; X is
+    zero in some draws, and Y in others."""
     field = draw(st.sampled_from(fields))
     n = draw(st.integers(1, size))
     xs = draw(matrices(field, draw(st.integers(1, max(1, size - 1))), n))
@@ -404,7 +407,9 @@ def subspace_pairs(draw, matrices, fields, size):
         ys = draw(matrices(field, draw(st.integers(1, max(1, size // 2))), xs.rows)) * xs
     else:
         ys = draw(matrices(field, draw(st.integers(1, max(1, size // 2))), n))
-    return span_of_rows(xs), span_of_rows(ys)
+    zero = draw(st.integers(0, 7))
+    return tuple(Subspace.zero(field, n) if zero == k else span_of_rows(m)
+                 for k, m in enumerate((xs, ys)))
 
 
 def span_of_rows(m):

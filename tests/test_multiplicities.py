@@ -13,7 +13,7 @@ from tdq.linalg import Matrix
 from tdq.qcalc import q_fact
 from tdq.scalars import rational_field
 
-from conftest import make_params
+from conftest import assert_split_identities, make_params
 
 QF = rational_field()
 
@@ -48,6 +48,7 @@ def test_doubled_d2_suite(frame, with_params):
     assert tuple(s.dim for s in suite.U) == (2, 2, 2)
     assert suite.U.blocks == (range(0, 2), range(2, 4), range(4, 6))
     assert suite.U.coordinates * suite.U.basis == suite.I
+    assert_split_identities(suite)
     assert _counts(suite) == (43, 0, 5)
 
 
@@ -64,6 +65,7 @@ def test_doubled_d1_suite_with_dual(with_k):
     A, K, Astar = _doubled_d1(*_unipotent(4))
     suite = engine.derive_suite(A, K=K if with_k else None, Astar=Astar)
     assert tuple(s.dim for s in suite.U) == (2, 2)
+    assert_split_identities(suite)
     assert _counts(suite) == (48, 0, 0)
 
 
