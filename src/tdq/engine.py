@@ -11,9 +11,9 @@ Each input finds {U_i} its own way (the K-eigenspaces, or the dual eigenflags
 cut by the tails of the eigenspace decomposition of A); from there one tail,
 ``_split``, builds U_i-dd = F_i n (E_0 V + ... + E_(d-i) V) from the flag F_i
 (U_0 + ... + U_i, or the dual eigenflag that must equal it) and runs the
-split checks: both split sequences are direct, with the multiplicities of
-the eigenspaces; the flag sum identities follow (see ``_split``).  B is built
-from {U_i-dd}, and K from {U_i} unless it was given.
+split checks: both split sequences are direct; the multiplicities and the
+flag sum identities follow (see ``_split``).  B is built from {U_i-dd}, and
+K from {U_i} unless it was given.
 
 Unless supplied, each parameter comes from the operator that fixes it.  On
 (A, K) input the K spectrum q^d, ..., q^-d fixes q, and ``_fit`` then fixes
@@ -365,28 +365,36 @@ def _split(params: QRacahParams, U: Decomposition, EV: Decomposition,
            flags: Sequence[Subspace], EstarV: Optional[Decomposition] = None) -> SplitData:
     """The split data once U is known: U_i-dd = F_i n E-flag_(d-i), where
     F_i = flags[i], E-flag_i = E_0 V + ... + E_i V and E-tail_i = E_i V +
-    ... + E_d V.  Three checks run: (A) U is direct, (B) U-dd is direct, and
-    (C) dim U_i = dim U_i-dd = dim E_i V (= dim E*_i V) for every i.
+    ... + E_d V.  Two checks run: (A) U is direct and (B) U-dd is direct.
 
-    The flag sum identities follow from them, so they are not checked.  Let
-    rho_i = dim U_i and P_i = rho_0 + ... + rho_i (P_(-1) = 0).  F_i is
-    U-flag_i on (A, K) input and E*-flag_i on (A, A*) input; by
-    construction U_j <= F_j and U_j-dd = F_j n E-flag_(d-j).
+    The multiplicities and the flag sum identities follow, so they are not
+    checked.  Let n = dim V, rho_i = dim U_i, P_i = rho_0 + ... + rho_i and
+    Q_i = dim E-flag_i (P_(-1) = Q_(-1) = 0).  F_i is U-flag_i on (A, K)
+    input and E*-flag_i on (A, A*) input; by construction U_j <= F_j and
+    U_j-dd = F_j n E-flag_(d-j).  The cut: if V = X_0 + ... + X_d is direct
+    and X_j lies in Y for j <= k and in Z for j > k, then n <= dim Y + dim Z.
 
-    1. By (A) and (C), dim F_i = dim E-flag_i = P_i.  Grassmann gives
-       rho_i = dim U_i-dd >= P_i + P_(d-i) - n, so P_(i-1) + P_(d-i) <= n.
-       U_i-dd + ... + U_d-dd lies in E-flag_(d-i) and has dimension
-       n - P_(i-1) by (B), so n - P_(i-1) <= P_(d-i).  Hence equality, and
-       U_i-dd + ... + U_d-dd = E-flag_(d-i) (the head identity).
-    2. U-flag_i and U-dd-flag_i lie in F_i and have its dimension P_i, so
+    1. dim F_i = Q_i = P_i.  On (A, K), F_i = U-flag_i, and
+       ``_block_eigenvalues`` made A block lower bidiagonal with distinct
+       scalar blocks theta_j on U_j, so (A - theta_0) ... (A - theta_d) = 0
+       and dim E_i V = rho_i.  On (A, A*), with Q*_i = dim E*-flag_i,
+       Grassmann bounds rho_i = dim (E*-flag_i n E-tail_i) >= Q*_i - Q_(i-1);
+       the bounds sum to n + sum_(k<d) (Q*_k - Q_k), and by (A) the cut at k
+       (E*-flag_k, E-tail_(k+1)) makes each term >= 0.  The rho_i sum to n,
+       so every bound is tight and every term 0: rho_i = dim E_i V =
+       dim E*_i V.
+    2. Likewise dim U_i-dd >= P_i + P_(d-i) - n; the bounds sum to n +
+       sum_(k<d) (P_k + P_(d-1-k) - n), and by (B) the cut at k (F_k,
+       E-flag_(d-1-k)) makes each term >= 0, so P_(d-i) = n - P_(i-1) and
+       dim U_i-dd = rho_i.  U_i-dd + ... + U_d-dd lies in E-flag_(d-i) and
+       has its dimension n - P_(i-1), so they are equal (the head identity).
+    3. U-flag_i and U-dd-flag_i lie in F_i and have its dimension P_i, so
        U-flag_i = U-dd-flag_i, and on (A, A*) both are E*-flag_i (the flag
        and dual flag identities).
-    3. U-tail_i and E-tail_i have dimension n - P_(i-1).  On (A, A*)
-       U_j <= E-tail_j by construction.  On (A, K) ``_block_eigenvalues``
-       made A block lower bidiagonal with scalar blocks theta_j on U_j, so
-       U-tail_i is A-invariant and A has eigenvalues theta_i, ...,
-       theta_d on it; A is diagonalizable, so U-tail_i <= E-tail_i.
-       Either way U-tail_i = E-tail_i (the tail identity).
+    4. U-tail_i and E-tail_i have dimension n - P_(i-1), and U-tail_i <=
+       E-tail_i: by construction on (A, A*); on (A, K) U-tail_i is
+       A-invariant, A has eigenvalues theta_i, ..., theta_d on it and is
+       diagonalizable.  So U-tail_i = E-tail_i (the tail identity).
     """
     d = params.d
     Udd = Decomposition(subspace_intersect(flags[i], EV.flags[d - i]) for i in range(d + 1))
@@ -394,13 +402,6 @@ def _split(params: QRacahParams, U: Decomposition, EV: Decomposition,
         raise EngineError("split-failure", "the first split sequence is not a decomposition")
     if not is_direct_decomposition(Udd):
         raise EngineError("split-failure", "the second split sequence is not a decomposition")
-    for i in range(d + 1):
-        dims = {U[i].dim, Udd[i].dim, EV[i].dim}
-        if EstarV is not None:
-            dims.add(EstarV[i].dim)
-        if len(dims) != 1:
-            raise EngineError("split-failure",
-                              f"multiplicities disagree at index {i}")
     return SplitData(params, U, Udd, EV, EstarV)
 
 
@@ -408,64 +409,48 @@ def split_from_AK(A: Matrix, K: Matrix,
                   params: Optional[QRacahParams] = None) -> SplitData:
     """Both split decompositions from (A, K), without the dual operator.
 
-    K fixes q and d: U_i is the K-eigenspace for q^(d-2i), tried for each q
-    (the supplied one, or each whose powers q^d, ..., q^-d are the K
-    spectrum).  A acts on U_i as theta_i plus a raising part, and ``_fit``
-    fixes a from theta for that q; b is left as supplied, since only A* can
-    fix it.  The second split decomposition is recovered from the flag
-    identity U_0 + ... + U_i = E*-flag, giving
-    U_i-dd = (U_0 + ... + U_i) n (E_0 V + ... + E_(d-i) V).
+    K fixes q and d: U_i is the K-eigenspace for q^(d-2i), for the supplied
+    q, or else for the first candidate of ``_k_spectrum_candidates`` whose
+    eigenspaces make A block lower bidiagonal.  A acts on U_i as theta_i
+    plus a raising part, and ``_fit`` fixes a from theta for that q; b is
+    left as supplied, since only A* can fix it.  The second split
+    decomposition is recovered from the flag identity U_0 + ... + U_i =
+    E*-flag, giving U_i-dd = (U_0 + ... + U_i) n (E_0 V + ... + E_(d-i) V).
     """
     if A.rows != K.rows or not A.is_square or not K.is_square:
         raise ValueError("A and K must be square of the same size")
     n = A.rows
 
-    if params is not None:
-        candidates = [(params.q, params.d)]
-    else:
-        candidates = _k_spectrum_candidates(K)
-
-    # (stage reached, error) per failed candidate; the stages are spectrum 0,
-    # split action 1, parameter or eigenvalue checks 2, diagonalizable 3.
-    failures: list[tuple[int, EngineError]] = []
+    candidates = [(params.q, params.d)] if params is not None else _k_spectrum_candidates(K)
+    # The first candidate to pass the block test fixes the split; no other
+    # would read otherwise.  They are +/-q^(+/-1) for one q: -q at even d has
+    # the same eigenspaces and fit, and 1/q reverses them, passing only when
+    # A is block diagonal, where the reversed theta fits the same a.  The
+    # spectrum check fails only on supplied parameters: one candidate.
     for q, d in candidates:
         U = Decomposition(eigenspace(K, q ** (d - 2 * i)) for i in range(d + 1))
         if any(s.is_zero() for s in U) or sum(s.dim for s in U) != n:
-            failures.append((0, EngineError(
-                "spectrum-mismatch", "K is not diagonalizable with eigenvalues q^(d-2i)")))
-            continue
+            raise EngineError("spectrum-mismatch",
+                              "K is not diagonalizable with eigenvalues q^(d-2i)")
         theta = _block_eigenvalues(A, U)
-        if theta is None:
-            failures.append((1, EngineError("split-action",
-                                            "A does not act as a block lower bidiagonal "
-                                            "raising operator on the K-eigenspace ordering")))
-            continue
-        a = _fit(theta, q, d)
-        if params is not None and a != params.a:
-            failures.append((2, NotQRacahError("parameter-mismatch",
-                                               "extracted eigenvalues do not match the "
-                                               "supplied parameters")))
-            continue
-        if len(set(theta)) != len(theta):
-            failures.append((2, NotQRacahError(
-                "eigenvalues-not-distinct", "A has a repeated eigenvalue on the K-eigenspaces")))
-            continue
-        if a is None:
-            failures.append((2, NotQRacahError(
-                "parameter-detection", "no a in the working field fits the eigenvalues "
-                                       "of A for the q of the K spectrum")))
-            continue
-
-        new_params = QRacahParams(d, q, a, params.b if params is not None else None)
-        EV = Decomposition(eigenspace(A, t) for t in theta)
-        if sum(s.dim for s in EV) != n:
-            failures.append((3, EngineError("not-diagonalizable",
-                                            "A is not diagonalizable over the working field")))
-            continue
-        return _split(new_params, U, EV, U.flags)
-    # every candidate failed (there is at least one); max keeps the first of
-    # equal stages: the earliest candidate's failure
-    raise max(failures, key=lambda f: f[0])[1]
+        if theta is not None:
+            break
+    else:
+        raise EngineError("split-action", "A does not act as a block lower bidiagonal "
+                                          "raising operator on the K-eigenspace ordering")
+    a = _fit(theta, q, d)
+    if params is not None and a != params.a:
+        raise NotQRacahError("parameter-mismatch",
+                             "extracted eigenvalues do not match the supplied parameters")
+    if len(set(theta)) != len(theta):
+        raise NotQRacahError("eigenvalues-not-distinct",
+                             "A has a repeated eigenvalue on the K-eigenspaces")
+    if a is None:
+        raise NotQRacahError("parameter-detection", "no a in the working field fits the "
+                                                    "eigenvalues of A for the q of the K spectrum")
+    EV = Decomposition(eigenspace(A, t) for t in theta)
+    return _split(QRacahParams(d, q, a, params.b if params is not None else None),
+                  U, EV, U.flags)
 
 
 def _k_spectrum_candidates(K: Matrix) -> list[tuple[Scalar, int]]:
@@ -776,10 +761,11 @@ def derive_suite(A: Matrix, K: Optional[Matrix] = None,
         raise CrossRouteError("the two Delta power series are not inverse to "
                               "each other", Delta_series, Deltainv)
 
+    # psi's first and third expressions agree only if K psi = q^2 psi K, so
+    # psi lowers the K-eigenspaces (q^2 != 1, and +/-1 are the only roots of
+    # unity in these fields), and M = (I - q a^-1 psi)^-1 K is block triangular
+    # on them with distinct scalar blocks q^(d-2i): the W_i are nonzero, sum to V
     W = Decomposition(eigenspace(M, q ** (d - 2 * i)) for i in range(d + 1))
-    if any(s.is_zero() for s in W) or sum(s.dim for s in W) != n:
-        raise EngineError("halfway-spectrum",
-                          "M is not diagonalizable with eigenvalues q^(d-2i)")
 
     return OperatorSuite(
         params=prms, n=n, A=A, K=K_op, B=B_op, psi=psi, M=M, Minv=Minv,
@@ -793,32 +779,30 @@ def _attach_astar(sd: SplitData, Astar: Matrix) -> SplitData:
     """Add dual eigenspace data to a split computed from (A, K).
 
     The flag identity E*-flag_i = U-flag_i pins the dual ordering completely
-    (no orientation freedom remains once U is fixed), so b is solved for that
-    one ordering and checked against a supplied value if any.
+    (no orientation freedom remains once U is fixed): each eigenspace of A*
+    takes the place of the first U-flag that holds it, and the flags of that
+    ordering must be the U-flags, so E*_i V has dimension rho_i.  b is then
+    solved for that one ordering and checked against a supplied value if any.
     """
-    d = sd.params.d
-    q = sd.params.q
+    d, q = sd.params.d, sd.params.q
     svals, sspaces = _eigendata(Astar)
     if len(svals) != d + 1:
         raise EngineError("diameter-mismatch",
                           "the dual operator has the wrong number of eigenspaces")
-    remaining = list(range(d + 1))
-    order: list[int] = []
-    for i in range(d + 1):
-        inside = [j for j in remaining if sd.U.flags[i].contains(sspaces[j])]
-        if len(inside) != 1:
-            raise EngineError("split-failure",
-                              "the dual eigenspaces do not refine the split flags")
-        order.append(inside[0])
-        remaining.remove(inside[0])
-    b = _fit([svals[i] for i in order], q, d)
+    flags = sd.U.flags
+    place = [next(i for i, flag in enumerate(flags) if flag.contains(space))
+             for space in sspaces]
+    order = sorted(range(d + 1), key=place.__getitem__)
+    EstarV = Decomposition(sspaces[j] for j in order)
+    if EstarV.flags != flags:
+        raise EngineError("split-failure", "the dual eigenspaces do not refine the split flags")
+    b = _fit([svals[j] for j in order], q, d)
     if b is None:
         raise NotQRacahError("dual-parameter-failure",
                              "no b in the working field matches the dual eigenvalues")
     if sd.params.b is not None and b != sd.params.b:
         raise NotQRacahError("dual-parameter-failure",
                              "supplied b does not match the dual eigenvalues")
-    EstarV = Decomposition(sspaces[i] for i in order)
     return replace(sd, params=sd.params.with_b(b), EstarV=EstarV)
 
 
@@ -826,7 +810,9 @@ def downarrow(suite: OperatorSuite) -> OperatorSuite:
     """The suite of the second inversion (reversed eigenspace ordering of A).
 
     Asserts the expected exchanges: K and B swap, M and psi and every W_i are
-    unchanged, Delta inverts, and the split decompositions swap.
+    unchanged, Delta inverts, and the split decompositions swap.  The new K
+    is the old B by construction, since ``derive_suite`` keeps the K it is
+    given, so of the swap only B-down = K is checked.
     """
     prms = suite.params.downarrow()
     flipped = derive_suite(suite.A, K=suite.B, Astar=suite.Astar, params=prms)
@@ -835,7 +821,6 @@ def downarrow(suite: OperatorSuite) -> OperatorSuite:
         if not cond:
             raise CrossRouteError(f"second inversion failed: {message}", lhs, rhs)
 
-    ensure(flipped.K == suite.B, "K-down != B", flipped.K, suite.B)
     ensure(flipped.B == suite.K, "B-down != K", flipped.B, suite.K)
     ensure(flipped.M == suite.M, "M-down != M", flipped.M, suite.M)
     ensure(flipped.psi == suite.psi, "psi-down != psi", flipped.psi, suite.psi)

@@ -454,7 +454,15 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        return cls._from_rows(field, ambient, list(_lifted(field, ambient, vectors)))
+        """The span of vectors of field values, each as a value row: its
+        numerators over the lcm of its denominators on integers, else raws."""
+        rows = []
+        for v in vectors:
+            raws = [field.coerce(x).raw for x in v]
+            if len(raws) != ambient:
+                raise ValueError("vector length does not match the ambient dimension")
+            rows.append(_lift(raws)[0] if _on_integers(field) else raws)
+        return cls._from_rows(field, ambient, rows)
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
@@ -504,10 +512,6 @@ class Subspace:
                 return False
         return True
 
-    def spans(self, vectors: Iterable[Sequence[Scalar]]) -> bool:
-        """True when every Scalar vector lies in self."""
-        return self._holds(_lifted(self.field, self.ambient, vectors))
-
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient or other.field != self.field:
             raise ValueError("ambient dimension or backend mismatch")
@@ -526,16 +530,6 @@ class Subspace:
         if m.cols != self.ambient or m.field != self.field:
             raise ValueError("shape or backend mismatch")
         return Subspace._from_rows(self.field, m.rows, _apply(m, self.rows))
-
-
-def _lifted(field, ambient: int, vectors: Iterable[Sequence[Scalar]]) -> Iterable[list]:
-    """Each vector of field values as a value row: its numerators over the
-    lcm of its denominators on the rational backend, its raw values otherwise."""
-    for v in vectors:
-        raws = [field.coerce(x).raw for x in v]
-        if len(raws) != ambient:
-            raise ValueError("vector length does not match the ambient dimension")
-        yield _lift(raws)[0] if _on_integers(field) else raws
 
 
 def subspace_sum(spaces: Sequence[Subspace]) -> Subspace:

@@ -14,6 +14,7 @@ from tdq.scalars import rational_field, ratfunc_field
 
 from conftest import assert_split_identities, conjugator, make_params
 from test_cli import run_cli
+from test_reasons import inventoried
 
 QF = rational_field()
 
@@ -572,10 +573,10 @@ def _fixture(tmp_path, matrices, params=None):
 
 
 class TestSplitChecks:
-    """Both directness checks of ``_split`` fail on some input, in process
-    and through ``tdq engine`` (exit 1, one line, no traceback).  Its third
-    check, that the multiplicities agree, follows from them; see
-    ``tests/test_reasons.py``."""
+    """Both directness checks of ``_split``, and the flag check of
+    ``_attach_astar``, fail on some input, in process and through ``tdq
+    engine`` (exit 1, one line, no traceback).  The multiplicities follow
+    from the directness checks; see ``engine._split``."""
 
     @staticmethod
     def _fails(tmp_path, matrices, params, message):
@@ -606,28 +607,64 @@ class TestSplitChecks:
         self._fails(tmp_path, {"A": A, "Astar": Astar}, p if with_params else None,
                     "the first split sequence is not a decomposition")
 
+    @pytest.mark.parametrize("with_params", [False, True], ids=["detected", "given"])
+    def test_dual_eigenspaces_off_the_split_dimensions(self, tmp_path, with_params):
+        # U = (span(e0, e1), span(e2, e3)) at d = 1, and theta*_0, theta*_1
+        # fit b = 5, but E*_0 V = span(e0) is one dimension of rho_0 = 2:
+        # E*-flag_0 is not U-flag_0, though E*_0 V is the one eigenspace of A*
+        # in U_0
+        p = make_params(QF, d=1)
+        (t0, t1), (s0, s1) = p.thetas, (p.theta_star(0), p.theta_star(1))
+        A = Matrix.from_rows(QF, [[t0, 0, 0, 0], [0, t0, 0, 0], [1, 0, t1, 0], [0, 1, 0, t1]])
+        K = Matrix.diagonal(QF, [p.q, p.q, p.q ** -1, p.q ** -1])
+        Astar = Matrix.diagonal(QF, [s0, s1, s1, s1])
+        self._fails(tmp_path, {"A": A, "K": K, "Astar": Astar}, p if with_params else None,
+                    "the dual eigenspaces do not refine the split flags")
+
+
+Q_VALUES = (2, -2, 3, Fraction(1, 2), Fraction(5, 3))
+A_VALUES = (3, -3, 5, Fraction(1, 3), Fraction(2, 5))
+FLAWS = (None, "reversed K", "no fit", "repeated theta", "above", "another q", "another a")
+
 
 @st.composite
 def block_bidiagonal_ak(draw):
     """(A, K, params or None) at d <= 3: K = q^(d-2i) on the i-th block of
     rho_i in {1, 2} coordinates, A block lower bidiagonal with theta_i on the
     diagonal blocks and integers in [-2, 2] below them, both conjugated by
-    S = L U in half of the draws; the parameters are given in half."""
+    S = L U in half of the draws; the parameters are given in half.  Six
+    draws in seven carry one flaw: K's blocks in reversed order, one theta_i
+    moved by 1 (no a fits), one theta_i repeated, integers above the
+    diagonal blocks as well, or the parameters given with another q or
+    another a."""
     d = draw(st.integers(1, 3))
-    q = scal(draw(st.sampled_from([2, -2, 3, Fraction(1, 2), Fraction(5, 3)])))
-    a = scal(draw(st.sampled_from([3, -3, 5, Fraction(1, 3), Fraction(2, 5)])))
+    q, a = (scal(draw(st.sampled_from(values))) for values in (Q_VALUES, A_VALUES))
     assume(not validate_params(d, q, a))
     p = QRacahParams(d, q, a)
+    flaw = draw(st.sampled_from(FLAWS))
+    theta = list(p.thetas)
+    if flaw == "no fit":
+        theta[draw(st.integers(0, d))] += 1
+    elif flaw == "repeated theta":
+        i, j = draw(st.lists(st.integers(0, d), min_size=2, max_size=2, unique=True))
+        theta[j] = theta[i]
     block = [i for i in range(d + 1) for _ in range(draw(st.integers(1, 2)))]
     n = len(block)
     A = Matrix.from_rows(QF, [
-        [p.theta(block[r]) if r == c else draw(st.integers(-2, 2))
-         if block[r] == block[c] + 1 else 0 for c in range(n)] for r in range(n)])
-    K = Matrix.diagonal(QF, [q ** (d - 2 * block[r]) for r in range(n)])
+        [theta[block[r]] if r == c else draw(st.integers(-2, 2))
+         if block[r] == block[c] + 1 or (flaw == "above" and block[r] < block[c]) else 0
+         for c in range(n)] for r in range(n)])
+    sign = -1 if flaw == "reversed K" else 1
+    K = Matrix.diagonal(QF, [q ** (sign * (d - 2 * block[r])) for r in range(n)])
     if draw(st.booleans()):
         S = draw(conjugators(n))
         Sinv = S.inverse()
         A, K = S * A * Sinv, S * K * Sinv
+    if flaw in ("another q", "another a"):
+        other = scal(draw(st.sampled_from(Q_VALUES if flaw == "another q" else A_VALUES)))
+        q, a = (other, a) if flaw == "another q" else (q, other)
+        assume((q, a) != (p.q, p.a) and not validate_params(d, q, a))
+        return A, K, QRacahParams(d, q, a)
     return A, K, p if draw(st.booleans()) else None
 
 
@@ -655,13 +692,13 @@ class TestSplitIdentities:
     @settings(max_examples=150, deadline=None)
     @given(block_bidiagonal_ak())
     def test_random_block_bidiagonal_inputs(self, case):
-        # a split that the checks pass satisfies the identities; the only
-        # check these inputs fail is the second split sequence's
+        # a split that the checks pass satisfies the identities, and any
+        # failure is one the inventory lists
         A, K, p = case
         try:
             sd = engine.split_from_AK(A, K, p)
         except EngineError as exc:
-            assert str(exc) == "the second split sequence is not a decomposition"
+            assert inventoried(exc), (exc.reason, str(exc))
         else:
             assert_split_identities(sd)
 

@@ -724,7 +724,7 @@ class TestZeroProductsSkipped:
     # diagonal.  Membership costs p x - f y at the two nonzero entries.  A
     # power series costs one product per nonzero entry of each term.
     expected = {"dense_eye": N ** 2, "eye_dense": N ** 2, "rref_2": 3 * (N - 1),
-                "rref_1": 3 * (N - 1), "spans": 4, "power_series": 2 * N}
+                "rref_1": 3 * (N - 1), "membership": 4, "power_series": 2 * N}
 
     @pytest.fixture(autouse=True)
     def reset(self):
@@ -767,14 +767,14 @@ class TestZeroProductsSkipped:
         assert Products.count == self.expected["rref_1"]
 
     def test_membership_reduces_nonzero_entries_only(self):
-        # 5 times basis row 1: row 0 is skipped (the vector is 0 at its
+        # the line of basis row 1: row 0 is skipped (the line is 0 at its
         # pivot), and row 1 has two nonzero entries to subtract
         basis = self.counted([[1, 0, 2, 0], [0, 1, 3, 0]])
         plane = Subspace.from_vectors(self.field, 4, [basis.row(0), basis.row(1)])
-        vector = self.counted([[0, 5, 15, 0]]).row(0)
+        line = Subspace.from_vectors(self.field, 4, [self.counted([[0, 5, 15, 0]]).row(0)])
         Products.count = 0
-        assert plane.spans([vector])
-        assert Products.count == self.expected["spans"]
+        assert plane.contains(line)
+        assert Products.count == self.expected["membership"]
 
     def test_power_series_sums_nonzero_terms_only(self):
         # (2, 0, 3) times three identities: the zero coefficient's term and
@@ -797,4 +797,4 @@ class TestZeroProductsSkippedRaw(TestZeroProductsSkipped):
     counting = CountedFraction
     N = TestZeroProductsSkipped.N
     expected = {"dense_eye": N ** 2, "eye_dense": N ** 2, "rref_2": N + (N - 1),
-                "rref_1": N - 1, "spans": 2, "power_series": 2 * N}
+                "rref_1": N - 1, "membership": 2, "power_series": 2 * N}

@@ -1,13 +1,24 @@
 """The inventory of the engine's failures: every ``EngineError(...)`` and
 ``NotQRacahError(...)`` in ``tdq/engine.py``, by the function that raises it,
-its reason code and its message, with the test whose input reaches it, or
-why no input does.  A change that adds, drops or rewords a failure edits
+its reason code and its message, with the test whose input reaches it.  A
+failure that no input reaches is a check that cannot fail, and is deleted
+rather than listed.  A change that adds, drops or rewords a failure edits
 this inventory in the same diff."""
 
 import ast
+import re
 from pathlib import Path
 
+import pytest
+
+from tdq import engine
+from tdq.engine import EngineError
+from tdq.linalg import Matrix
+from tdq.scalars import rational_field
+
 from test_cli import SRC
+
+QF = rational_field()
 
 TESTS = Path(__file__).resolve().parent
 ENGINE = Path(SRC) / "tdq" / "engine.py"
@@ -62,15 +73,6 @@ REASONS = {
         "test_engine.py::TestSplitChecks::test_first_sequence_not_direct",
     ("_split", "split-failure", "the second split sequence is not a decomposition"):
         "test_engine.py::TestSplitChecks::test_second_sequence_not_direct",
-    ("_split", "split-failure", "multiplicities disagree at index {i}"):
-        "unreachable: the first two checks imply it.  Grassmann bounds dim U_i "
-        "(and dim U_i-dd) below; on (A, A*) the bounds sum to n + sum_(k<d) "
-        "(dim E*-flag_k - dim E-flag_k) with every term >= 0, so a direct U "
-        "makes each bound tight and rho_i = dim E_i V = dim E*_i V; on (A, K) "
-        "rho_i = dim E_i V already, since A acts on U_i as theta_i plus a raising "
-        "part.  The bounds for U-dd then sum to n + sum_(k<d) (P_k + P_(d-1-k) "
-        "- n) with every term >= 0, so a direct U-dd makes them tight too: "
-        "dim U_i-dd = rho_i",
     ("split_from_AK", "spectrum-mismatch", "K is not diagonalizable with eigenvalues q^(d-2i)"):
         "test_engine.py::TestSplits::test_wrong_spectrum_rejected",
     ("split_from_AK", "split-action",
@@ -85,11 +87,6 @@ REASONS = {
     ("split_from_AK", "parameter-detection",
      "no a in the working field fits the eigenvalues of A for the q of the K spectrum"):
         "test_cli.py::test_no_a_for_the_k_spectrum_exit_1",
-    ("split_from_AK", "not-diagonalizable", "A is not diagonalizable over the working field"):
-        "unreachable: A is block lower bidiagonal on the K-eigenspaces with scalar "
-        "diagonal blocks theta_i, checked distinct just before, and a block "
-        "triangular matrix whose diagonal blocks are diagonalizable with "
-        "disjoint spectra is diagonalizable",
     ("_k_spectrum_candidates", "diameter-zero", "K must have at least two eigenvalues"):
         "test_engine.py::TestFailureReasons::test_k_with_one_eigenvalue",
     ("_k_spectrum_candidates", "spectrum-mismatch",
@@ -102,12 +99,6 @@ REASONS = {
     ("delta_from_characterization", "delta-characterization",
      "the split sequences are not direct decompositions with equal flags"):
         "test_engine.py::TestDeltaCharacterization::test_swapped_udd_spaces_rejected",
-    ("derive_suite", "halfway-spectrum", "M is not diagonalizable with eigenvalues q^(d-2i)"):
-        "unreachable: M = (I - q a^-1 psi)^-1 K by the first expression for psi, "
-        "and the first and third expressions agree only if K psi = q^2 psi K, so "
-        "psi lowers the K-eigenspaces (q^2 != 1, and the only roots of unity in "
-        "the rational and rational function fields are +/-1), and M is block "
-        "triangular on them with the distinct scalar blocks q^(d-2i)",
     ("_attach_astar", "diameter-mismatch", "the dual operator has the wrong number of eigenspaces"):
         "test_engine.py::TestFailureReasons::test_dual_with_one_eigenvalue",
     ("_attach_astar", "split-failure", "the dual eigenspaces do not refine the split flags"):
@@ -160,14 +151,38 @@ def _test_ids():
     return ids
 
 
+def inventoried(exc):
+    """True when an EngineError raised in ``engine.py`` matches an entry by
+    the function that raised it, its reason code and its message, where a
+    ``{expression}`` of the entry's message stands for any text."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    function = tb.tb_frame.f_code.co_name
+    return any((function, exc.reason) == (f, reason) and re.fullmatch(
+        ".+".join(map(re.escape, re.split(r"\{[^}]*\}", message))), str(exc))
+        for f, reason, message in REASONS)
+
+
 def test_every_failure_is_in_the_inventory():
     assert sorted(_raises(ENGINE)) == sorted(REASONS)
 
 
-def test_each_entry_names_a_test_or_why_none_reaches_it():
+def test_each_entry_names_a_test_that_reaches_it():
     ids = _test_ids()
     for key, where in REASONS.items():
-        assert where.startswith("unreachable: ") or where in ids, (key, where)
+        assert where in ids, (key, where)
+
+
+def test_a_raised_failure_is_matched_by_its_entry():
+    # its entry's message is "eigenspace counts differ: {d + 1} vs {delta + 1}"
+    A, Astar = (Matrix.diagonal(QF, [QF.coerce(v) for v in values])
+                for values in ((1, 1, 2), (1, 2, 3)))
+    with pytest.raises(EngineError) as err:
+        engine.split_from_pair(A, Astar)
+    assert str(err.value) == "eigenspace counts differ: 2 vs 3" and inventoried(err.value)
+    err.value.reason = "another-reason"
+    assert not inventoried(err.value)
 
 
 def test_an_extra_failure_is_caught(tmp_path):
