@@ -99,11 +99,13 @@ def generate(d, q_text, a_text, b_text, basis, backend, out_path):
 
 
 def _battery_filter(battery: str):
-    """The ids ``--battery`` names, or None for all of them; an unknown id is
-    a usage error."""
+    """The ids ``--battery`` names, or None for all of them; no id, or an
+    unknown one, is a usage error."""
     if battery == "all":
         return None
     ids = [x.strip() for x in battery.split(",") if x.strip()]
+    if not ids:
+        raise _BadInput("--battery names no battery id")
     unknown = set(ids) - set(battery_ids())
     if unknown:
         raise _BadInput(f"unknown battery ids: {sorted(unknown)}")

@@ -6,11 +6,14 @@ halfway eigenbasis), along with the transition matrices between the frames.
 Every matrix is computed twice: once from its closed-form entries and once
 constructively from the lowering matrix and the frame's defining diagonal.
 The two must agree exactly, which turns each closed form into a mechanically
-checked statement.  The q-exponentials of psi-hat and the two products of
-them that give Delta and Delta^-1 come from psi-hat's
-:class:`~tdq.engine.PsiSeries`, the same series code the engine uses; each
-closed-form q-exponential is checked against its series, and the closed
-forms of Delta and Delta^-1 against the products.
+checked statement.  Each form is written once, in x = a or a^-1: the second
+split decomposition is the first one of the inverted system (a to a^-1, K and
+B swapped, psi and M the same), so the udd frame and B in the halfway frame
+read derived forms (:func:`_inverted`), still checked in every frame.  The
+q-exponentials of psi-hat and the two products of them that give Delta and
+Delta^-1 come from psi-hat's :class:`~tdq.engine.PsiSeries`, the same series
+code the engine uses; each closed-form q-exponential is checked against its
+series, and the closed forms of Delta and Delta^-1 against the products.
 
 Everything derived from a parameter tuple (psi-hat's series, the
 q-factorial table, the diagonal D = diag(q^(d-2i)) and its inverse, the four
@@ -199,128 +202,98 @@ def _formula_matrix(kind: str, basis: str, params: QRacahParams) -> Matrix:
                           lambda: _build_formula(kind, basis, params))
 
 
+_SWAP = {"K": "B", "B": "K"}
+
+
+def _inverted(kind: str, basis: str, a: Scalar) -> tuple[str, str, Scalar]:
+    """(kind, frame, x): the form, written in x, that gives ``kind`` in ``basis``.
+
+    The second split decomposition is the first one of the inverted system,
+    which takes a to a^-1 and swaps K and B (psi and M stay).  So the udd frame
+    reads the u form of the swapped kind at x = a^-1, and B in the w frame
+    reads K's form at x = a^-1; every other matrix reads its own form at x = a.
+    """
+    if basis == "udd":
+        return _SWAP.get(kind, kind), "u", a ** -1
+    if (kind, basis) == ("B", "w"):
+        return "K", "w", a ** -1
+    return kind, basis, a
+
+
 def _build_formula(kind: str, basis: str, params: QRacahParams) -> Matrix:
-    d, q, a = params.d, params.q, params.a
-    field = params.field
-    fact = _fact(params)
-    ainv = a ** -1
-
-    def triangular(amount):
-        return _upper_triangular(d, field, lambda i, j: (
-            amount(i, j) * q ** (d - j - i) * (q - q ** -1) ** (2 * (j - i))
-            * fact[j] * fact[d - i] / (fact[i] * fact[d - j])))
-
-    def bidiagonal(diag, superdiag):
-        return _banded(d, field, diag, sup=superdiag)
+    if kind == "psi":
+        return _hat_series(params).psi
+    if kind in ("Delta", "Deltainv"):
+        return delta_matrix(params, inverse=kind == "Deltainv")
+    d, q, field = params.d, params.q, params.field
+    form, frame, x = _inverted(kind, basis, params.a)
+    xinv = x ** -1
 
     def one(i):
         return field.one
 
-    if kind == "psi":
-        return _hat_series(params).psi
-    if kind == "Delta":
-        return delta_matrix(params)
-    if kind == "Deltainv":
-        return delta_matrix(params, inverse=True)
+    if frame == "w":
+        if form == "A":  # tridiagonal halfway frame: subdiagonal all ones
+            return _banded(d, field, lambda i: (x + xinv) * q ** (d - 2 * i), sub=one,
+                           sup=lambda i: -q ** (d - 2 * i + 1) * _super_entry(d, i, q))
+        if form == "K":
+            return _banded(d, field, lambda i: q ** (d - 2 * i),
+                           sup=lambda i: -xinv * q ** (d - 2 * i + 1) * _super_entry(d, i, q))
+        return _shift_diag(params, sign=1 if form == "M" else -1)
 
-    if kind == "A":
-        if basis == "u":
-            return _banded(d, field, params.theta, sub=one)
-        if basis == "udd":
-            return _banded(d, field, lambda i: params.theta(d - i), sub=one)
-        # tridiagonal halfway frame: subdiagonal all ones
-        return _banded(d, field, lambda i: (a + ainv) * q ** (d - 2 * i), sub=one,
-                       sup=lambda i: -q ** (d - 2 * i + 1) * _super_entry(d, i, q))
-
-    if kind == "K":
-        if basis == "u":
-            return _shift_diag(params)
-        if basis == "udd":
-            return triangular(lambda i, j: (1 - ainv * ainv) * a ** (j - i)
-                              if i < j else field.one)
-        return bidiagonal(lambda i: q ** (d - 2 * i),
-                          lambda i: -ainv * q ** (d - 2 * i + 1) * _super_entry(d, i, q))
-
-    if kind == "B":
-        if basis == "udd":
-            return _shift_diag(params)
-        if basis == "u":
-            return triangular(lambda i, j: (1 - a * a) * a ** (i - j)
-                              if i < j else field.one)
-        return bidiagonal(lambda i: q ** (d - 2 * i),
-                          lambda i: -a * q ** (d - 2 * i + 1) * _super_entry(d, i, q))
-
-    if kind == "M":
-        if basis == "u":
-            return triangular(lambda i, j: a ** (i - j))
-        if basis == "udd":
-            return triangular(lambda i, j: a ** (j - i))
+    if form == "A":  # theta_i at a^-1 is theta_(d-i) at a
+        return _banded(d, field, params.theta if x == params.a
+                       else lambda i: params.theta(d - i), sub=one)
+    if form == "K":
         return _shift_diag(params)
+    if form == "Minv":
+        return _banded(d, field, lambda i: q ** (2 * i - d),
+                       sup=lambda i: -xinv * q ** (2 * i - d - 1) * _super_entry(d, i, q))
+    fact = _fact(params)
 
-    if kind == "Minv":
-        if basis == "u":
-            return bidiagonal(lambda i: q ** (2 * i - d),
-                              lambda i: -ainv * q ** (2 * i - d - 1) * _super_entry(d, i, q))
-        if basis == "udd":
-            return bidiagonal(lambda i: q ** (2 * i - d),
-                              lambda i: -a * q ** (2 * i - d - 1) * _super_entry(d, i, q))
-        return _shift_diag(params, sign=-1)
-
-    raise AssertionError(kind)
+    def entry(i, j):  # B and M are upper triangular
+        if form == "M":
+            amount = x ** (i - j)
+        else:
+            amount = (1 - x * x) * x ** (i - j) if i < j else field.one
+        return (amount * q ** (d - j - i) * (q - q ** -1) ** (2 * (j - i))
+                * fact[j] * fact[d - i] / (fact[i] * fact[d - j]))
+    return _upper_triangular(d, field, entry)
 
 
 def _constructive_matrix(kind: str, basis: str, params: QRacahParams) -> Matrix:
-    d, q, a = params.d, params.q, params.a
-    ainv = a ** -1
+    q = params.q
     series = _hat_series(params)
-    hat = series.psi
-    D = _shift_diag(params)
-    I = Matrix.identity(params.field, d + 1)
-
     if kind == "psi":
-        K = _formula_matrix("K", basis, params)
-        B = _formula_matrix("B", basis, params)
-        return psi_from_KB(K, B, q, a)
-
-    if kind == "A":
-        if basis == "w":
-            return change_basis(_formula_matrix("A", "u", params), "u", "w", params)
-        if basis == "udd":
-            return change_basis(_formula_matrix("A", "u", params), "u", "udd", params)
-        return change_basis(_formula_matrix("A", "w", params), "w", "u", params)
-
-    if kind == "K":
-        if basis == "w":
-            return (I - ainv * q * hat) * D
-        factor = ainv * ainv * I + (1 - ainv * ainv) * series.geometric(a * q)
-        return factor * (_formula_matrix("B", "u", params) if basis == "u" else D)
-
-    if kind == "B":
-        if basis == "w":
-            return (I - a * q * hat) * D
-        factor = a * a * I + (1 - a * a) * series.geometric(ainv * q)
-        return factor * (_formula_matrix("K", "udd", params) if basis == "udd" else D)
-
-    if kind == "M":
-        if basis == "u":
-            return D * series.geometric(ainv * q ** -1)
-        if basis == "udd":
-            return D * series.geometric(a * q ** -1)
-        num = a * _formula_matrix("K", "w", params) - ainv * _formula_matrix("B", "w", params)
-        return num * (a - ainv).inv()
-
-    if kind == "Minv":
-        Dinv = _shift_diag(params, sign=-1)
-        if basis == "u":
-            return (I - ainv * q ** -1 * hat) * Dinv
-        if basis == "udd":
-            return (I - a * q ** -1 * hat) * Dinv
-        return operator_matrix("M", "w", params).inverse()
-
+        return psi_from_KB(_formula_matrix("K", basis, params),
+                           _formula_matrix("B", basis, params), q, params.a)
     if kind in ("Delta", "Deltainv"):
         return series.exp_product(inverse=kind == "Deltainv")
+    if kind == "A":
+        frm = "u" if basis == "w" else "w"
+        return change_basis(_formula_matrix("A", frm, params), frm, basis, params)
 
-    raise AssertionError(kind)
+    form, frame, x = _inverted(kind, basis, params.a)
+    xinv = x ** -1
+    I = Matrix.identity(params.field, params.d + 1)
+    if frame == "w":
+        if form == "K":
+            return (I - xinv * q * series.psi) * _shift_diag(params)
+        if form == "M":
+            num = x * _formula_matrix("K", "w", params) - xinv * _formula_matrix("B", "w", params)
+            return num * (x - xinv).inv()
+        return operator_matrix("M", "w", params).inverse()
+
+    if form == "M":
+        return _shift_diag(params) * series.geometric(xinv * q ** -1)
+    if form == "Minv":
+        return (I - xinv * q ** -1 * series.psi) * _shift_diag(params, sign=-1)
+    # K = (x^-2 + (1 - x^-2) sum (x q psi)^n) B and B = (x^2 + (1 - x^2)
+    # sum (x^-1 q psi)^n) D; the B at the same x is kind's swap in this basis
+    if form == "K":
+        factor = xinv * xinv * I + (1 - xinv * xinv) * series.geometric(x * q)
+        return factor * _formula_matrix(_SWAP[kind], basis, params)
+    return (x * x * I + (1 - x * x) * series.geometric(xinv * q)) * _shift_diag(params)
 
 
 def transition_matrix(frm: str, to: str, params: QRacahParams) -> Matrix:

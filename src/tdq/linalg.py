@@ -228,10 +228,6 @@ class Matrix:
 
     __rmul__ = __mul__  # only reached with a scalar on the left
 
-    def transpose(self) -> "Matrix":
-        c = self.cols
-        return self._built(c, self.rows, [x for i in range(c) for x in self.nums[i::c]], self.den)
-
     def is_zero(self) -> bool:
         return not any(self.nums)
 

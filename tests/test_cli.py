@@ -153,6 +153,17 @@ def test_verify_battery_filter_flag_and_env(tmp_path):
     assert "bogus_id" in proc.stderr
 
 
+@pytest.mark.parametrize("battery", [",", "", " , "])
+def test_verify_empty_battery_selection_is_usage_error(tmp_path, battery):
+    # a selection of no id would run nothing and report a pass
+    fix = tmp_path / "fix.json"
+    run_cli("generate", "--d", "1", "--q", "2", "--a", "3", "--out", str(fix))
+    proc = run_cli("verify", str(fix), "--battery", battery)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --battery names no battery id\n"
+
+
 def test_verify_reads_no_filter_variable(tmp_path):
     # only --battery selects items; the environment does not
     fix = tmp_path / "fix.json"

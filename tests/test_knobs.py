@@ -13,7 +13,7 @@ from test_cli import SRC
 from tdq import derive_suite, leonard_suite, verify_battery
 from tdq.cli import main
 from tdq.engine import PsiSeries
-from tdq.leonard import exp_psi_matrix
+from tdq.leonard import change_basis, exp_psi_matrix, operator_matrix, transition_matrix
 from tdq.qcalc import q_exp
 
 OPTIONS = {
@@ -29,6 +29,9 @@ PARAMETERS = {
     q_exp: ["x", "powers", "q"],
     PsiSeries.exp: ["self", "x", "base"],
     exp_psi_matrix: ["params", "x", "base"],
+    operator_matrix: ["kind", "basis", "params"],
+    transition_matrix: ["frm", "to", "params"],
+    change_basis: ["mat", "frm", "to", "params"],
 }
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
 

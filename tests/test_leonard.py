@@ -6,9 +6,10 @@ import pytest
 from tdq import engine, leonard
 from tdq.linalg import Matrix
 from tdq.params import QRacahParams
-from tdq.scalars import rational_field
+from tdq.scalars import rational_field, ratfunc_field
 
 from conftest import make_params
+from test_acceptance import GRID_POINTS
 
 QF = rational_field()
 
@@ -134,6 +135,49 @@ class TestTransitions:
         moved = leonard.change_basis(m, "u", "w", p)
         assert moved == leonard.operator_matrix("M", "w", p)
         assert leonard.change_basis(moved, "w", "u", p) == m
+
+
+# the second split decomposition is the first one of the inverted system
+# (params.downarrow(): a to a^-1), which swaps K and B and Delta and Delta^-1
+INVERTED_KIND = {"K": "B", "B": "K", "Delta": "Deltainv", "Deltainv": "Delta"}
+INVERSION_CASES = ([("rational", d, point) for d in (1, 2, 3, 4) for point in GRID_POINTS]
+                   + [("ratfunc", d, None) for d in (1, 2, 3)])
+
+
+def _inversion_pair(backend, d, point):
+    """(params, params.downarrow()): two instances, each with its own memo."""
+    if backend == "ratfunc":
+        RF = ratfunc_field(("q", "a"))
+        p = QRacahParams(d, RF.generator("q"), RF.generator("a"))
+    else:
+        p = make_params(QF, d, *point)
+    down = p.downarrow()
+    assert down.a == p.a ** -1 and down._memo is not p._memo
+    return p, down
+
+
+@pytest.mark.parametrize("backend,d,point", INVERSION_CASES,
+                         ids=[f"{b}-d{d}-{p and ','.join(map(str, p))}"
+                              for b, d, p in INVERSION_CASES])
+class TestSecondInversion:
+    def test_udd_frame_is_u_frame_of_inverted(self, backend, d, point):
+        p, down = _inversion_pair(backend, d, point)
+        for kind in leonard.KINDS:
+            assert leonard.operator_matrix(kind, "udd", p) == \
+                leonard.operator_matrix(INVERTED_KIND.get(kind, kind), "u", down), kind
+
+    def test_w_frame_b_and_delta_of_inverted(self, backend, d, point):
+        p, down = _inversion_pair(backend, d, point)
+        for kind in ("B", "Delta", "Deltainv"):
+            assert leonard.operator_matrix(kind, "w", p) == \
+                leonard.operator_matrix(INVERTED_KIND[kind], "w", down), kind
+
+    def test_udd_transitions_are_u_transitions_of_inverted(self, backend, d, point):
+        p, down = _inversion_pair(backend, d, point)
+        assert leonard.transition_matrix("w", "udd", p) == \
+            leonard.transition_matrix("w", "u", down)
+        assert leonard.transition_matrix("udd", "w", p) == \
+            leonard.transition_matrix("u", "w", down)
 
 
 class TestSuite:

@@ -590,7 +590,6 @@ class TestDenseKernels:
         check_form(-x, [[-s for s in r] for r in fx])
         check_form(c * x, [[fc * s for s in r] for r in fx])
         check_form(x * c, [[fc * s for s in r] for r in fx])
-        check_form(x.transpose(), [list(col) for col in zip(*fx)])
         assert x.is_zero() == (not any(map(any, fx)))
         assert (x == y) == (fx == fy)
         check_form(x - x, [[Fraction(0)] * x.cols for _ in range(x.rows)])
