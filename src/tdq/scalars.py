@@ -19,10 +19,19 @@ A quotient is the product with c/d swapped, and an inverse swaps numerator
 and denominator with no gcd.  A sum over equal denominators cancels the
 numerator sum against b alone; over a denominator 1 it needs no gcd;
 otherwise g = gcd(b, d) and t = a (d/g) + c (b/g) leave the one gcd of t
-with g.  Each gcd with a non-monomial second argument first tries exact
-division, because a denominator often divides the other numerator.  Results
-are sympy's canonical form, reduced with the denominator leading positive,
-so equality, hashes and rendered text are those of sympy's arithmetic.
+with g.  Each gcd takes the cheapest test that settles it.  Against a
+monomial c x^e it is gcd(c, content) times the least exponents, from one
+scan of the other operand that stops once both are 1; a gcd 1 returns the
+operands themselves.  Between non-monomials the shorter is tried as an
+exact divisor of the longer, because a denominator often divides the other
+numerator; then each side's content and monomial factor are split off and
+the primitive parts are tried the same way, with the gcd of the split-off
+factors put back (gcd((a^2-1)(q^2-1), q (a^2-1)) = a^2 - 1 this way).  Only
+what all of these miss goes to sympy's ``cofactors``.  Splitting both sides
+first, before any division, costs what it saves.  No product is formed with
+a factor 1, and a monomial factor multiplies term by term.  Results are
+sympy's canonical form, reduced with the denominator leading positive, so
+equality, hashes and rendered text are those of sympy's arithmetic.
 
 sympy is imported only where it is used: the first time a ratfunc field is
 built.  The rational backend never loads it; it finds the rational roots of
@@ -378,24 +387,27 @@ class RatFuncField(_Field):
             _render_terms(den_terms, self.variables),
         )
 
-    def end_coefficients(self, raw) -> tuple[Fraction, ...]:
+    def end_coefficients(self, raw) -> tuple[Fraction | int, ...]:
         """Rendered coefficients that ``raw ** n`` raises to exactly the
         |n|-th power, for the raw value of a scalar or a polynomial of the
         ring (over 1): the coefficients of the leading and of the least term
         (in the ring's monomial order) of numerator and denominator, since
         the least term of p^n is the n-th power of the least term of p; or,
         when the denominator is a constant c, the numerator's two over c,
-        which is how :meth:`render` shows them."""
+        which is how :meth:`render` shows them.  They are ints, and
+        Fractions only over a constant denominator other than 1."""
         if isinstance(raw, _frac_class()):
             num, den = raw.numer, raw.denom
         else:
-            num, den = raw, self._ring.one
+            num, den = raw, None
         if not num:
-            return (Fraction(0),)
-        ends = (Fraction(int(num.LC)), Fraction(int(num.terms()[-1][1])))
+            return (0,)
+        ends = (int(num.LC), int(num.terms()[-1][1]))
+        if den is None or _is_one(den):
+            return ends
         if den.is_ground:
-            return tuple(c / int(den.LC) for c in ends)
-        return ends + (Fraction(int(den.LC)), Fraction(int(den.terms()[-1][1])))
+            return tuple(Fraction(c, int(den.LC)) for c in ends)
+        return ends + (int(den.LC), int(den.terms()[-1][1]))
 
     def degree(self, raw) -> int:
         """The largest exponent of any one variable in the numerator or the
@@ -486,15 +498,90 @@ def _exact_quotient_poly(x, y):
     return x.new(terms)
 
 
+def _over(p, c, e):
+    """p / (c x^e), term by term, for c x^e dividing every term of p."""
+    divide = p.ring.monomial_ldiv
+    return p.new([(divide(mon, e), cf // c) for mon, cf in p.items()])
+
+
+def _monomial_cofactors(m, p):
+    """(h, m / h, p / h) for a monomial m and a nonzero p: h is the gcd of
+    m's coefficient and p's content times the least exponents of m and p,
+    found in one scan of p that stops once both are 1.  When h is 1 the
+    operands themselves come back."""
+    ((monom, coeff),) = m.items()
+    c, least = abs(coeff), monom
+    for mon, cf in p.items():
+        if c != 1:
+            c = math.gcd(c, cf)
+        if any(least):
+            least = tuple(map(min, least, mon))
+        elif c == 1:
+            break
+    if c == 1 and not any(least):
+        return m.ring.one, m, p
+    return m.new([(least, m.ring.domain(c))]), _over(m, c, least), _over(p, c, least)
+
+
+def _split(p):
+    """(c, e, p / (c x^e)) for a nonzero p: its content c, the least
+    exponents e of its terms, and its primitive part."""
+    c, least = 0, None
+    for mon, cf in p.items():
+        c = math.gcd(c, cf)
+        least = mon if least is None else tuple(map(min, least, mon))
+    if c == 1 and not any(least):
+        return c, least, p
+    return c, least, _over(p, c, least)
+
+
+def _divided(x, y):
+    """(h, x / h, y / h) when the shorter of x and y divides the other (h is
+    then the shorter one), else None."""
+    long, short = (x, y) if len(x) >= len(y) else (y, x)
+    quotient = _exact_quotient_poly(long, short)
+    if quotient is None:
+        return None
+    one = x.ring.one
+    return (short, quotient, one) if short is y else (short, one, quotient)
+
+
 def _cofactors(x, y):
-    """(h, x / h, y / h) for a gcd h of x and y.  A non-monomial y that
-    divides x is the gcd, found by one exact division; other pairs go to
-    sympy's ``cofactors``."""
-    if len(y) > 1:
-        quotient = _exact_quotient_poly(x, y)
-        if quotient is not None:
-            return y, quotient, y.ring.one
+    """(h, x / h, y / h) for a gcd h of nonzero x and y, cheapest test first:
+    a monomial operand settles h from exponents and contents alone; a
+    shorter operand may divide the longer; the primitive parts, once each
+    side's content and monomial factor are split off, may divide likewise,
+    with h the divisor times the gcd of those factors.  Only pairs that all
+    of these miss go to sympy's ``cofactors``."""
+    if len(x) == 1:
+        return _monomial_cofactors(x, y)
+    if len(y) == 1:
+        h, y, x = _monomial_cofactors(y, x)
+        return h, x, y
+    found = _divided(x, y)
+    if found:
+        return found
+    cx, ex, px = _split(x)
+    cy, ey, py = _split(y)
+    if px is not x or py is not y:
+        found = _divided(px, py)
+        if found:
+            h, x_h, y_h = found
+            c, e = math.gcd(cx, cy), tuple(map(min, ex, ey))
+            divide = x.ring.monomial_ldiv
+            return (h.mul_term((e, c)), x_h.mul_term((divide(ex, e), cx // c)),
+                    y_h.mul_term((divide(ey, e), cy // c)))
     return x.cofactors(y)
+
+
+def _times(x, y):
+    """x * y, with no product formed when a factor is 1 and a monomial
+    factor applied term by term."""
+    if len(x) == 1:
+        x, y = y, x
+    if len(y) == 1:
+        return x if _is_one(y) else x.mul_term(next(iter(y.items())))
+    return x * y
 
 
 def _signed(like, numer, denom):
@@ -515,7 +602,7 @@ def _product(f, c, d):
         _, a, d = _cofactors(a, d)
     if not _is_one(b):
         _, c, b = _cofactors(c, b)
-    return _signed(f, a * c, b * d)
+    return _signed(f, _times(a, c), _times(b, d))
 
 
 def _sum(f, c, d):
@@ -537,15 +624,15 @@ def _sum(f, c, d):
         _, t, b = _cofactors(t, b)
         return _signed(f, t, b)
     if _is_one(b):
-        return f.raw_new(a * d + c, d)
+        return f.raw_new(_times(a, d) + c, d)
     if _is_one(d):
-        return f.raw_new(a + c * b, b)
+        return f.raw_new(a + _times(c, b), b)
     g, b, d = _cofactors(b, d)
-    t = a * d + c * b
+    t = _times(a, d) + _times(c, b)
     if _is_one(g):
-        return f.raw_new(t, b * d)
+        return f.raw_new(t, _times(b, d))
     _, t, g = _cofactors(t, g)
-    return _signed(f, t, b * d * g)
+    return _signed(f, t, _times(_times(b, d), g))
 
 
 @cache

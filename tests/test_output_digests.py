@@ -1,7 +1,8 @@
 """Byte identity of the benchmark's outputs, checked in the ordinary suite.
 
 Every ``cli-cold`` catalogue entry (rational d <= 3, all five grid points in
-all three frames), the symbolic d = 2 entries and the raw-dense d = 6 entries
+all three frames), the symbolic d = 2 and d = 3 entries (all three frames)
+and the raw-dense d = 6 entries
 (``engine`` then ``verify`` for each of the four conjugators) run in-process
 through ``perfbench/workloads.py``; each fixture, derived suite and report
 must match its SHA-256 in ``perfbench/digests.json``.  The files under
@@ -16,7 +17,7 @@ workloads = load_perfbench("workloads")
 DIGESTS = workloads.load_digests()
 
 ENTRIES = [("cli-cold", entry) for entry in workloads.catalogue("cli-cold")]
-ENTRIES += [("symbolic", entry) for entry in workloads.catalogue("symbolic") if entry[0] == 2]
+ENTRIES += [("symbolic", entry) for entry in workloads.catalogue("symbolic") if entry[0] <= 3]
 RAW_DENSE = [entry for entry in workloads.catalogue("raw-dense") if entry[0] == 6]
 
 

@@ -8,9 +8,10 @@ from sympy import ZZ
 from sympy.polys.fields import FracElement, field
 from sympy.polys.rings import PolyElement
 
+from conftest import load_perfbench
 from tdq.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, ParseError, _tokenize,
                         parse_scalar)
-from tdq.scalars import Scalar, rational_field, ratfunc_field
+from tdq.scalars import Scalar, _cofactors, rational_field, ratfunc_field
 
 QF = rational_field()
 RF = ratfunc_field(("q", "a", "b"))
@@ -381,16 +382,39 @@ def _polys(draw, pool):
 
 
 @st.composite
+def _monomials(draw):
+    """+-2 q^i a^j or 4 q^i a^j."""
+    return draw(st.sampled_from([2, -2, 4])) * _q ** draw(st.integers(0, 3)) * _a ** draw(
+        st.integers(0, 3))
+
+
+@st.composite
 def operand_pairs(draw):
     """Two (numerator, denominator) pairs that often share factors: free,
     over one denominator, crossed as x y / z and z / (y q), summing to a
-    value over a smaller denominator, constant, or zero."""
+    value over a smaller denominator, constant, or zero; with monomial
+    parts; with shared integer content; a numerator that y's denominator
+    q^i (a^2 - 1) divides only once q^i is split off; or a numerator that
+    divides y's longer denominator."""
     shared = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=2))
     polys = _polys(FACTORS + shared * 3)
     x, y = (draw(polys), draw(polys)), (draw(polys), draw(polys))
     shape = draw(st.sampled_from(["free", "same-denominator", "crossed", "summing",
-                                  "constant", "zero"]))
-    if shape == "summing":
+                                  "constant", "zero", "monomial", "content",
+                                  "monomial-factor", "dividing"]))
+    if shape == "monomial":
+        parts = draw(st.sampled_from(["numerator", "denominator", "both"]))
+        y = (draw(_monomials()) if parts != "denominator" else y[0],
+             draw(_monomials()) if parts != "numerator" else y[1])
+    elif shape == "content":
+        k, j = draw(st.sampled_from([3, 15])), draw(st.sampled_from([2, 4]))
+        x, y = (k * x[0], j * x[1]), (j * y[0], k * y[1])
+    elif shape == "monomial-factor":
+        x = ((_a ** 2 - 1) * (_q ** 2 - 1) * x[0], x[1])
+        y = (y[0], _q ** draw(st.integers(1, 2)) * (_a ** 2 - 1))
+    elif shape == "dividing":
+        x, y = (shared[0], x[1]), (y[0], shared[0] * y[1] * draw(st.sampled_from(FACTORS)))
+    elif shape == "summing":
         rest = STOCK.new(*y) - STOCK.new(*x)
         y = (rest.numer, rest.denom)
     elif shape == "same-denominator":
@@ -444,10 +468,73 @@ class TestRatfuncArithmeticAgainstSympy:
             QA.zero.raw ** -2
 
 
+@st.composite
+def cofactor_operands(draw, ring):
+    """Two nonzero polynomials of the ring that share a part: each is a
+    signed integer times a monomial times up to three factors, over a shared
+    part built the same way."""
+    gens = ring.gens
+    q, a = gens[:2]
+    factors = [q + 1, q - a, a ** 2 - 1, q ** 2 - 1, 2 * q * a - 3, q ** 2 + a]
+    factors += [f for b in gens[2:] for f in (b - q, a * b + 2)]
+
+    def part(max_factors):
+        value = ring(draw(st.sampled_from([1, -1, 2, 3, -6])))
+        for gen in gens:
+            value *= gen ** draw(st.integers(0, 2))
+        for factor in draw(st.lists(st.sampled_from(factors), max_size=max_factors)):
+            value *= factor
+        return value
+
+    shared = part(2)
+    return shared * part(3), shared * part(3)
+
+
+def _cofactor_examples(ring):
+    """One pair for each way ``_cofactors`` can settle a gcd: a monomial
+    operand (gcd 1 or not), a shorter operand dividing the longer (either
+    way round), primitive parts dividing once the content and monomial
+    factor are split off, and sympy's ``cofactors``."""
+    q, a = ring.gens[:2]
+    return [
+        (2 * q * a, 3 * q + 1), (-4 * q ** 2 * a, 6 * q * a ** 3 - 2 * q ** 2), (q ** 3, -q ** 2 * a),
+        ((q + 1) * (q - a), q + 1), (q - a, (q - a) * (a ** 2 - 1)),
+        ((a ** 2 - 1) * (q ** 2 - 1), q * (a ** 2 - 1)),
+        (6 * q * a * (a ** 2 - 1) * (q + 1), 4 * q ** 2 * (a ** 2 - 1)),
+        (q ** 2 * (q - a), 2 * q * (q - a) * (q + 1)),
+        ((q + 1) * (q - a), (q + 1) * (2 * q * a - 3)), (q + 1, q - a),
+    ]
+
+
+class TestCofactors:
+    """``_cofactors`` returns a gcd and both cofactors on every path:
+    h (x / h) = x, h (y / h) = y, and h is sympy's gcd up to sign."""
+
+    @staticmethod
+    def check(x, y):
+        h, x_h, y_h = _cofactors(x, y)
+        assert h * x_h == x and h * y_h == y
+        assert h in (x.gcd(y), -x.gcd(y))
+
+    @pytest.mark.parametrize("variables", [("q", "a"), ("q", "a", "b")])
+    def test_each_path(self, variables):
+        for x, y in _cofactor_examples(ratfunc_field(variables)._ring):
+            self.check(x, y)
+            self.check(y, x)
+
+    @pytest.mark.parametrize("variables", [("q", "a"), ("q", "a", "b")])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_against_sympy(self, variables, data):
+        self.check(*data.draw(cofactor_operands(ratfunc_field(variables)._ring)))
+
+
 class TestGcdCounts:
-    """The arithmetic's shortcuts, pinned by counting sympy's gcds: a
-    non-monomial denominator that divides the other numerator is cancelled
-    by exact division, and a denominator 1 needs no gcd at all."""
+    """The arithmetic's shortcuts, pinned by counting sympy's gcds and
+    polynomial products: a non-monomial denominator that divides the other
+    numerator is cancelled by exact division, so is one that divides it once
+    its monomial factor is split off, a monomial operand and a denominator 1
+    need no gcd at all, and a factor 1 forms no product."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -482,6 +569,53 @@ class TestGcdCounts:
         assert values == tuple(parse_scalar(text, QA) for text in (
             "q^2-a+3*q*a+1", "(q^2-a-1)*(3*q*a+1)", "(q^3+q^2-q*a+q-2*a)/(q+1)",
             "(-q^3-q^2+q*a+q)/(q+1)"))
+
+    def test_monomial_operand(self, counts):
+        x = parse_scalar("(q+1)*(q-a)/(q^2*a)", QA)
+        y, z = parse_scalar("6*q*a^3", QA), parse_scalar("(3*q-a)/(2*q*a^2)", QA)
+        counts.update(cofactors=0, _gcd_ZZ=0)
+        values = (x * y, x * z, x / y, x + z, z - x, y * z)
+        assert counts == {"cofactors": 0, "_gcd_ZZ": 0}
+        stock_x = STOCK.new((_q + 1) * (_q - _a), _q ** 2 * _a)
+        stock_y, stock_z = STOCK.new(6 * _q * _a ** 3), STOCK.new(3 * _q - _a, 2 * _q * _a ** 2)
+        for ours, stock in zip(values, (stock_x * stock_y, stock_x * stock_z, stock_x / stock_y,
+                                        stock_x + stock_z, stock_z - stock_x, stock_y * stock_z)):
+            _same(ours, stock)
+
+    def test_denominator_dividing_once_its_monomial_is_split_off(self, counts):
+        x = parse_scalar("(a^2-1)*(q^2-1)*(q+a)/a^2", QA)
+        y = parse_scalar("(q-2*a)/(q*(a^2-1))", QA)
+        counts.update(cofactors=0, _gcd_ZZ=0)
+        values = (x * y, y * x, x / y.inv())
+        assert counts["_gcd_ZZ"] == 0
+        assert values == (parse_scalar("(q^2-1)*(q+a)*(q-2*a)/(q*a^2)", QA),) * 3
+        stock_x = STOCK.new((_a ** 2 - 1) * (_q ** 2 - 1) * (_q + _a), _a ** 2)
+        stock_x * STOCK.new(_q - 2 * _a, _q * (_a ** 2 - 1))
+        assert counts["_gcd_ZZ"] > 0
+
+    def test_factor_one_forms_no_product(self, monkeypatch):
+        calls = []
+        original = PolyElement.__mul__
+        x, y = parse_scalar("(q^2-a)*(3*q*a+1)", QA), parse_scalar("1/(3*q*a+1)", QA)
+        u, w = parse_scalar("(q^2-a)/q", QA), parse_scalar("2*a^3", QA)
+        monkeypatch.setattr(PolyElement, "__mul__",
+                            lambda f, g: calls.append(1) or original(f, g))
+        values = (x * y, y * x, u * w, w * u)
+        assert not calls
+        monkeypatch.undo()
+        assert values == (parse_scalar("q^2-a", QA),) * 2 + (parse_scalar("2*(q^2-a)*a^3/q", QA),) * 2
+
+    def test_symbolic_verify_ceiling(self, counts, tmp_path):
+        """tdq verify on the symbolic d = 3 udd fixture, over ratfunc(q, a),
+        takes at most 244 heuristic gcds; it took 533 when only y was tried
+        as a divisor of x and monomials went to sympy."""
+        workloads = load_perfbench("workloads")
+        generate, verify = workloads.instance("symbolic", (3, "udd"), str(tmp_path)).commands
+        workloads.generate_symbolic(*generate.symbolic, generate.out)
+        counts.update(cofactors=0, _gcd_ZZ=0)
+        code, output = workloads.run_in_process(verify)
+        assert code == 0, output
+        assert counts["_gcd_ZZ"] <= 244
 
 
 class TestSympyUntouched:
