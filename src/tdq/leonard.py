@@ -16,16 +16,19 @@ code the engine uses; each closed-form q-exponential is checked against its
 series, and the closed forms of Delta and Delta^-1 against the products.
 
 Everything derived from a parameter tuple (psi-hat's series, the
-q-factorial table, the diagonal D = diag(q^(d-2i)) and its inverse, the four
-checked q-exponentials, and each checked operator matrix) is
-kept in the private memo of that :class:`~tdq.params.QRacahParams` instance.
+q-factorial table, the ratio table R[i, j] = [j]![d-i]!/([i]![j-i]![d-j]!),
+the diagonal D = diag(q^(d-2i)) and its inverse, the four checked
+q-exponentials, and each checked operator matrix) is kept in the private
+memo of that :class:`~tdq.params.QRacahParams` instance.
 So each cross-check runs once per instance and distinct matrix, however many
 frames, transitions and basis changes reuse the result, and the memo goes
 away with the instance.  There is no process-wide cache: a new instance with
 equal parameters computes and checks everything again.  The public closed
 forms :func:`psi_hat`, :func:`exp_psi_matrix` and :func:`delta_matrix` compute
-only their entries (the last two read the q-factorial table from the memo);
-the checks belong to the routes that call them.
+only their entries; the checks belong to the routes that call them.  Every
+upper-triangular form has entry (i, j) = c_(j-i) R[i, j] (times q^(d-i-j) for
+B and M): its coefficients c_0, ..., c_d are one running product per call
+and R comes from the memo, so no entry takes a power or an inner loop.
 
 Transition convention: ``transition_matrix(frm, to)`` has the frm-basis
 coordinates of the j-th to-basis vector in column j, so it converts to-basis
@@ -36,7 +39,6 @@ coordinates into frm-basis coordinates, and representation matrices move by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .engine import OPERATOR_NAMES, CrossRouteError, PsiSeries, psi_from_KB
 from .linalg import Matrix
@@ -71,11 +73,6 @@ def _super_entry(d: int, i: int, q: Scalar) -> Scalar:
     return (q ** i - q ** -i) * (q ** (d - i + 1) - q ** (i - d - 1))
 
 
-def _fact_ratio(d: int, i: int, j: int, fact) -> Scalar:
-    """[j]![d-i]!/([i]![j-i]![d-j]!)."""
-    return fact[j] * fact[d - i] / (fact[i] * fact[j - i] * fact[d - j])
-
-
 def _banded(d: int, field, diag=None, sub=None, sup=None) -> Matrix:
     """diag(i) at (i, i), sub(i) at (i, i-1), sup(i) at (i-1, i); zero elsewhere
     and wherever a function is not given."""
@@ -106,12 +103,14 @@ def exp_psi_matrix(params: QRacahParams, x: Scalar, base: Scalar) -> Matrix:
     The routes that call it (:func:`transition_matrix`, the Delta kinds of
     :func:`operator_matrix`) check it against the truncated series.
     """
-    d, q, fact = params.d, params.q, _fact(params)
+    d, q, ratio = params.d, params.q, _ratio(params)
     if base not in (q, q ** -1):
         raise ValueError("exp_psi_matrix needs base q or q^-1")
-    return _upper_triangular(d, q.field, lambda i, j: (
-        x ** (j - i) * base ** comb(j - i, 2) * (q - q ** -1) ** (2 * (j - i))
-        * _fact_ratio(d, i, j, fact)))
+    coeffs, step = [q.field.one], x * (q - q ** -1) ** 2  # step: x (q-q^-1)^2 base^(k-1)
+    for _ in range(d):
+        coeffs.append(coeffs[-1] * step)
+        step = step * base
+    return _upper_triangular(d, q.field, lambda i, j: coeffs[j - i] * ratio[i, j])
 
 
 def delta_matrix(params: QRacahParams, inverse: bool = False) -> Matrix:
@@ -121,18 +120,15 @@ def delta_matrix(params: QRacahParams, inverse: bool = False) -> Matrix:
     with a and a^-1 exchanged for the inverse.  :func:`operator_matrix`
     checks it against the product of the two q-exponentials.
     """
-    d, q, fact = params.d, params.q, _fact(params)
-    field = q.field
-    a = params.a ** -1 if inverse else params.a
-    ainv = a ** -1
-
-    def entry(i, j):
-        prod = field.one
-        for n in range(1, j - i + 1):
-            prod = prod * (a * q ** (n - 1) - ainv * q ** (1 - n))
-        return (q - q ** -1) ** (j - i) * _fact_ratio(d, i, j, fact) * prod
-
-    return _upper_triangular(d, field, entry)
+    d, q, ratio = params.d, params.q, _ratio(params)
+    qinv = q ** -1
+    up = params.a ** -1 if inverse else params.a  # a q^(n-1) and a^-1 q^(1-n) at n = 1
+    down = up ** -1
+    coeffs = [q.field.one]
+    for _ in range(d):
+        coeffs.append(coeffs[-1] * (q - qinv) * (up - down))
+        up, down = up * q, down * qinv
+    return _upper_triangular(d, q.field, lambda i, j: coeffs[j - i] * ratio[i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +139,15 @@ def delta_matrix(params: QRacahParams, inverse: bool = False) -> Matrix:
 def _fact(params: QRacahParams) -> list[Scalar]:
     """[0]!, ..., [d]!."""
     return params._cached("q_fact", lambda: [q_fact(n, params.q) for n in range(params.d + 1)])
+
+
+def _ratio(params: QRacahParams) -> dict[tuple[int, int], Scalar]:
+    """R[i, j] = [j]![d-i]!/([i]![j-i]![d-j]!) for 0 <= i <= j <= d."""
+    def build():
+        d, fact = params.d, _fact(params)
+        return {(i, j): fact[j] * fact[d - i] / (fact[i] * fact[j - i] * fact[d - j])
+                for i in range(d + 1) for j in range(i, d + 1)}
+    return params._cached("fact_ratio", build)
 
 
 def _shift_diag(params: QRacahParams, sign: int = 1) -> Matrix:
@@ -249,16 +254,23 @@ def _build_formula(kind: str, basis: str, params: QRacahParams) -> Matrix:
     if form == "Minv":
         return _banded(d, field, lambda i: q ** (2 * i - d),
                        sup=lambda i: -xinv * q ** (2 * i - d - 1) * _super_entry(d, i, q))
-    fact = _fact(params)
-
-    def entry(i, j):  # B and M are upper triangular
-        if form == "M":
-            amount = x ** (i - j)
-        else:
-            amount = (1 - x * x) * x ** (i - j) if i < j else field.one
-        return (amount * q ** (d - j - i) * (q - q ** -1) ** (2 * (j - i))
-                * fact[j] * fact[d - i] / (fact[i] * fact[d - j]))
-    return _upper_triangular(d, field, entry)
+    # B and M are upper triangular: entry (i, j) is
+    # amount x^(i-j) q^(d-j-i) (q-q^-1)^(2(j-i)) [j]![d-i]!/([i]![d-j]!),
+    # amount 1 for M and on B's diagonal, 1 - x^2 off it
+    fact, ratio = _fact(params), _ratio(params)
+    qinv = q ** -1
+    step = xinv * (q - qinv) ** 2
+    coeffs, power = [field.one], field.one
+    for k in range(1, d + 1):
+        power = power * step
+        coeffs.append(power * fact[k])
+    if form == "B":
+        amount = 1 - x * x
+        coeffs[1:] = [amount * c for c in coeffs[1:]]
+    shifts = [q ** d]  # q^(d-m) for m = i + j in 0..2d
+    for _ in range(2 * d):
+        shifts.append(shifts[-1] * qinv)
+    return _upper_triangular(d, field, lambda i, j: coeffs[j - i] * shifts[i + j] * ratio[i, j])
 
 
 def _constructive_matrix(kind: str, basis: str, params: QRacahParams) -> Matrix:

@@ -1,9 +1,12 @@
 """q-integers, q-factorials and q-exponentials of nilpotent matrices.
 
 The symmetric q-integer [n] = (q^n - q^-n)/(q - q^-1) is computed as the
-geometric sum q^(n-1) + q^(n-3) + ... + q^(1-n), which needs no division and
-is valid for every nonzero q.  It is the same at q and at q^-1, so
-exp_(q^-1) is :func:`q_exp` at base q^-1.  :func:`q_exp` sums over powers
+geometric sum q^(n-1) + q^(n-3) + ... + q^(1-n), one running term that starts
+at q^(n-1) and is multiplied by q^-2 at each step; it needs no division and
+is valid for every nonzero q.  The q-factorial [n]! multiplies [1], ..., [n]
+built by the recurrence [i+1] = q [i] + q^-i, so it takes O(n) field
+operations.  Both are the same at q and at q^-1, so exp_(q^-1) is
+:func:`q_exp` at base q^-1.  :func:`q_exp` sums over powers
 the caller already holds, so one list of a matrix's powers serves every
 multiple of it and both bases.
 """
@@ -24,18 +27,24 @@ def q_int(n: int, q: Scalar) -> Scalar:
         return q.field.zero
     if n < 0:
         return -q_int(-n, q)
-    total = q.field.zero
-    for k in range(n):
-        total = total + q ** (n - 1 - 2 * k)
+    term = total = q ** (n - 1)
+    step = q ** -2
+    for _ in range(n - 1):
+        term = term * step
+        total = total + term
     return total
 
 
 def q_fact(n: int, q: Scalar) -> Scalar:
     if n < 0:
         raise ValueError("q-factorial needs n >= 0")
-    result = q.field.one
-    for i in range(1, n + 1):
-        result = result * q_int(i, q)
+    result = current = low = q.field.one  # [i]!, [i] and q^(1-i) at i = 1
+    if n > 1:
+        qinv = q ** -1
+        for _ in range(n - 1):  # [i+1] = q [i] + q^-i
+            low = low * qinv
+            current = q * current + low
+            result = result * current
     return result
 
 

@@ -482,11 +482,16 @@ def _is_one(poly) -> bool:
 
 
 def _exact_quotient_poly(x, y):
-    """x / y when y divides x over ZZ, else None.  Stops at the first
-    remainder whose leading term y's leading term does not divide, since y
-    divides x only if it divides every such term."""
-    y_monom, y_coeff = y.LT
+    """x / y when y divides x over ZZ, else None.  First y's least term must
+    divide x's least term, coefficient included: if x = y z, x's least term
+    is the product of those of y and z.  Then the division stops at the
+    first remainder whose leading term y's leading term does not divide,
+    since y divides x only if it divides every such term."""
     divide = x.ring.monomial_div
+    x_low, y_low = min(x), min(y)  # lex-least exponents; lex is a monomial order
+    if divide(x_low, y_low) is None or x[x_low] % y[y_low]:
+        return None
+    y_monom, y_coeff = y.LT
     rest, terms = x.copy(), []
     while rest:
         monom, coeff = rest.LT

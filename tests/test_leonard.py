@@ -1,15 +1,17 @@
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
 from tdq import engine, leonard
 from tdq.linalg import Matrix
 from tdq.params import QRacahParams
-from tdq.scalars import rational_field, ratfunc_field
+from tdq.scalars import Scalar, rational_field, ratfunc_field
 
 from conftest import make_params
 from test_acceptance import GRID_POINTS
+from test_qcalc import reference_q_fact
 
 QF = rational_field()
 
@@ -180,6 +182,73 @@ class TestSecondInversion:
             leonard.transition_matrix("u", "w", down)
 
 
+FORM_CASES = ([("rational", d, point) for d in range(1, 9) for point in GRID_POINTS]
+              + [("ratfunc", d, None) for d in (1, 2, 3)])
+
+
+def _form_params(backend, d, point):
+    if backend == "ratfunc":
+        RF = ratfunc_field(("q", "a"))
+        return QRacahParams(d, RF.generator("q"), RF.generator("a"))
+    return make_params(QF, d, *point)
+
+
+def _per_entry(params, entry):
+    """The upper-triangular matrix with entry(i, j, R) at (i, j) for j >= i,
+    R = [j]![d-i]!/([i]![j-i]![d-j]!) from the defining q-factorials."""
+    d, q, field = params.d, params.q, params.field
+    fact = [reference_q_fact(n, q) for n in range(d + 1)]
+    return Matrix.from_rows(field, [[
+        entry(i, j, fact[j] * fact[d - i] / (fact[i] * fact[j - i] * fact[d - j]))
+        if j >= i else field.zero for j in range(d + 1)] for i in range(d + 1)])
+
+
+@pytest.mark.parametrize("backend,d,point", FORM_CASES,
+                         ids=[f"{b}-d{d}-{p and ','.join(map(str, p))}"
+                              for b, d, p in FORM_CASES])
+class TestClosedFormsPerEntry:
+    """The running coefficients and the memo's ratio table give each
+    upper-triangular closed form the value of its per-entry formula."""
+
+    def test_exp_psi_matrix(self, backend, d, point):
+        p = _form_params(backend, d, point)
+        q = p.q
+        e = q - q ** -1
+        for x in (p.a / e, -p.a ** -1 / e):
+            for base in (q, q ** -1):
+                expected = _per_entry(p, lambda i, j, ratio: (
+                    x ** (j - i) * base ** comb(j - i, 2) * e ** (2 * (j - i))
+                    * ratio))
+                assert leonard.exp_psi_matrix(p, x, base) == expected
+
+    def test_delta_matrix(self, backend, d, point):
+        p = _form_params(backend, d, point)
+        q = p.q
+        for inverse in (False, True):
+            a = p.a ** -1 if inverse else p.a
+
+            def entry(i, j, ratio):
+                value = (q - q ** -1) ** (j - i) * ratio
+                for n in range(1, j - i + 1):
+                    value = value * (a * q ** (n - 1) - a ** -1 * q ** (1 - n))
+                return value
+            assert leonard.delta_matrix(p, inverse) == _per_entry(p, entry)
+
+    def test_b_and_m_forms(self, backend, d, point):
+        # u-frame B and M are the forms at x = a; K and M in the udd frame are
+        # the B and M forms at x = a^-1
+        p = _form_params(backend, d, point)
+        q = p.q
+        for (kind, basis), form, x in ((("B", "u"), "B", p.a), (("M", "u"), "M", p.a),
+                                       (("K", "udd"), "B", p.a ** -1),
+                                       (("M", "udd"), "M", p.a ** -1)):
+            def entry(i, j, ratio):
+                amount = 1 - x * x if form == "B" and i < j else 1
+                return (amount * x ** (i - j) * q ** (d - j - i) * (q - q ** -1) ** (2 * (j - i))
+                        * ratio * reference_q_fact(j - i, q))
+            assert leonard._formula_matrix(kind, basis, p) == _per_entry(p, entry), kind
+
+
 class TestSuite:
     def test_suite_is_coherent(self, QF):
         p = make_params(QF, d=2)
@@ -298,3 +367,25 @@ class TestCrossRouteMutation:
         leonard.leonard_suite(p, "u")
         assert calls == {"psi_hat": 1, "exp_psi_matrix": 4, "delta_matrix": 2, "q_exp": 4,
                          "q_fact": 7}
+
+
+class TestScalarWork:
+    """Host-independent work: every scalar that the parameters fix is
+    computed once per instance, and no closed-form entry takes a power or an
+    inner loop.  Written entry by entry, one rational d = 10 u-frame
+    ``leonard_suite`` takes 4,773 products, 4,208 powers and 574 divisions."""
+
+    def test_scalar_ops_per_suite(self, QF, monkeypatch):
+        counts = {"mul": 0, "pow": 0, "div": 0}
+        for name, op in (("__mul__", "mul"), ("__rmul__", "mul"), ("__pow__", "pow"),
+                         ("__truediv__", "div"), ("__rtruediv__", "div")):
+            original = getattr(Scalar, name)
+
+            def counted(self, other, _op=op, _original=original):
+                counts[_op] += 1
+                return _original(self, other)
+            monkeypatch.setattr(Scalar, name, counted)
+        leonard.leonard_suite(make_params(QF, d=10), "u")
+        assert counts["mul"] <= 1954, counts
+        assert counts["pow"] <= 452, counts
+        assert counts["div"] <= 112, counts

@@ -12,6 +12,35 @@ RF = ratfunc_field(("q", "a", "b"))
 TWO = QF.coerce(2)
 
 
+def reference_q_int(n, q):
+    """[n] by its definition: the sum of q^(n-1-2k) for k < n, one power each."""
+    total = q.field.zero
+    for k in range(n):
+        total = total + q ** (n - 1 - 2 * k)
+    return total
+
+
+def reference_q_fact(n, q):
+    """[n]! by its definition: the product of [1], ..., [n]."""
+    result = q.field.one
+    for i in range(1, n + 1):
+        result = result * reference_q_int(i, q)
+    return result
+
+
+REFERENCE_BASES = [QF.coerce(v) for v in (2, -2, Fraction(5, 2), Fraction(1, 5))]
+REFERENCE_BASES += [q ** -1 for q in REFERENCE_BASES] + [RF.generator("q"), RF.generator("q") ** -1]
+
+
+@pytest.mark.parametrize("q", REFERENCE_BASES, ids=str)
+def test_recurrences_match_definitions(q):
+    # q_int's running term and q_fact's recurrence [i+1] = q [i] + q^-i give
+    # the values of the sum of powers and the product of q-integers
+    for n in range(13):
+        assert q_int(n, q) == reference_q_int(n, q), n
+        assert q_fact(n, q) == reference_q_fact(n, q), n
+
+
 class TestQIntegers:
     def test_zero_factorial(self):
         assert q_fact(0, TWO) == QF.one

@@ -11,7 +11,8 @@ from sympy.polys.rings import PolyElement
 from conftest import load_perfbench
 from tdq.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, ParseError, _tokenize,
                         parse_scalar)
-from tdq.scalars import Scalar, _cofactors, rational_field, ratfunc_field
+from tdq.scalars import (Scalar, _cofactors, _exact_quotient_poly, rational_field,
+                         ratfunc_field)
 
 QF = rational_field()
 RF = ratfunc_field(("q", "a", "b"))
@@ -527,6 +528,35 @@ class TestCofactors:
     @given(data=st.data())
     def test_against_sympy(self, variables, data):
         self.check(*data.draw(cofactor_operands(ratfunc_field(variables)._ring)))
+
+
+class TestExactQuotient:
+    """``_exact_quotient_poly`` refuses a divisor whose least term does not
+    divide the dividend's least term before it subtracts any multiple, and
+    still divides every product by either factor."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        original = PolyElement._iadd_poly_monom
+        monkeypatch.setattr(PolyElement, "_iadd_poly_monom",
+                            lambda f, g, term: calls.append(1) or original(f, g, term))
+        return calls
+
+    def test_least_term_refuses_first(self, steps):
+        # each divisor's leading term divides the dividend's (a multiple of
+        # q^2 by q), so the long division would take a step; the least terms
+        # do not divide, by exponents (1 by a) or by coefficient (q by 2, 3a by 2a)
+        q, a = QA._ring.gens
+        for x, y in ((q ** 2 + 1, q + a), (q ** 2 + q, q + 2), (2 * q ** 2 + 3 * a, q + 2 * a)):
+            assert _exact_quotient_poly(x, y) is None
+        assert not steps
+
+    @settings(max_examples=100, deadline=None)
+    @given(y=_polys(FACTORS), z=_polys(FACTORS))
+    def test_divides_every_product(self, y, z):
+        assert _exact_quotient_poly(y * z, y) == z
+        assert _exact_quotient_poly(y * z, z) == y
 
 
 class TestGcdCounts:
