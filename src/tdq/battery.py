@@ -12,6 +12,15 @@ first use, so a psi that is not nilpotent fails only the items that need its
 q-exponentials.  A family over the indices 0 <= i <= d runs through
 ``_each``, which returns one ``{"identity", "i"}`` witness per failed check.
 
+Subspace equalities go certificate first, with the computation as the
+witness path.  Where the suite already holds the spaces, a membership test
+and a dimension count prove what a new kernel, image or sum would show:
+``kb_eigenspaces``, ``m_spectrum``, ``delta_flag_reversal``,
+``eigenflag_tails`` and ``minv_action_ev`` each try that first, and each
+docstring gives the proof.  When a step fails, the item computes, so every
+verdict and witness is what the computation alone gives;
+``certify=False`` runs it alone.
+
 :func:`verify_battery` is a function of the suite and the requested ids
 alone.
 """
@@ -23,6 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import EngineError, OperatorSuite, psi_from_KB
 from .linalg import (
+    Decomposition,
     Matrix,
     Subspace,
     eigenspace,
@@ -90,6 +100,44 @@ def _each(s: OperatorSuite, checks: Callable[[int], Iterable[tuple[str, bool]]])
             for i in range(s.d + 1) for label, holds in checks(i) if not holds]
 
 
+def _proved(certificate: Callable[[], bool]) -> bool:
+    """True when every step of the certificate holds.  A step that raises
+    ``ValueError``, on spaces of another ambient dimension or field, proves
+    nothing, so the item then runs the computation that gives its witnesses."""
+    try:
+        return certificate()
+    except ValueError:
+        return False
+
+
+def _eigen_certificate(m: Matrix, spaces: Sequence[Subspace], values: Sequence) -> bool:
+    """True when spaces[i] = ker(m - values[i] I) for each i, proved with no
+    kernel: the spaces form a direct decomposition (of the ambient space, so
+    their dimensions sum to n), the values are distinct and m - values[i] I
+    kills spaces[i].  Eigenspaces of distinct eigenvalues are independent, so
+    their dimensions sum to at most n; each holds its spaces[i], whose
+    dimensions already sum to n, so each is equal to it."""
+    zero = Subspace.zero(m.field, m.rows)
+    return (len(spaces) == len(values) == len(set(values))
+            and is_direct_decomposition(spaces)
+            and all(space.maps_into(m.shift(lam), zero) for space, lam in zip(spaces, values)))
+
+
+def _tails_certificate(spaces: Decomposition, tails: Sequence[Subspace], d: int) -> bool:
+    """True when tails[i] = spaces[i] + ... + spaces[d] for each i, given that
+    tails[i] holds tails[i + 1]: the spaces are direct, tails[j] holds
+    spaces[j] and dim tails[i] is the sum of the dims of spaces[i:]."""
+    dims = [space.dim for space in spaces]
+    return (len(spaces) == len(tails) == d + 1 and is_direct_decomposition(spaces)
+            and all(tail.contains(space) for tail, space in zip(tails, spaces))
+            and all(tail.dim == sum(dims[i:]) for i, tail in enumerate(tails)))
+
+
+def _eigenvalues(s: OperatorSuite) -> list:
+    """q^d, q^(d-2), ..., q^-d: the K, B and M eigenvalue of index i."""
+    return [s.q ** (s.d - 2 * i) for i in range(s.d + 1)]
+
+
 def _action_witnesses(label: str, mat: Matrix, sources: Sequence[Subspace],
                       target_of) -> list[dict]:
     out = []
@@ -134,9 +182,19 @@ def _splits_direct(s):
 
 
 @_item("eigenflag_tails", "E_iV + ... + E_dV = U_i + ... + U_d and E_0V + ... + E_iV = U_(d-i)^dd + ... + U_d^dd")
-def _eigenflag_tails(s):
-    return _each(s, lambda i: [("E-tail = U-tail", s.EV.tails[i] == s.U.tails[i]),
-                               ("E-head = Udd-tail", s.EV.flags[i] == s.Udd.tails[s.d - i])])
+def _eigenflag_tails(s, certify=True):
+    """Certificate first, on EV's flags and tails alone.  With U direct, U_j in
+    E-tail_j for each j and dim E-tail_i = dim U_i + ... + dim U_d, U-tail_i
+    lies in E-tail_i (the E-tails are nested) and has its dimension, so the
+    two are equal; likewise E-flag_i = U-dd-tail_(d-i) from U-dd direct,
+    U_j^dd in E-flag_(d-j) and the dimensions.  A part whose certificate
+    fails compares the tails of U or U-dd, built for that."""
+    EV, d = s.EV, s.d
+    tails_proved = certify and _proved(lambda: _tails_certificate(s.U, EV.tails, d))
+    heads_proved = certify and _proved(lambda: _tails_certificate(s.Udd, EV.flags[::-1], d))
+    return _each(s, lambda i: [
+        ("E-tail = U-tail", tails_proved or EV.tails[i] == s.U.tails[i]),
+        ("E-head = Udd-tail", heads_proved or EV.flags[i] == s.Udd.tails[d - i])])
 
 
 @_item("split_flags_match", "U_0 + ... + U_i = U_0^dd + ... + U_i^dd")
@@ -169,11 +227,18 @@ def _astar_action_splits(s):
 
 
 @_item("kb_eigenspaces", "U_i is the K-eigenspace and U_i^dd the B-eigenspace for q^(d-2i)")
-def _kb_eigenspaces(s):
+def _kb_eigenspaces(s, certify=True):
+    """Certificate first: when ``_eigen_certificate`` proves U_i = ker(K -
+    q^(d-2i) I) for every i, each K check holds, and likewise B on U-dd; an
+    operator whose certificate fails has each of its eigenspaces computed."""
+    lams = _eigenvalues(s)
+    k_proved = certify and _proved(lambda: _eigen_certificate(s.K, s.U, lams))
+    b_proved = certify and _proved(lambda: _eigen_certificate(s.B, s.Udd, lams))
+
     def checks(i):
-        lam = s.q ** (s.d - 2 * i)
-        yield "eigenspace(K, q^(d-2i)) = U_i", eigenspace(s.K, lam) == s.U[i]
-        yield "eigenspace(B, q^(d-2i)) = U_i^dd", eigenspace(s.B, lam) == s.Udd[i]
+        yield "eigenspace(K, q^(d-2i)) = U_i", k_proved or eigenspace(s.K, lams[i]) == s.U[i]
+        yield ("eigenspace(B, q^(d-2i)) = U_i^dd",
+               b_proved or eigenspace(s.B, lams[i]) == s.Udd[i])
     return _each(s, checks)
 
 
@@ -312,11 +377,27 @@ def _delta_dual_triangular(s):
 
 
 @_item("delta_flag_reversal", "Delta(E_iV + ... + E_dV) = E_0V + ... + E_(d-i)V")
-def _delta_flag_reversal(s):
+def _delta_flag_reversal(s, certify=True):
+    """Certificate first, unless every row of every E-tail is a coordinate
+    vector (as in the u frame, where the images are cheap to compute).  Three
+    steps prove Delta(E-tail_i) = E-flag_(d-i) for every i.  Delta maps each
+    E_jV into E-flag_(d-j), so it maps E-tail_i, the sum of the E_jV with j >=
+    i, into E-flag_(d-i), as the flags are nested; Delta Delta^-1 = I makes
+    Delta injective, so that image has the dimension of E-tail_i, which is
+    that of E-flag_(d-i); so the two are equal.  When a step fails, each
+    image is computed."""
+    EV, d = s.EV, s.d
+    tails, flags = EV.tails, EV.flags
+    coordinate = all(sum(1 for x in row if x) == 1 for tail in tails for row in tail.rows)
+    if certify and not coordinate and _proved(lambda: (
+            len(EV) == d + 1 and all(tails[i].dim == flags[d - i].dim for i in range(d + 1))
+            and all(EV[j].maps_into(s.Delta, flags[d - j]) for j in range(d + 1))
+            and s.Delta * s.Deltainv == s.I)):
+        return []
     out = []
-    for i in range(s.d + 1):
-        image = s.EV.tails[i].image(s.Delta)
-        target = s.EV.flags[s.d - i]
+    for i in range(d + 1):
+        image = tails[i].image(s.Delta)
+        target = flags[d - i]
         if image != target:
             out.append({"identity": "Delta(E-tail) = E-head", "i": i,
                         "image": image.render(), "target": target.render()})
@@ -472,7 +553,13 @@ def _exp_shift_relations(s):
 
 
 @_item("m_spectrum", "M is diagonalizable with eigenvalues q^d, q^(d-2), ..., q^-d and eigenspaces W_i")
-def _m_spectrum(s):
+def _m_spectrum(s, certify=True):
+    """Certificate first: when ``_eigen_certificate`` proves W_i = ker(M -
+    q^(d-2i) I) for every i, every check holds, since the direct W has
+    nonzero W_i with dimensions summing to n.  Otherwise each eigenspace is
+    computed."""
+    if certify and _proved(lambda: _eigen_certificate(s.M, s.W, _eigenvalues(s))):
+        return []
     out = []
     total = 0
     for i in range(s.d + 1):
@@ -569,9 +656,19 @@ def _minv_action_splits(s):
 
 
 @_item("minv_action_ev", "M^-1 E_iV <= E_(i-1)V + E_iV + E_(i+1)V")
-def _minv_action_ev(s):
-    return _each(s, lambda i: [("M^-1 E_iV <= E_(i-1)V + E_iV + E_(i+1)V", s.EV[i].maps_into(
-        s.Minv, subspace_sum([s.EV.at(i - 1), s.EV[i], s.EV.at(i + 1)])))])
+def _minv_action_ev(s, certify=True):
+    """When EV is a direct decomposition with d + 1 spaces, E_(i-1)V + E_iV +
+    E_(i+1)V is the intersection of E-flag_(i+1) and E-tail_(i-1) (the
+    whole space past either end), both already built: so each index tests
+    membership in those two and forms no sum.  Otherwise it forms the sum."""
+    EV, d = s.EV, s.d
+    if certify and _proved(lambda: len(EV) == d + 1 and is_direct_decomposition(EV)):
+        def holds(i):
+            return EV[i].maps_into(s.Minv, EV.flags[min(i + 1, d)], EV.tails[max(i - 1, 0)])
+    else:
+        def holds(i):
+            return EV[i].maps_into(s.Minv, subspace_sum([EV.at(i - 1), EV[i], EV.at(i + 1)]))
+    return _each(s, lambda i: [("M^-1 E_iV <= E_(i-1)V + E_iV + E_(i+1)V", holds(i))])
 
 
 @_item("m_action_dual_ev", "(M - q^(d-2i)I)E*_iV and (M^-1 - q^(2i-d)I)E*_iV lie in E*_0V + ... + E*_(i-1)V", needs_astar=True)

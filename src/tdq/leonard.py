@@ -65,12 +65,12 @@ BASES = ("u", "udd", "w")
 
 def psi_hat(d: int, q: Scalar) -> Matrix:
     """The lowering matrix: entry (i-1, i) is
-    (q^i - q^-i)(q^(d-i+1) - q^(i-d-1)), all other entries zero."""
-    return _banded(d, q.field, sup=lambda i: _super_entry(d, i, q))
-
-
-def _super_entry(d: int, i: int, q: Scalar) -> Scalar:
-    return (q ** i - q ** -i) * (q ** (d - i + 1) - q ** (i - d - 1))
+    (q^i - q^-i)(q^(d-i+1) - q^(i-d-1)), all other entries zero.  That is
+    t_0 + t_(d+1) - t_i - t_(d+1-i) for t_k = q^(d+1-2k), one running product."""
+    t, step = [q ** (d + 1)], q ** -2
+    for _ in range(d + 1):
+        t.append(t[-1] * step)
+    return _banded(d, q.field, sup=lambda i: t[0] + t[d + 1] - t[i] - t[d + 1 - i])
 
 
 def _banded(d: int, field, diag=None, sub=None, sup=None) -> Matrix:
@@ -237,13 +237,16 @@ def _build_formula(kind: str, basis: str, params: QRacahParams) -> Matrix:
     def one(i):
         return field.one
 
+    def hat(i):  # psi-hat's entry (i-1, i)
+        return _hat_series(params).psi[i - 1, i]
+
     if frame == "w":
         if form == "A":  # tridiagonal halfway frame: subdiagonal all ones
             return _banded(d, field, lambda i: (x + xinv) * q ** (d - 2 * i), sub=one,
-                           sup=lambda i: -q ** (d - 2 * i + 1) * _super_entry(d, i, q))
+                           sup=lambda i: -q ** (d - 2 * i + 1) * hat(i))
         if form == "K":
             return _banded(d, field, lambda i: q ** (d - 2 * i),
-                           sup=lambda i: -xinv * q ** (d - 2 * i + 1) * _super_entry(d, i, q))
+                           sup=lambda i: -xinv * q ** (d - 2 * i + 1) * hat(i))
         return _shift_diag(params, sign=1 if form == "M" else -1)
 
     if form == "A":  # theta_i at a^-1 is theta_(d-i) at a
@@ -253,7 +256,7 @@ def _build_formula(kind: str, basis: str, params: QRacahParams) -> Matrix:
         return _shift_diag(params)
     if form == "Minv":
         return _banded(d, field, lambda i: q ** (2 * i - d),
-                       sup=lambda i: -xinv * q ** (2 * i - d - 1) * _super_entry(d, i, q))
+                       sup=lambda i: -xinv * q ** (2 * i - d - 1) * hat(i))
     # B and M are upper triangular: entry (i, j) is
     # amount x^(i-j) q^(d-j-i) (q-q^-1)^(2(j-i)) [j]![d-i]!/([i]![d-j]!),
     # amount 1 for M and on B's diagonal, 1 - x^2 off it

@@ -513,13 +513,15 @@ class Subspace:
             raise ValueError("ambient dimension or backend mismatch")
         return self._holds(other.rows)
 
-    def maps_into(self, m: Matrix, target: "Subspace") -> bool:
-        """True when m maps self into target: m times each of self's rows,
-        by ``_apply`` (times m.den on the integer form), lies in target."""
-        if (m.cols, m.rows) != (self.ambient, target.ambient) or not (
-                m.field == self.field == target.field):
+    def maps_into(self, m: Matrix, *targets: "Subspace") -> bool:
+        """True when m maps self into every target (into their intersection):
+        m times each of self's rows, by ``_apply`` (times m.den on the integer
+        form), lies in each."""
+        if any((m.cols, m.rows) != (self.ambient, t.ambient)
+               or not m.field == self.field == t.field for t in targets):
             raise ValueError("shape or backend mismatch")
-        return target._holds(_apply(m, self.rows))
+        rows = _apply(m, self.rows)
+        return all(t._holds(rows) for t in targets)
 
     def image(self, m: Matrix) -> "Subspace":
         """The subspace {m v : v in self}."""

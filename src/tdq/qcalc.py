@@ -4,16 +4,16 @@ The symmetric q-integer [n] = (q^n - q^-n)/(q - q^-1) is computed as the
 geometric sum q^(n-1) + q^(n-3) + ... + q^(1-n), one running term that starts
 at q^(n-1) and is multiplied by q^-2 at each step; it needs no division and
 is valid for every nonzero q.  The q-factorial [n]! multiplies [1], ..., [n]
-built by the recurrence [i+1] = q [i] + q^-i, so it takes O(n) field
-operations.  Both are the same at q and at q^-1, so exp_(q^-1) is
-:func:`q_exp` at base q^-1.  :func:`q_exp` sums over powers
-the caller already holds, so one list of a matrix's powers serves every
-multiple of it and both bases.
+built by the recurrence [i+1] = q [i] + q^-i from [2] = q + q^-1, so it
+takes O(n) field operations.  Both are the same at q and at q^-1, so
+exp_(q^-1) is :func:`q_exp` at base q^-1.  :func:`q_exp` builds each
+x^n q^C(n,2) from the last by one running product and sums over powers the
+caller already holds, so one list of a matrix's powers serves every multiple
+of it and both bases.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import Sequence
 
 from .linalg import Matrix, power_series
@@ -38,13 +38,15 @@ def q_int(n: int, q: Scalar) -> Scalar:
 def q_fact(n: int, q: Scalar) -> Scalar:
     if n < 0:
         raise ValueError("q-factorial needs n >= 0")
-    result = current = low = q.field.one  # [i]!, [i] and q^(1-i) at i = 1
-    if n > 1:
-        qinv = q ** -1
-        for _ in range(n - 1):  # [i+1] = q [i] + q^-i
-            low = low * qinv
-            current = q * current + low
-            result = result * current
+    if n < 2:
+        return q.field.one
+    qinv = q ** -1
+    result = current = q + qinv  # [i]! and [i] at i = 2
+    low = qinv  # q^(1-i)
+    for _ in range(n - 2):  # [i+1] = q [i] + q^-i
+        low = low * qinv
+        current = q * current + low
+        result = result * current
     return result
 
 
@@ -54,5 +56,9 @@ def q_exp(x: Scalar, powers: Sequence[Matrix], q: Scalar) -> Matrix:
     index = next((k for k, p in enumerate(powers) if p.is_zero()), None)
     if index is None:
         raise ValueError("q_exp needs a nilpotent matrix")
-    coeffs = [x ** n * q ** comb(n, 2) / q_fact(n, q) for n in range(index)]
+    coeffs, term, step = [], q.field.one, x  # x^n q^C(n,2) and x q^n at n = 0
+    for n in range(index):
+        coeffs.append(term / q_fact(n, q))
+        if n + 1 < index:
+            term, step = term * step, step * q
     return power_series(coeffs, powers)

@@ -229,7 +229,10 @@ class TestCallCounts:
     def test_derived_data_built_once(self, monkeypatch):
         # one derive_suite(A, K) + verify_battery at rational d=3 builds each
         # flag sequence once and each q-exponential of psi once; derive
-        # inverts each split basis once and builds each eigenspace of K once
+        # inverts each split basis once and builds each eigenspace of K once.
+        # The passing battery certifies its eigenspaces and E-tails: it
+        # computes no eigenspace, no tails of U or U-dd and, as no
+        # certificate reads EV.coordinates, no inverse beyond its six
         ls = leonard.leonard_suite(make_params(QF, d=3), "u")
         calls = {}
         for owner, name in ((qcalc, "q_exp"), (linalg, "_running_sums"),
@@ -252,8 +255,9 @@ class TestCallCounts:
         assert verify_battery(suite).passed
         # the battery inverts K, B and M's four (I - x psi); psi's route is derive's
         assert calls["inverse"] == 15
+        assert calls["eigenspace"] == 12
         assert calls["q_exp"] == 5
-        assert calls["_running_sums"] == 7
+        assert calls["_running_sums"] == 5
         assert calls["subspace_sum"] <= 99
         assert calls["power_series"] <= 11
 

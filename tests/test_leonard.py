@@ -386,6 +386,6 @@ class TestScalarWork:
                 return _original(self, other)
             monkeypatch.setattr(Scalar, name, counted)
         leonard.leonard_suite(make_params(QF, d=10), "u")
-        assert counts["mul"] <= 1954, counts
-        assert counts["pow"] <= 452, counts
+        assert counts["mul"] <= 1836, counts
+        assert counts["pow"] <= 246, counts
         assert counts["div"] <= 112, counts

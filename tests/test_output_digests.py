@@ -1,13 +1,12 @@
 """Byte identity of the benchmark's outputs, checked in the ordinary suite.
 
-Every ``cli-cold`` catalogue entry (rational d <= 3, all five grid points in
-all three frames), the rational d = 6 and d = 10 entries (likewise), the
-symbolic d = 2 and d = 3 entries (all three frames) and the raw-dense d = 6
-entries
-(``engine`` then ``verify`` for each of the four conjugators) run in-process
-through ``perfbench/workloads.py``; each fixture, derived suite and report
-must match its SHA-256 in ``perfbench/digests.json``.  The files under
-``perfbench/`` are only read.
+The whole catalogue runs in-process through ``perfbench/workloads.py``:
+every ``cli-cold`` entry (rational d <= 3, all five grid points in all three
+frames), the rational d = 6 and d = 10 entries (likewise), the symbolic
+d = 2, 3 and 4 entries (all three frames) and the raw-dense d = 6 and d = 9
+entries (``engine`` then ``verify`` for each of the four conjugators).  Each
+fixture, derived suite and report must match its SHA-256 in
+``perfbench/digests.json``.  The files under ``perfbench/`` are only read.
 """
 
 import pytest
@@ -19,8 +18,8 @@ DIGESTS = workloads.load_digests()
 
 ENTRIES = [("cli-cold", entry) for entry in workloads.catalogue("cli-cold")]
 ENTRIES += [("rational", entry) for entry in workloads.catalogue("rational") if entry[0] > 3]
-ENTRIES += [("symbolic", entry) for entry in workloads.catalogue("symbolic") if entry[0] <= 3]
-RAW_DENSE = [entry for entry in workloads.catalogue("raw-dense") if entry[0] == 6]
+ENTRIES += [("symbolic", entry) for entry in workloads.catalogue("symbolic")]
+RAW_DENSE = workloads.catalogue("raw-dense")
 
 
 def _id(workload, entry):
