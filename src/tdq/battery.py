@@ -18,8 +18,7 @@ and a dimension count prove what a new kernel, image or sum would show:
 ``kb_eigenspaces``, ``m_spectrum``, ``delta_flag_reversal``,
 ``eigenflag_tails`` and ``minv_action_ev`` each try that first, and each
 docstring gives the proof.  When a step fails, the item computes, so every
-verdict and witness is what the computation alone gives;
-``certify=False`` runs it alone.
+verdict and witness is what the computation alone gives.
 
 :func:`verify_battery` is a function of the suite and the requested ids
 alone.
@@ -182,7 +181,7 @@ def _splits_direct(s):
 
 
 @_item("eigenflag_tails", "E_iV + ... + E_dV = U_i + ... + U_d and E_0V + ... + E_iV = U_(d-i)^dd + ... + U_d^dd")
-def _eigenflag_tails(s, certify=True):
+def _eigenflag_tails(s):
     """Certificate first, on EV's flags and tails alone.  With U direct, U_j in
     E-tail_j for each j and dim E-tail_i = dim U_i + ... + dim U_d, U-tail_i
     lies in E-tail_i (the E-tails are nested) and has its dimension, so the
@@ -190,8 +189,8 @@ def _eigenflag_tails(s, certify=True):
     U_j^dd in E-flag_(d-j) and the dimensions.  A part whose certificate
     fails compares the tails of U or U-dd, built for that."""
     EV, d = s.EV, s.d
-    tails_proved = certify and _proved(lambda: _tails_certificate(s.U, EV.tails, d))
-    heads_proved = certify and _proved(lambda: _tails_certificate(s.Udd, EV.flags[::-1], d))
+    tails_proved = _proved(lambda: _tails_certificate(s.U, EV.tails, d))
+    heads_proved = _proved(lambda: _tails_certificate(s.Udd, EV.flags[::-1], d))
     return _each(s, lambda i: [
         ("E-tail = U-tail", tails_proved or EV.tails[i] == s.U.tails[i]),
         ("E-head = Udd-tail", heads_proved or EV.flags[i] == s.Udd.tails[d - i])])
@@ -227,13 +226,13 @@ def _astar_action_splits(s):
 
 
 @_item("kb_eigenspaces", "U_i is the K-eigenspace and U_i^dd the B-eigenspace for q^(d-2i)")
-def _kb_eigenspaces(s, certify=True):
+def _kb_eigenspaces(s):
     """Certificate first: when ``_eigen_certificate`` proves U_i = ker(K -
     q^(d-2i) I) for every i, each K check holds, and likewise B on U-dd; an
     operator whose certificate fails has each of its eigenspaces computed."""
     lams = _eigenvalues(s)
-    k_proved = certify and _proved(lambda: _eigen_certificate(s.K, s.U, lams))
-    b_proved = certify and _proved(lambda: _eigen_certificate(s.B, s.Udd, lams))
+    k_proved = _proved(lambda: _eigen_certificate(s.K, s.U, lams))
+    b_proved = _proved(lambda: _eigen_certificate(s.B, s.Udd, lams))
 
     def checks(i):
         yield "eigenspace(K, q^(d-2i)) = U_i", k_proved or eigenspace(s.K, lams[i]) == s.U[i]
@@ -377,7 +376,7 @@ def _delta_dual_triangular(s):
 
 
 @_item("delta_flag_reversal", "Delta(E_iV + ... + E_dV) = E_0V + ... + E_(d-i)V")
-def _delta_flag_reversal(s, certify=True):
+def _delta_flag_reversal(s):
     """Certificate first, unless every row of every E-tail is a coordinate
     vector (as in the u frame, where the images are cheap to compute).  Three
     steps prove Delta(E-tail_i) = E-flag_(d-i) for every i.  Delta maps each
@@ -389,7 +388,7 @@ def _delta_flag_reversal(s, certify=True):
     EV, d = s.EV, s.d
     tails, flags = EV.tails, EV.flags
     coordinate = all(sum(1 for x in row if x) == 1 for tail in tails for row in tail.rows)
-    if certify and not coordinate and _proved(lambda: (
+    if not coordinate and _proved(lambda: (
             len(EV) == d + 1 and all(tails[i].dim == flags[d - i].dim for i in range(d + 1))
             and all(EV[j].maps_into(s.Delta, flags[d - j]) for j in range(d + 1))
             and s.Delta * s.Deltainv == s.I)):
@@ -553,12 +552,12 @@ def _exp_shift_relations(s):
 
 
 @_item("m_spectrum", "M is diagonalizable with eigenvalues q^d, q^(d-2), ..., q^-d and eigenspaces W_i")
-def _m_spectrum(s, certify=True):
+def _m_spectrum(s):
     """Certificate first: when ``_eigen_certificate`` proves W_i = ker(M -
     q^(d-2i) I) for every i, every check holds, since the direct W has
     nonzero W_i with dimensions summing to n.  Otherwise each eigenspace is
     computed."""
-    if certify and _proved(lambda: _eigen_certificate(s.M, s.W, _eigenvalues(s))):
+    if _proved(lambda: _eigen_certificate(s.M, s.W, _eigenvalues(s))):
         return []
     out = []
     total = 0
@@ -656,13 +655,13 @@ def _minv_action_splits(s):
 
 
 @_item("minv_action_ev", "M^-1 E_iV <= E_(i-1)V + E_iV + E_(i+1)V")
-def _minv_action_ev(s, certify=True):
+def _minv_action_ev(s):
     """When EV is a direct decomposition with d + 1 spaces, E_(i-1)V + E_iV +
     E_(i+1)V is the intersection of E-flag_(i+1) and E-tail_(i-1) (the
     whole space past either end), both already built: so each index tests
     membership in those two and forms no sum.  Otherwise it forms the sum."""
     EV, d = s.EV, s.d
-    if certify and _proved(lambda: len(EV) == d + 1 and is_direct_decomposition(EV)):
+    if _proved(lambda: len(EV) == d + 1 and is_direct_decomposition(EV)):
         def holds(i):
             return EV[i].maps_into(s.Minv, EV.flags[min(i + 1, d)], EV.tails[max(i - 1, 0)])
     else:

@@ -513,10 +513,11 @@ class Subspace:
             raise ValueError("ambient dimension or backend mismatch")
         return self._holds(other.rows)
 
-    def maps_into(self, m: Matrix, *targets: "Subspace") -> bool:
-        """True when m maps self into every target (into their intersection):
-        m times each of self's rows, by ``_apply`` (times m.den on the integer
-        form), lies in each."""
+    def maps_into(self, m: Matrix, target: "Subspace", *more: "Subspace") -> bool:
+        """True when m maps self into target and into each further space
+        (into their intersection): m times each of self's rows, by ``_apply``
+        (times m.den on the integer form), lies in each."""
+        targets = (target, *more)
         if any((m.cols, m.rows) != (self.ambient, t.ambient)
                or not m.field == self.field == t.field for t in targets):
             raise ValueError("shape or backend mismatch")

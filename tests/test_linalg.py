@@ -219,6 +219,11 @@ class TestMatrixBasics:
         perturbed = Matrix.from_rows(field, rows)
         assert not source.maps_into(perturbed, target)
         assert not ref_maps_into(perturbed, source, target)
+        # several targets: into their intersection; at least one is required
+        whole = Subspace.from_vectors(field, 3, rows)
+        assert source.maps_into(m, whole, target) and not source.maps_into(perturbed, whole, target)
+        with pytest.raises(TypeError):
+            source.maps_into(m)
 
     def test_image_of_subspace(self):
         m = mat([[0, 1], [0, 0]])
